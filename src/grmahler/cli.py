@@ -61,6 +61,8 @@ def format_number(x) -> str:
     if isinstance(x, Fraction):
         x = float(x)
     if isinstance(x, float):
+        if math.isnan(x):
+            raise ValueError("NaN cannot be rendered as a number")
         if math.isinf(x):
             return '"infinite"'
         if x == 0.0:
@@ -135,8 +137,7 @@ def run_measure(cfg: JobConfig, allow_continuation: bool, method: str):
         res = mh.mahler_general(group, poly, epsilon=cfg.epsilon)
         extra = {"group_order": gr.order(group)}
         if gr.is_finite(group):
-            B = sp.cayley_adjacency(group, rg.mul(poly, rg.star(poly)))
-            extra["determinant"] = sp.det_hermitian(B)
+            extra["determinant"] = res.determinant
         else:
             extra["internal_lambda"] = res.lam
     elif method == "finite":
@@ -195,7 +196,7 @@ def run_spectrum(cfg: JobConfig):
     spec = sp.hermitian_eigenvalues(A)
     obj = _result_object(
         cfg,
-        "jacobi",
+        "eigvalsh",
         None,
         0,
         {"eigenvalues": list(spec.eigenvalues), "n": spec.n},
@@ -409,6 +410,10 @@ def _dispatch(args) -> tuple[dict, list, list]:
         fmt=args.fmt,
         out=args.out,
     )
+    if cfg.lam is not None and not math.isfinite(cfg.lam):
+        raise DomainError(f"lambda must be finite, got {cfg.lam!r}")
+    if not (math.isfinite(cfg.epsilon) and cfg.epsilon > 0):
+        raise DomainError(f"epsilon must be finite and positive, got {cfg.epsilon!r}")
     if args.command == "measure":
         return run_measure(cfg, args.allow_continuation, args.method)
     if args.command == "coeffs":
@@ -444,6 +449,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         obj, header, rows = _dispatch(args)
+        text = render_json(obj) if args.fmt == "json" else render_csv(header, rows)
     except GrmahlerError as err:
         payload = render_json(
             {"error": {"type": type(err).__name__, "message": str(err)}}
@@ -454,7 +460,6 @@ def main(argv=None) -> int:
         payload = render_json({"error": {"type": "ValueError", "message": str(err)}})
         print(payload, file=sys.stderr)
         return 3
-    text = render_json(obj) if args.fmt == "json" else render_csv(header, rows)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -141,16 +141,20 @@ def conj(c):
     return c.conjugate()
 
 
-def to_complex(c) -> complex:
-    return complex(c)
-
-
-def real_part(c):
-    return c.real
-
-
 def as_gaussian(c) -> GaussianRational:
     """Lift an exact coefficient to a GaussianRational."""
     if isinstance(c, GaussianRational):
         return c
     return GaussianRational(c)
+
+
+def exact_real(x):
+    """An exact real value as an int when integral, else a Fraction.
+
+    Accepts int, Fraction, or a GaussianRational whose imaginary part is zero.
+    """
+    if isinstance(x, GaussianRational):
+        if x.im != 0:
+            raise ArithmeticError(f"expected a real value, got {x!r}")
+        x = x.re
+    return int(x) if x.denominator == 1 else x

@@ -30,7 +30,7 @@ class ResourceLimitError(GrmahlerError):
 
 
 class NonConvergenceError(GrmahlerError):
-    """Iterative eigensolver failed to converge within its sweep cap."""
+    """The Hermitian eigensolver failed to converge."""
 
 
 class ParseError(GrmahlerError):

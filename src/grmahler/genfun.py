@@ -21,6 +21,7 @@ from typing import Callable
 
 from . import groups as gr
 from . import ring as rg
+from .coeffs import exact_real
 from .errors import DomainError
 
 # ---------------------------------------------------------------------------
@@ -69,10 +70,6 @@ def _series_div(num, den, n: int) -> list[Fraction]:
     return out
 
 
-def _as_int(q: Fraction):
-    return int(q) if q.denominator == 1 else q
-
-
 @dataclass(frozen=True)
 class AlgebraicSeries:
     """A closed-form evaluator paired with its exact Taylor coefficients."""
@@ -82,7 +79,7 @@ class AlgebraicSeries:
 
     def coeffs(self, n: int) -> list:
         """Taylor coefficients 0..n as exact ints (or Fractions)."""
-        return [_as_int(c) for c in self._coeff_fn(n)]
+        return [exact_real(c) for c in self._coeff_fn(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from . import groups as gr
 from . import ring as rg
 from . import spectra as sp
+from .coeffs import exact_real
 from .errors import (
     DomainError,
     InfiniteGroupError,
@@ -34,11 +35,19 @@ from .errors import (
 
 @dataclass(frozen=True)
 class MeasureResult:
+    """One measure value with the route that produced it.
+
+    determinant is det(B), B the adjacency of QQ*, on the lambda-free
+    finite-group route: an int or Fraction for exact input, a float
+    otherwise.  It is None on every other route.
+    """
+
     value: float
     method: str  # series | finite-determinant | quadrature | closed-form
     error_bound: float
     lam: float | None
     imaginary_discard: float = 0.0
+    determinant: int | Fraction | float | None = None
 
 
 @dataclass(frozen=True)
@@ -69,11 +78,7 @@ class RationalU:
         """
         if self.adjacency.is_exact():
             traces = sp.trace_powers_exact(self.adjacency, N)
-            out = []
-            for t in traces:
-                q = Fraction(t, self.group_order)
-                out.append(int(q) if q.denominator == 1 else q)
-            return out
+            return [exact_real(Fraction(t, self.group_order)) for t in traces]
         return [
             sum(s**n for s in self.eigenvalues.eigenvalues) / self.group_order
             for n in range(N + 1)
@@ -173,7 +178,8 @@ def mahler_finite(
     allow_continuation, any lambda with a nonzero determinant is admitted
     and log|det| is used (the analytic continuation across eigenvalues).
 
-    Takes the exact-determinant path when P is exact and lambda rational.
+    Takes the exact-determinant path when P is exact and lambda rational;
+    otherwise sums log|1 - lambda*s| over the eigenvalues s of A.
     """
     if not gr.is_finite(g):
         raise InfiniteGroupError("mahler_finite needs a finite group")
@@ -196,15 +202,10 @@ def mahler_finite(
             raise DomainError("determinant not positive inside the stated domain")
         value = math.log(abs(float(det))) / n
         return MeasureResult(value, "finite-determinant", 0.0, lam_f)
-    det = sp.det_i_minus_lambda(A, lam_f)
-    if det == 0.0:
+    factors = [abs(1.0 - lam_f * s) for s in spec.eigenvalues]
+    if 0.0 in factors:
         raise SingularMatrixError("1/lambda is an eigenvalue of A")
-    if allow_continuation:
-        value = math.log(abs(det)) / n
-    else:
-        if det <= 0.0:
-            raise DomainError("determinant not positive inside the stated domain")
-        value = math.log(det) / n
+    value = math.fsum(math.log(f) for f in factors) / n
     return MeasureResult(value, "finite-determinant", 0.0, lam_f)
 
 
@@ -239,7 +240,7 @@ def mahler_general(
         if det < 0:
             raise SingularMatrixError("adjacency of QQ* must be positive semidefinite")
         value = math.log(float(det)) / (2 * B.n)
-        return MeasureResult(value, "finite-determinant", 0.0, None)
+        return MeasureResult(value, "finite-determinant", 0.0, None, determinant=det)
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
     k2 = rg.l1_norm(QQs)

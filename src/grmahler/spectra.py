@@ -4,11 +4,11 @@ The adjacency matrix of a finite group for a reciprocal ring element P has
 entries A[i][j] = coefficient of g_i^-1 g_j in P, with vertices in the
 canonical enumeration order; reciprocity of P makes A Hermitian exactly.
 
-Eigenvalues are computed by cyclic complex Jacobi rotations: dimensions stay
-in the low hundreds here, and a deterministic, dependency-light solver is
-worth more than speed.  numpy is used for floating determinants and matrix
-powers; determinants of exact matrices are done in exact Gaussian-rational
-arithmetic so that integer constants come out exactly.
+Floating spectra come from LAPACK's Hermitian eigensolver
+(numpy.linalg.eigvalsh) through hermitian_eigenvalues, the one eigenvalue
+entry point; callers take floating log-determinants from that spectrum.
+Determinants and traces of exact matrices are done in exact
+Gaussian-rational arithmetic so that integer constants come out exactly.
 """
 from __future__ import annotations
 
@@ -23,9 +23,6 @@ from . import coeffs as cf
 from . import groups as gr
 from . import ring as rg
 from .errors import InfiniteGroupError, NonConvergenceError
-
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class HermitianMatrix:
     def to_numpy(self) -> np.ndarray:
         return np.array(
             [[complex(c) for c in row] for row in self.entries], dtype=complex
-        )
+        ).reshape(self.n, self.n)
 
 
 @dataclass(frozen=True)
@@ -93,61 +90,16 @@ def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> HermitianMatrix:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues: cyclic complex Jacobi
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    d = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(d))
+# eigenvalues
 
 
 def hermitian_eigenvalues(M: HermitianMatrix) -> Spectrum:
-    """All-real spectrum via cyclic complex Jacobi rotations.
-
-    Convergence: off-diagonal Frobenius mass below JACOBI_TOL times the
-    Frobenius norm of the input, capped at JACOBI_MAX_SWEEPS sweeps.
-    """
-    n = M.n
-    if n == 0:
-        return Spectrum((), 0)
-    a = M.to_numpy()
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return Spectrum((0.0,) * n, n)
-    target = JACOBI_TOL * norm
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                w = apq / r
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
-                t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- U^H A U with U[p,p]=c, U[p,q]=s*w, U[q,p]=-s*conj(w), U[q,q]=c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(w) * col_q
-                a[:, q] = s * w * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * w * row_q
-                a[q, :] = s * np.conj(w) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    else:
-        raise NonConvergenceError(
-            f"Jacobi sweeps did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    vals = sorted(float(x) for x in np.diag(a).real)
-    return Spectrum(tuple(vals), n)
+    """All-real spectrum, ascending, from LAPACK's Hermitian eigensolver."""
+    try:
+        vals = np.linalg.eigvalsh(M.to_numpy())
+    except np.linalg.LinAlgError as err:
+        raise NonConvergenceError(f"Hermitian eigensolver failed: {err}") from err
+    return Spectrum(tuple(vals.tolist()), M.n)
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +132,8 @@ def det_hermitian(M: HermitianMatrix):
     if M.n == 0:
         return 1
     if M.is_exact():
-        d = _det_exact(M.entries)
-        assert d.im == 0  # Hermitian determinants are real
-        re = d.re
-        return int(re) if re.denominator == 1 else re
+        return cf.exact_real(_det_exact(M.entries))
     d = complex(np.linalg.det(M.to_numpy()))
-    return d.real
-
-
-def det_i_minus_lambda(M: HermitianMatrix, lam: float) -> float:
-    """det(I - lam*M) by LU with partial pivoting in complex arithmetic."""
-    a = np.eye(M.n, dtype=complex) - lam * M.to_numpy()
-    d = complex(np.linalg.det(a))
-    scale = max(1.0, abs(d))
-    if abs(d.imag) > 1e-10 * scale:
-        raise ArithmeticError(f"determinant has large imaginary residue: {d!r}")
     return d.real
 
 
@@ -209,10 +148,7 @@ def det_i_minus_lambda_exact(M: HermitianMatrix, lam):
         ]
         for i in range(n)
     ]
-    d = _det_exact(rows)
-    assert d.im == 0
-    re = d.re
-    return int(re) if re.denominator == 1 else re
+    return cf.exact_real(_det_exact(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +180,7 @@ def trace_powers_exact(M: HermitianMatrix, N: int) -> list:
     out = []
     for k in range(N + 1):
         tr = sum((acc[i][i] for i in range(n)), cf.GaussianRational(0))
-        assert tr.im == 0
-        out.append(int(tr.re) if tr.re.denominator == 1 else tr.re)
+        out.append(cf.exact_real(tr))
         if k == N:
             break
         acc = [
@@ -288,8 +223,8 @@ def abelian_character_values(g: gr.AbelianProduct, P: rg.RingElement) -> np.ndar
 def abelian_spectrum(g: gr.AbelianProduct, P: rg.RingElement) -> Spectrum:
     """Spectrum of the Cayley adjacency by evaluating P at roots of unity.
 
-    For reciprocal P this equals hermitian_eigenvalues(cayley_adjacency)
-    as a multiset; the values are then real.
+    For reciprocal P this equals the adjacency spectrum as a multiset; the
+    values are then real.
     """
     vals = abelian_character_values(g, P)
     resid = float(np.max(np.abs(vals.imag))) if len(vals) else 0.0

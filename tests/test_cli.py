@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from grmahler import spectra as sp
 from grmahler.cli import format_number, main, render_json
 
 GOLDEN = {
@@ -124,6 +125,33 @@ def test_singular_error_exit_3():
     assert json.loads(err)["error"]["type"] == "SingularMatrixError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--lambda", "nan"],
+        ["measure", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--lambda", "inf"],
+        ["measure", "--group", "D3", "--poly", "x+x^-1+y", "--lambda", "nan"],
+        ["measure", "--group", "D3", "--poly", "x+x^-1+y", "--lambda", "inf"],
+        ["measure", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--lambda", "0.1",
+         "--epsilon", "nan"],
+    ],
+)
+def test_non_finite_input_is_a_domain_error(argv):
+    rc, out, err = run_cli(argv)
+    assert rc == 3 and out == ""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    obj = json.loads(err, parse_constant=reject)
+    assert obj["error"]["type"] == "DomainError"
+
+
+def test_format_number_rejects_nan():
+    with pytest.raises(ValueError):
+        format_number(float("nan"))
+
+
 def test_resource_cap_exit_4():
     rc, _, err = run_cli(
         ["coeffs", "--group", "F2", "--poly", "x+x^-1+y+y^-1",
@@ -144,6 +172,22 @@ def test_spectrum_command():
     vals = obj["extra"]["eigenvalues"]
     assert len(vals) == 2
     assert abs(vals[0] + 2) < 1e-12 and abs(vals[1] - 2) < 1e-12
+    assert obj["method"] == "eigvalsh"
+
+
+def test_lambda_free_finite_measure_computes_one_determinant(monkeypatch):
+    calls = []
+    det_hermitian = sp.det_hermitian
+
+    def counted(M):
+        calls.append(M.n)
+        return det_hermitian(M)
+
+    monkeypatch.setattr(sp, "det_hermitian", counted)
+    argv = ("measure", "--group", "Z/3xZ/2", "--poly", "1+x+y")
+    rc, out, _ = run_cli(argv)
+    assert rc == 0 and out == GOLDEN[argv]
+    assert calls == [6]
 
 
 def test_u_command():
