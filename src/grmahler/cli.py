@@ -134,7 +134,7 @@ def run_measure(cfg: JobConfig, allow_continuation: bool, method: str):
         else:
             method = "series"
     if method == "general":
-        res = mh.mahler_general(group, poly, epsilon=cfg.epsilon)
+        res = mh.mahler_general(group, poly, epsilon=cfg.epsilon, support_cap=cfg.support_cap)
         extra = {"group_order": gr.order(group)}
         if gr.is_finite(group):
             extra["determinant"] = res.determinant
@@ -209,7 +209,7 @@ def run_u(cfg: JobConfig):
     group, poly = _bind(cfg)
     if cfg.lam is None:
         raise DomainError("u needs an explicit --lambda")
-    val = mh.u_series(group, poly, cfg.lam, cfg.epsilon)
+    val = mh.u_series(group, poly, cfg.lam, cfg.epsilon, support_cap=cfg.support_cap)
     obj = _result_object(
         cfg, "series", val.real, cfg.epsilon, {"imag": val.imag}
     )
@@ -220,7 +220,7 @@ def run_compare(cfg: JobConfig, group_b: str):
     g_a = parse_group(cfg.group)
     g_b = parse_group(group_b)
     poly = to_ring_element(parse_poly(cfg.poly), g_a)
-    res = ex.compare_groups(g_a, g_b, poly, cfg.lam, epsilon=cfg.epsilon)
+    res = ex.compare_groups(g_a, g_b, poly, cfg.lam, cfg.epsilon, support_cap=cfg.support_cap)
     obj = _result_object(
         cfg,
         "compare",
@@ -237,17 +237,20 @@ def run_compare(cfg: JobConfig, group_b: str):
     return obj, ["group_a", "group_b", "value_a", "value_b", "verdict"], rows
 
 
-def run_converge(cfg: JobConfig, chain: str, params: list[int]):
+def run_converge(cfg: JobConfig, chain: str, params_text: str):
+    params = [int(p) for p in params_text.split(",") if p.strip()]
+    if not params:
+        raise ParseError("empty --params list")
     if cfg.lam is None:
         raise DomainError("converge needs an explicit --lambda")
     if chain == "abelian":
         group, poly = _bind(cfg)
         l = gr.num_generators(group)
-        rows = ex.converge_abelian(poly, cfg.lam, [(m,) * l for m in params])
+        rows = ex.converge_abelian(poly, cfg.lam, [(m,) * l for m in params], support_cap=cfg.support_cap)
     else:
         group = parse_group(cfg.group) if cfg.group else gr.Dihedral(0)
         poly = to_ring_element(parse_poly(cfg.poly), group)
-        rows = ex.converge_quotients(chain, poly, cfg.lam, params)
+        rows = ex.converge_quotients(chain, poly, cfg.lam, params, support_cap=cfg.support_cap)
     data = [
         {
             "parameter": r.parameter,
@@ -276,7 +279,7 @@ def run_agree_depth(cfg: JobConfig, group_b: str):
     g_b = parse_group(group_b)
     poly = to_ring_element(parse_poly(cfg.poly), g_b if not gr.is_finite(g_b) else g_a)
     n_max = cfg.n_max if cfg.n_max is not None else 12
-    rep = ex.agreement_depth(g_a, g_b, poly, n_max)
+    rep = ex.agreement_depth(g_a, g_b, poly, n_max, support_cap=cfg.support_cap)
     pairs = [[_coeff_out(a), _coeff_out(b)] for a, b in rep.coeff_pairs]
     obj = _result_object(
         cfg,
@@ -297,36 +300,30 @@ def run_agree_depth(cfg: JobConfig, group_b: str):
     return obj, ["n", "a_n_a", "a_n_b", "equal"], rows
 
 
+# series name -> (coefficients a_0..a_n from (degree, n), what --degree means;
+# None when the series takes no degree)
+GENFUN_SERIES = {
+    "tree": (lambda d, n: gf.tree_walk_series(d).coeffs(n), ""),
+    "free": (lambda d, n: gf.u_free(d).coeffs(n), " (the rank)"),
+    "free-p2": (lambda d, n: gf.u_free_p2(d).coeffs(n), " (the l parameter)"),
+    "psl2-xyy": (lambda d, n: gf.u_psl2("x+y+y^-1").coeffs(n), None),
+    "psl2-2xyy": (lambda d, n: gf.u_psl2("2x+y+y^-1").coeffs(n), None),
+    "z2": (lambda d, n: gf.z2_walk_coeffs(n), None),
+}
+
+
 def run_genfun(cfg: JobConfig, series: str, degree: int | None):
     n = cfg.n if cfg.n is not None else 10
-    if series == "tree":
-        if degree is None:
-            raise DomainError("tree series needs --degree")
-        s = gf.tree_walk_series(degree)
-        name = f"tree-{degree}"
-    elif series == "free":
-        if degree is None:
-            raise DomainError("free series needs --degree (the rank)")
-        s = gf.u_free(degree)
-        name = f"free-{degree}"
-    elif series == "free-p2":
-        if degree is None:
-            raise DomainError("free-p2 series needs --degree (the l parameter)")
-        s = gf.u_free_p2(degree)
-        name = f"free-p2-{degree}"
-    elif series == "psl2-xyy":
-        s = gf.u_psl2("x+y+y^-1")
-        name = "psl2-xyy"
-    elif series == "psl2-2xyy":
-        s = gf.u_psl2("2x+y+y^-1")
-        name = "psl2-2xyy"
-    elif series == "z2":
-        coeffs = gf.z2_walk_coeffs(n)
-        obj = _result_object(cfg, "closed-form", None, 0, {"series": "z2", "coeffs": coeffs})
-        return obj, ["n", "coeff"], [[i, c] for i, c in enumerate(coeffs)]
-    else:
+    if series not in GENFUN_SERIES:
         raise DomainError(f"unknown series {series!r}")
-    coeffs = s.coeffs(n)
+    coeffs_of, degree_meaning = GENFUN_SERIES[series]
+    if degree_meaning is None:
+        name = series
+    elif degree is None:
+        raise DomainError(f"{series} series needs --degree{degree_meaning}")
+    else:
+        name = f"{series}-{degree}"
+    coeffs = coeffs_of(degree, n)
     obj = _result_object(cfg, "closed-form", None, 0, {"series": name, "coeffs": coeffs})
     return obj, ["n", "coeff"], [[i, c] for i, c in enumerate(coeffs)]
 
@@ -388,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genfun", help="closed-form series coefficients")
     p.add_argument("--series", required=True,
-                   choices=("tree", "free", "free-p2", "psl2-xyy", "psl2-2xyy", "z2"))
+                   choices=tuple(GENFUN_SERIES))
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
@@ -414,26 +411,20 @@ def _dispatch(args) -> tuple[dict, list, list]:
         raise DomainError(f"lambda must be finite, got {cfg.lam!r}")
     if not (math.isfinite(cfg.epsilon) and cfg.epsilon > 0):
         raise DomainError(f"epsilon must be finite and positive, got {cfg.epsilon!r}")
-    if args.command == "measure":
-        return run_measure(cfg, args.allow_continuation, args.method)
-    if args.command == "coeffs":
-        return run_coeffs(cfg)
-    if args.command == "spectrum":
-        return run_spectrum(cfg)
-    if args.command == "u":
-        return run_u(cfg)
-    if args.command == "compare":
-        return run_compare(cfg, args.group_b)
-    if args.command == "converge":
-        params = [int(p) for p in args.params.split(",") if p.strip()]
-        if not params:
-            raise ParseError("empty --params list")
-        return run_converge(cfg, args.chain, params)
-    if args.command == "agree-depth":
-        return run_agree_depth(cfg, args.group_b)
-    if args.command == "genfun":
-        return run_genfun(cfg, args.series, args.degree)
-    raise ParseError(f"unknown command {args.command!r}")
+    return COMMANDS[args.command](cfg, args)
+
+
+# command -> runner from (JobConfig, parsed arguments)
+COMMANDS = {
+    "measure": lambda cfg, args: run_measure(cfg, args.allow_continuation, args.method),
+    "coeffs": lambda cfg, args: run_coeffs(cfg),
+    "spectrum": lambda cfg, args: run_spectrum(cfg),
+    "u": lambda cfg, args: run_u(cfg),
+    "compare": lambda cfg, args: run_compare(cfg, args.group_b),
+    "converge": lambda cfg, args: run_converge(cfg, args.chain, args.params),
+    "agree-depth": lambda cfg, args: run_agree_depth(cfg, args.group_b),
+    "genfun": lambda cfg, args: run_genfun(cfg, args.series, args.degree),
+}
 
 
 def _exit_code(err: GrmahlerError) -> int:

@@ -85,13 +85,15 @@ def q_of_m(m, h_max: int = DEFAULT_H_MAX):
     return None
 
 
-def converge_abelian(P: rg.RingElement, lam: float, moduli_sequence) -> list[ConvergenceRow]:
+def converge_abelian(
+    P: rg.RingElement, lam: float, moduli_sequence, support_cap: int = rg.DEFAULT_SUPPORT_CAP
+) -> list[ConvergenceRow]:
     """Finite-abelian measures (character product formula) against the
     free-abelian series limit; rows sorted by group order."""
     g = P.group
     if not isinstance(g, gr.AbelianProduct) or any(m != 0 for m in g.moduli):
         raise ValueError("P must live over a free abelian group")
-    limit = mh.mahler_series(g, P, lam, epsilon=1e-9).value
+    limit = mh.mahler_series(g, P, lam, 1e-9, support_cap).value
     rows = []
     for moduli in moduli_sequence:
         gq = gr.AbelianProduct(tuple(moduli))
@@ -115,14 +117,15 @@ def agreement_depth(
     g_inf: gr.GroupSpec,
     P: rg.RingElement,
     n_max: int,
+    support_cap: int = rg.DEFAULT_SUPPORT_CAP,
 ) -> AgreementReport:
     """Compare walk counts of the same polynomial over two groups.
 
     P may be tagged with either group (or any group whose generators embed
     word-for-word in both); the support words are re-evaluated in each.
     """
-    a_fin = rg.power_constant_coeffs(rg.transfer(P, g_fin), n_max).values
-    a_inf = rg.power_constant_coeffs(rg.transfer(P, g_inf), n_max).values
+    a_fin = rg.power_constant_coeffs(rg.transfer(P, g_fin), n_max, support_cap).values
+    a_inf = rg.power_constant_coeffs(rg.transfer(P, g_inf), n_max, support_cap).values
     first = None
     for n, (x, y) in enumerate(zip(a_fin, a_inf)):
         if not _coeffs_equal(x, y):
@@ -143,7 +146,7 @@ CHAINS = ("dihedral", "dicyclic", "zxzm")
 
 
 def converge_quotients(
-    chain: str, P: rg.RingElement, lam: float, m_list
+    chain: str, P: rg.RingElement, lam: float, m_list, support_cap: int = rg.DEFAULT_SUPPORT_CAP
 ) -> list[ConvergenceRow]:
     """Measures of a quotient chain against the infinite-group series value.
 
@@ -165,14 +168,14 @@ def converge_quotients(
             raise ValueError(
                 "the zxzm chain is the closed form for x + x^-1 + y + y^-1 only"
             )
-        limit = mh.mahler_series(g_inf, P_inf, lam, epsilon=1e-10).value
+        limit = mh.mahler_series(g_inf, P_inf, lam, 1e-10, support_cap).value
         for m in m_list:
             value = mh.mahler_zxzm(m, lam)
             rows.append(ConvergenceRow(int(m), value, abs(value - limit), "series"))
     else:
         family = gr.Dihedral if chain == "dihedral" else gr.Dicyclic
         g_inf = family(0)
-        limit = mh.mahler_series(g_inf, rg.transfer(P, g_inf), lam, epsilon=1e-10).value
+        limit = mh.mahler_series(g_inf, rg.transfer(P, g_inf), lam, 1e-10, support_cap).value
         for m in m_list:
             g_m = family(int(m))
             value = mh.mahler_finite(g_m, rg.transfer(P, g_m), lam).value
@@ -187,6 +190,7 @@ def compare_groups(
     poly: rg.RingElement,
     lam: float | None = None,
     epsilon: float = 1e-12,
+    support_cap: int = rg.DEFAULT_SUPPORT_CAP,
 ) -> ComparisonResult:
     """Measure the same polynomial over two groups and classify the gap.
 
@@ -199,10 +203,10 @@ def compare_groups(
     def measure(g):
         p = rg.transfer(poly, g)
         if lam is None:
-            return mh.mahler_general(g, p, epsilon=epsilon).value
+            return mh.mahler_general(g, p, epsilon=epsilon, support_cap=support_cap).value
         if gr.is_finite(g):
             return mh.mahler_finite(g, p, lam).value
-        return mh.mahler_series(g, p, lam, epsilon=epsilon).value
+        return mh.mahler_series(g, p, lam, epsilon, support_cap).value
 
     va = measure(g_a)
     vb = measure(g_b)

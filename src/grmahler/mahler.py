@@ -4,6 +4,9 @@ Four computation routes share one result type:
 
 * series       -- m(P, lambda) = -sum a_n lambda^n / n with the rigorous
                   geometric tail bound from |a_n| <= k^n, k the l1-norm;
+                  the lambda-free measure of Q falls back to a series in
+                  (1 - lambda QQ*) on infinite groups, with an estimated
+                  (not rigorous) bound;
 * finite-determinant -- log det(I - lambda A) / |G| over finite groups,
                   exact determinants whenever the inputs are exact;
 * quadrature   -- uniform torus grids for free abelian groups (the grid
@@ -11,7 +14,9 @@ Four computation routes share one result type:
 * closed-form  -- the Z x Z/m family for the standard 4-term element.
 
 lambda is kept real for measure routes; only the walk generating function
-u accepts complex lambda.
+u accepts complex lambda.  Every series route takes its walk counts
+a_n = [P^n]_0 from ring.walk_counts; mahler_series and u_series share one
+depth search (_series_depth) and differ only in the tail formula.
 """
 from __future__ import annotations
 
@@ -89,18 +94,22 @@ class RationalU:
 # series route
 
 
-def _series_length(klam: float, epsilon: float) -> int:
-    """Smallest N with tail bound (k|l|)^(N+1) / ((N+1)(1-k|l|)) <= epsilon."""
+def _tail_bound(klam: float, N: int) -> float:
+    return klam ** (N + 1) / ((N + 1) * (1.0 - klam))
+
+
+def _series_depth(P: rg.RingElement, lam, epsilon: float, tail) -> tuple[float, int]:
+    """(k|lambda|, N) with k = l1(P) and N >= 1 the smallest depth whose
+    tail(k|lambda|, N) is at most epsilon; requires k|lambda| < 1 strictly."""
+    klam = rg.l1_norm(P) * abs(lam)
+    if klam >= 1.0:
+        raise DomainError(f"|lambda|*l1_norm = {klam} >= 1: outside the series disc")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     N = 1
-    while _tail_bound(klam, N) > epsilon:
+    while tail(klam, N) > epsilon:
         N += 1
-    return N
-
-
-def _tail_bound(klam: float, N: int) -> float:
-    return klam ** (N + 1) / ((N + 1) * (1.0 - klam))
+    return klam, N
 
 
 def mahler_series(
@@ -113,18 +122,13 @@ def mahler_series(
     """-sum_{n=1}^N a_n lambda^n / n, truncated so the geometric tail bound
     from |a_n| <= k^n is at most epsilon.  Requires |lambda| < 1/k strictly.
     """
-    if P.group != g:
-        P = rg.transfer(P, g)
+    P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
         raise ValueError("P must be reciprocal")
     lam = float(lam)
     if lam == 0.0:
         return MeasureResult(0.0, "series", 0.0, 0.0)
-    k = rg.l1_norm(P)
-    klam = k * abs(lam)
-    if klam >= 1.0:
-        raise DomainError(f"|lambda|*l1_norm = {klam} >= 1: outside the series disc")
-    N = _series_length(klam, epsilon)
+    klam, N = _series_depth(P, lam, epsilon, _tail_bound)
     coeffs = rg.power_constant_coeffs(P, N, support_cap=support_cap)
     total = 0 + 0j
     for n in range(1, N + 1):
@@ -141,19 +145,10 @@ def u_series(
     support_cap: int = rg.DEFAULT_SUPPORT_CAP,
 ) -> complex:
     """Truncation of u(P, lambda) = sum a_n lambda^n with geometric tail <= epsilon."""
-    if P.group != g:
-        P = rg.transfer(P, g)
+    P = rg.transfer(P, g)
     if lam == 0:
         return 1 + 0j
-    k = rg.l1_norm(P)
-    klam = k * abs(lam)
-    if klam >= 1.0:
-        raise DomainError(f"|lambda|*l1_norm = {klam} >= 1: outside the series disc")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    N = 1
-    while klam ** (N + 1) / (1.0 - klam) > epsilon:
-        N += 1
+    _, N = _series_depth(P, lam, epsilon, lambda klam, N: klam ** (N + 1) / (1.0 - klam))
     coeffs = rg.power_constant_coeffs(P, N, support_cap=support_cap)
     total = 0 + 0j
     for n in range(N, -1, -1):
@@ -222,11 +217,12 @@ def mahler_general(
     groups (B the adjacency of QQ*), a series fallback otherwise.
 
     The fallback expands -log(lambda)/2 - sum_n [(1 - lambda QQ*)^n]_0/(2n)
-    with internal lambda = 1/(2 l1(QQ*)) by default; the reported error
-    bound is a geometric-ratio estimate, not a rigorous tail.
+    with internal lambda = 1/(2 l1(QQ*)) by default, summing until a term
+    drops below epsilon (at least 8 terms); the reported error bound is a
+    geometric-ratio estimate, not a rigorous tail.  ResourceLimitError when
+    max_terms terms or support_cap stored terms do not suffice.
     """
-    if Q.group != g:
-        Q = rg.transfer(Q, g)
+    Q = rg.transfer(Q, g)
     QQs = rg.mul(Q, rg.star(Q))
     if method == "auto":
         method = "determinant" if gr.is_finite(g) else "series"
@@ -250,25 +246,20 @@ def mahler_general(
     if not 0.0 < lam < 1.0 / k2:
         raise DomainError("internal lambda must lie in (0, 1/l1(QQ*))")
     R = rg.add(rg.one(g), rg.scale(-lam, QQs))
-    ident = gr.identity(g)
-    cur = {ident: 1}
+    counts = rg.walk_counts(R, support_cap)
+    next(counts)  # a_0 = 1 is not part of the sum
     total = 0.0
-    b_prev = None
     b_n = None
-    n = 0
-    while n < max_terms:
-        nxt = rg._mul_terms(g, cur.items(), R.terms)
-        cur = {e: c for e, c in nxt.items() if c != 0}
-        if len(cur) > support_cap:
-            raise ResourceLimitError(
-                f"support of power exceeded cap ({len(cur)} > {support_cap})"
-            )
-        n += 1
+    for n in range(1, max_terms + 1):
         b_prev = b_n
-        b_n = complex(cur.get(ident, 0)).real
+        b_n = complex(next(counts)).real
         total += b_n / (2 * n)
         if n >= 8 and abs(b_n) / (2 * n) < epsilon:
             break
+    else:
+        raise ResourceLimitError(
+            f"series fallback did not reach epsilon={epsilon:g} within max_terms={max_terms}"
+        )
     if b_prev and b_n and 0 < b_n < b_prev:
         ratio = b_n / b_prev
         err = b_n * ratio / (1.0 - ratio) / (2 * n)

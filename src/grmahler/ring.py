@@ -7,11 +7,13 @@ to complex as soon as a floating value enters.
 
 The central quantity everywhere downstream is the sequence of constant
 coefficients of powers, a_n = [P^n]_0, which counts weighted closed walks
-at the identity of the weighted Cayley graph.
+at the identity of the weighted Cayley graph; walk_counts is the one
+kernel that computes it, for every series route downstream.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import coeffs as cf
 from . import groups as gr
@@ -205,32 +207,35 @@ def ring_power(a: RingElement, n: int) -> RingElement:
     return acc
 
 
+def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
+    """Yield a_0 = 1, a_1, a_2, ... (a_n = [P^n]_0) by P^(n+1) = P^n * P.
+
+    P^n has finite support even over infinite groups, but it may grow
+    exponentially (free families): ResourceLimitError once a power stores
+    more than `support_cap` terms.  Exact coefficients give exact a_n.
+    """
+    group = P.group
+    ident = gr.identity(group)
+    cur = {ident: 1}
+    yield 1
+    while True:
+        # the unfiltered product is a temporary: only one power outlives a step
+        cur = {e: c for e, c in _mul_terms(group, cur.items(), P.terms).items() if c != 0}
+        if len(cur) > support_cap:
+            raise ResourceLimitError(
+                f"support of power exceeded cap ({len(cur)} > {support_cap})"
+            )
+        yield cur.get(ident, 0)
+
+
 def power_constant_coeffs(
     P: RingElement, N: int, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> SeriesCoeffs:
-    """a_n = [P^n]_0 for n = 0..N by iterated multiplication.
-
-    Works over infinite groups because P^n always has finite support; the
-    support may grow exponentially (free families), so the iteration aborts
-    with ResourceLimitError beyond `support_cap` stored terms.  The a_n stay
-    exact whenever P's coefficients are exact.
-    """
+    """a_n = [P^n]_0 for n = 0..N, the first N + 1 values of walk_counts."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    group = P.group
-    ident = gr.identity(group)
-    values = [1]
-    cur = {ident: 1}
-    for _ in range(N):
-        nxt = _mul_terms(group, cur.items(), P.terms)
-        nxt = {e: c for e, c in nxt.items() if c != 0}
-        if len(nxt) > support_cap:
-            raise ResourceLimitError(
-                f"support of power exceeded cap ({len(nxt)} > {support_cap})"
-            )
-        cur = nxt
-        values.append(cur.get(ident, 0))
-    return SeriesCoeffs(tuple(values), N, l1_norm(P))
+    values = tuple(islice(walk_counts(P, support_cap), N + 1))
+    return SeriesCoeffs(values, N, l1_norm(P))
 
 
 def transfer(a: RingElement, target: gr.GroupSpec) -> RingElement:

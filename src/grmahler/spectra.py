@@ -74,8 +74,7 @@ def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> HermitianMatrix:
     """Weighted Cayley adjacency matrix of a finite group for reciprocal P."""
     if not gr.is_finite(g):
         raise InfiniteGroupError("Cayley adjacency needs a finite group")
-    if P.group != g:
-        P = rg.transfer(P, g)
+    P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
         raise ValueError("P must be reciprocal (P == P*)")
     elems = gr.elements(g)
@@ -207,8 +206,7 @@ def abelian_character_values(g: gr.AbelianProduct, P: rg.RingElement) -> np.ndar
         raise ValueError("character evaluation needs an abelian product group")
     if not gr.is_finite(g):
         raise InfiniteGroupError("character evaluation needs a finite group")
-    if P.group != g:
-        P = rg.transfer(P, g)
+    P = rg.transfer(P, g)
     moduli = g.moduli
     grids = np.meshgrid(*(np.arange(m) for m in moduli), indexing="ij")
     vals = np.zeros(grids[0].shape if grids else (), dtype=complex)
@@ -244,8 +242,7 @@ def dihedral_trace_via_characters(m: int, P: rg.RingElement, n: int) -> float:
     if m < 1:
         raise ValueError("m must be >= 1")
     g = gr.Dihedral(m)
-    if P.group != g:
-        P = rg.transfer(P, g)
+    P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
         raise ValueError("P must be reciprocal in D_m")
     Pn = rg.ring_power(P, n)

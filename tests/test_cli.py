@@ -50,6 +50,15 @@ def run_cli(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def strict_json(text):
+    """json.loads that refuses the non-standard NaN and Infinity constants."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 # ---------------------------------------------------------------------------
 # golden files
 
@@ -139,12 +148,7 @@ def test_singular_error_exit_3():
 def test_non_finite_input_is_a_domain_error(argv):
     rc, out, err = run_cli(argv)
     assert rc == 3 and out == ""
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    obj = json.loads(err, parse_constant=reject)
-    assert obj["error"]["type"] == "DomainError"
+    assert strict_json(err)["error"]["type"] == "DomainError"
 
 
 def test_format_number_rejects_nan():
@@ -159,6 +163,38 @@ def test_resource_cap_exit_4():
     )
     assert rc == 4
     assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+
+
+F4 = "x+x^-1+y+y^-1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("u", "--group", "F2", "--poly", F4, "--lambda", "0.1", "--epsilon", "1e-3"),
+        ("measure", "--group", "F2", "--poly", "3+x"),
+        ("compare", "--group", "F2", "--group-b", "Z^2", "--poly", F4,
+         "--lambda", "0.1", "--epsilon", "1e-3"),
+        ("converge", "--chain", "abelian", "--group", "Z^2", "--poly", F4,
+         "--lambda", "0.1", "--params", "4"),
+        ("converge", "--chain", "dihedral", "--group", "Dinf", "--poly", "x+x^-1+y",
+         "--lambda", "0.1", "--params", "4"),
+        ("agree-depth", "--group", "D6", "--group-b", "Dinf", "--poly", "x+x^-1+y",
+         "--n-max", "10"),
+    ],
+)
+def test_support_cap_reaches_every_series_command(argv):
+    rc, out, err = run_cli(list(argv) + ["--support-cap", "20"])
+    assert rc == 4 and out == ""
+    assert strict_json(err)["error"]["type"] == "ResourceLimitError"
+
+
+def test_unconverged_general_series_is_a_resource_error():
+    rc, out, err = run_cli(["measure", "--group", "Dinf", "--poly", "1+x+y"])
+    assert rc == 4 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ResourceLimitError"
+    assert "max_terms" in error["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ from grmahler import mahler as mh
 from grmahler import ring as rg
 from grmahler import spectra as sp
 from grmahler.coeffs import GaussianRational
-from grmahler.errors import DomainError, InfiniteGroupError, SingularMatrixError
+from grmahler.errors import (
+    DomainError,
+    InfiniteGroupError,
+    ResourceLimitError,
+    SingularMatrixError,
+)
 from grmahler.parsing import parse_poly_over
 
 from conftest import (
@@ -213,6 +218,23 @@ def test_general_series_fallback_infinite_group():
     res = mh.mahler_general(g, Q, epsilon=1e-13, max_terms=600)
     assert res.method == "series"
     assert abs(res.value - math.log(3)) < 1e-8
+
+
+def test_general_series_fallback_honours_support_cap():
+    # P^n of QQ* = 11 + 3x + 3x^-1 + 3y + 3y^-1 + ... fills F2 exponentially
+    g = gr.Free(2)
+    Q = parse_poly_over("3+x+y", g)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        mh.mahler_general(g, Q, method="series", support_cap=100)
+
+
+def test_general_series_fallback_refuses_an_unconverged_sum():
+    # m_Dinf(1+x+y) = 0, but the terms decay too slowly for 400 of them to
+    # reach epsilon; the partial sum there (0.069) is not a converged value
+    g = gr.Dihedral(0)
+    Q = parse_poly_over("1+x+y", g)
+    with pytest.raises(ResourceLimitError, match="max_terms=400"):
+        mh.mahler_general(g, Q)
 
 
 # ---------------------------------------------------------------------------

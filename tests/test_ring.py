@@ -1,5 +1,7 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -167,6 +169,17 @@ def test_free_group_walks_match_distance_dp():
         dp.append(f.get(0, 0))
     P = parse_poly_over("x + x^-1 + y + y^-1", gr.Free(2))
     assert rg.power_constant_coeffs(P, 10).values == tuple(dp)
+    counts = rg.walk_counts(P)  # lazily: one power per value drawn
+    assert [next(counts) for _ in range(11)] == dp
+
+
+def test_only_ring_touches_private_ring_names():
+    # one walk-count kernel: the other modules use ring's public API only
+    src = Path(rg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "ring.py":
+            text = path.read_text()
+            assert not re.search(r"\b(rg|ring)\._", text), path.name
 
 
 def test_power_coeffs_free_product():
@@ -189,6 +202,12 @@ def test_support_cap():
     P = parse_poly_over("x + x^-1 + y + y^-1", gr.Free(2))
     with pytest.raises(ResourceLimitError):
         rg.power_constant_coeffs(P, 8, support_cap=50)
+    # supports of P^1..P^4 over F2: 4, 13, 40, 121 reduced words; the
+    # kernel yields every count before the power that breaks the cap
+    counts = rg.walk_counts(P, support_cap=50)
+    assert [next(counts) for _ in range(4)] == [1, 0, 4, 0]
+    with pytest.raises(ResourceLimitError, match="121 > 50"):
+        next(counts)
 
 
 def test_reciprocal_powers_are_real(rng):
