@@ -19,6 +19,11 @@ Supported families and their element encodings:
 
 Normal forms are unique, so equal group elements compare equal as plain
 tuples.  All values are immutable and every operation is a pure function.
+
+multiplier(g) holds each family's multiplication law: it chooses the law
+once and returns a plain (a, b) -> a*b function, which loops over many
+pairs of one group (group-ring products, Cayley adjacency, word
+evaluation) call per pair; multiply(g, a, b) is a single call through it.
 """
 from __future__ import annotations
 
@@ -139,56 +144,75 @@ def _rot_mod(g) -> int:
     return g.m if isinstance(g, Dihedral) else 2 * g.m
 
 
-def multiply(g: GroupSpec, a, b):
-    """Normal form of a*b.  Inputs must be valid normal forms for g."""
+def multiplier(g: GroupSpec):
+    """The multiplication law of g as a plain function (a, b) -> normal form of a*b.
+
+    The family match runs once, here; a loop over many pairs of one group
+    builds this once and calls it per pair.  Inputs must be valid normal
+    forms for g.  This is the only definition of each family's law.
+    """
     match g:
         case AbelianProduct(moduli):
-            if len(a) != len(moduli) or len(b) != len(moduli):
-                raise GroupMismatchError("exponent vector length mismatch")
-            return tuple(
-                (x + y) % m if m else x + y for x, y, m in zip(a, b, moduli)
-            )
-        case Dihedral():
-            e1, k1 = a
-            e2, k2 = b
-            k = k1 + k2 if e2 == 0 else k2 - k1
-            mod = g.m
-            return (e1 ^ e2, k % mod if mod else k)
+            n = len(moduli)
+
+            def mul(a, b):
+                if len(a) != n or len(b) != n:
+                    raise GroupMismatchError("exponent vector length mismatch")
+                return tuple(
+                    [(x + y) % m if m else x + y for x, y, m in zip(a, b, moduli)]
+                )
+        case Dihedral(m):
+            def mul(a, b):
+                e1, k1 = a
+                e2, k2 = b
+                k = k1 + k2 if e2 == 0 else k2 - k1
+                return (e1 ^ e2, k % m if m else k)
         case Dicyclic(m):
-            e1, k1 = a
-            e2, k2 = b
-            if e2 == 0:
-                k = k1 + k2
-            elif e1 == 0:
-                k = k2 - k1
-            else:
-                # y^2 contributes x^m for m >= 1; the printed infinite
-                # presentation has y^2 = e instead.
-                k = k2 - k1 + (m if m else 0)
             mod = 2 * m
-            return (e1 ^ e2, k % mod if mod else k)
+
+            def mul(a, b):
+                e1, k1 = a
+                e2, k2 = b
+                if e2 == 0:
+                    k = k1 + k2
+                elif e1 == 0:
+                    k = k2 - k1
+                else:
+                    # y^2 contributes x^m for m >= 1; the printed infinite
+                    # presentation has y^2 = e instead.
+                    k = k2 - k1 + m
+                return (e1 ^ e2, k % mod if mod else k)
         case Free(rank):
-            word = list(a)
-            for letter in b:
-                if not -rank <= letter <= rank or letter == 0:
-                    raise GroupMismatchError(f"letter {letter} outside rank {rank}")
-                if word and word[-1] == -letter:
-                    word.pop()
-                else:
-                    word.append(letter)
-            return tuple(word)
+            def mul(a, b):
+                word = list(a)
+                for letter in b:
+                    if not -rank <= letter <= rank or letter == 0:
+                        raise GroupMismatchError(f"letter {letter} outside rank {rank}")
+                    if word and word[-1] == -letter:
+                        word.pop()
+                    else:
+                        word.append(letter)
+                return tuple(word)
         case FreeProductCyclic(orders):
-            word = list(a)
-            for fac, exp in b:
-                if word and word[-1][0] == fac:
-                    e = (word[-1][1] + exp) % orders[fac]
-                    word.pop()
-                    if e:
-                        word.append((fac, e))
-                else:
-                    word.append((fac, exp))
-            return tuple(word)
-    raise TypeError(f"not a group spec: {g!r}")
+            def mul(a, b):
+                word = list(a)
+                for fac, exp in b:
+                    if word and word[-1][0] == fac:
+                        e = (word[-1][1] + exp) % orders[fac]
+                        word.pop()
+                        if e:
+                            word.append((fac, e))
+                    else:
+                        word.append((fac, exp))
+                return tuple(word)
+        case _:
+            raise TypeError(f"not a group spec: {g!r}")
+    return mul
+
+
+def multiply(g: GroupSpec, a, b):
+    """Normal form of a*b.  Inputs must be valid normal forms for g."""
+    return multiplier(g)(a, b)
 
 
 def invert(g: GroupSpec, a):
@@ -370,21 +394,23 @@ def element_power(g: GroupSpec, a, n: int):
     """a**n by repeated squaring; n may be negative."""
     if n < 0:
         a, n = invert(g, a), -n
+    mul = multiplier(g)
     acc = identity(g)
     base = a
     while n:
         if n & 1:
-            acc = multiply(g, acc, base)
-        base = multiply(g, base, base)
+            acc = mul(acc, base)
+        base = mul(base, base)
         n >>= 1
     return acc
 
 
 def evaluate_word(g: GroupSpec, word):
     """Evaluate ((gen_index, exponent), ...) into a normal form."""
+    mul = multiplier(g)
     acc = identity(g)
     for i, exp in word:
-        acc = multiply(g, acc, element_power(g, generator(g, i), exp))
+        acc = mul(acc, element_power(g, generator(g, i), exp))
     return acc
 
 

@@ -220,7 +220,10 @@ def mahler_general(
     with internal lambda = 1/(2 l1(QQ*)) by default, summing until a term
     drops below epsilon (at least 8 terms); the reported error bound is a
     geometric-ratio estimate, not a rigorous tail.  ResourceLimitError when
-    max_terms terms or support_cap stored terms do not suffice.
+    max_terms terms or support_cap stored terms do not suffice.  The terms
+    can fall slowly: over Dinf, Q = 3+x+y reaches epsilon = 1e-6 within
+    400 terms, but not 1e-8, the CLI's default 1e-10 (exit 4 there) or the
+    default here; callers that run out of terms should pass a larger epsilon.
     """
     Q = rg.transfer(Q, g)
     QQs = rg.mul(Q, rg.star(Q))

@@ -13,6 +13,7 @@ kernel that computes it, for every series route downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from . import coeffs as cf
@@ -29,11 +30,13 @@ class RingElement:
     group: gr.GroupSpec
     terms: tuple
 
+    @cached_property
+    def _by_element(self) -> dict:
+        return dict(self.terms)
+
     def coeff(self, elem):
-        for e, c in self.terms:
-            if e == elem:
-                return c
-        return 0
+        """Coefficient of `elem`; 0 off the support."""
+        return self._by_element.get(elem, 0)
 
     def support(self):
         return [e for e, _ in self.terms]
@@ -162,10 +165,13 @@ def scale(c, a: RingElement) -> RingElement:
 
 
 def _mul_terms(group, ta, tb) -> dict:
+    # the loop order is the order of the sums: it fixes the last bits of
+    # float coefficients
+    mul = gr.multiplier(group)
     out = {}
     for ea, ca in ta:
         for eb, cb in tb:
-            e = gr.multiply(group, ea, eb)
+            e = mul(ea, eb)
             prev = out.get(e)
             out[e] = ca * cb if prev is None else prev + ca * cb
     return out

@@ -79,12 +79,11 @@ def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> HermitianMatrix:
         raise ValueError("P must be reciprocal (P == P*)")
     elems = gr.elements(g)
     coeff = dict(P.terms)
+    mul = gr.multiplier(g)
     rows = []
     for gi in elems:
         gi_inv = gr.invert(g, gi)
-        rows.append(
-            tuple(coeff.get(gr.multiply(g, gi_inv, gj), 0) for gj in elems)
-        )
+        rows.append(tuple(coeff.get(mul(gi_inv, gj), 0) for gj in elems))
     return HermitianMatrix(rows)
 
 

@@ -85,6 +85,24 @@ def test_golden_is_valid_json():
         ]
 
 
+# the one golden whose walk counts are floats: the series fallback powers
+# R = 1 - lambda QQ* over Dinf with a float lambda, so any reordering of the
+# sums in group-ring multiplication changes its last bits
+FLOAT_WALK_ARGV = ("measure", "--group", "Dinf", "--poly", "3+x+y", "--epsilon", "1e-06")
+FLOAT_WALK_GOLDEN = (
+    '{"command": "measure", "group": "Dinf", "poly": "3+x+y", "lambda": null, '
+    '"method": "series", "value": 1.03055580873425, '
+    '"error_bound": 4.37484460919485e-05, '
+    '"extra": {"group_order": "infinite", "internal_lambda": 0.02}}\n'
+)
+
+
+def test_float_walk_golden_byte_for_byte():
+    rc, out, err = run_cli(FLOAT_WALK_ARGV)
+    assert rc == 0 and err == ""
+    assert out == FLOAT_WALK_GOLDEN
+
+
 # ---------------------------------------------------------------------------
 # formatting rules
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grmahler import groups as gr
+from grmahler import ring as rg
 from grmahler.errors import GroupMismatchError, InfiniteGroupError
 
 from conftest import FINITE_CATALOGUE, random_element
@@ -112,6 +113,66 @@ def test_dicinf_matches_dinf_multiplication(rng):
         b = (rng.randint(0, 1), rng.randint(-5, 5))
         assert gr.multiply(gd, a, b) == gr.multiply(gc, a, b)
         assert gr.invert(gd, a) == gr.invert(gc, a)
+
+
+# ---------------------------------------------------------------------------
+# multiplier: the law of a group, built once
+
+MULTIPLIER_FAMILIES = [
+    gr.Dihedral(5),
+    gr.Dihedral(0),
+    gr.Dicyclic(3),
+    gr.Dicyclic(0),
+    gr.AbelianProduct((0, 0)),
+    gr.AbelianProduct((0, 0, 0)),
+    gr.AbelianProduct((0, 4)),
+    gr.Free(1),
+    gr.Free(2),
+    gr.Free(3),
+    gr.FreeProductCyclic((2, 3)),
+]
+
+
+@given(st.sampled_from(MULTIPLIER_FAMILIES), st.randoms(use_true_random=False))
+def test_multiplier_agrees_with_multiply(g, rnd):
+    mul = gr.multiplier(g)
+    for _ in range(20):
+        a = random_element(g, rnd, max_len=5)
+        b = random_element(g, rnd, max_len=5)
+        assert mul(a, b) == gr.multiply(g, a, b)
+        # the product of two normal forms is the value of the joined words
+        word = gr.element_word(g, a) + gr.element_word(g, b)
+        assert mul(a, b) == gr.evaluate_word(g, word)
+
+
+MISMATCHES = [
+    (gr.Free(2), (1,), (3,)),  # letter outside the rank
+    (gr.Free(2), (1,), (-3,)),
+    (gr.AbelianProduct((0, 3)), (1, 0), (1, 0, 0)),  # length mismatch
+    (gr.AbelianProduct((0, 3)), (1,), (1, 0)),
+]
+
+
+@pytest.mark.parametrize("g, a, b", MISMATCHES)
+def test_multiply_rejects_foreign_elements(g, a, b):
+    with pytest.raises(GroupMismatchError):
+        gr.multiply(g, a, b)
+    with pytest.raises(GroupMismatchError):
+        gr.multiplier(g)(a, b)
+
+
+@pytest.mark.parametrize("g, a, b", MISMATCHES)
+def test_ring_mul_rejects_foreign_elements(g, a, b):
+    # RingElement(...) skips ring_element's validation, as a foreign term would
+    A = rg.RingElement(g, ((a, 1),))
+    B = rg.RingElement(g, ((b, 1),))
+    with pytest.raises(GroupMismatchError):
+        rg.mul(A, B)
+
+
+def test_multiplier_rejects_non_groups():
+    with pytest.raises(TypeError):
+        gr.multiplier("Z^2")
 
 
 # ---------------------------------------------------------------------------
