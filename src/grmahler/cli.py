@@ -166,8 +166,7 @@ def run_measure(cfg: JobConfig, allow_continuation: bool, method: str):
 
 def run_coeffs(cfg: JobConfig):
     group, poly = _bind(cfg)
-    n = cfg.n if cfg.n is not None else 8
-    series = rg.power_constant_coeffs(poly, n, support_cap=cfg.support_cap)
+    series = rg.power_constant_coeffs(poly, cfg.n, support_cap=cfg.support_cap)
     values = [_coeff_out(v) for v in series.values]
     obj = _result_object(
         cfg,
@@ -278,8 +277,7 @@ def run_agree_depth(cfg: JobConfig, group_b: str):
     g_a = parse_group(cfg.group)
     g_b = parse_group(group_b)
     poly = to_ring_element(parse_poly(cfg.poly), g_b if not gr.is_finite(g_b) else g_a)
-    n_max = cfg.n_max if cfg.n_max is not None else 12
-    rep = ex.agreement_depth(g_a, g_b, poly, n_max, support_cap=cfg.support_cap)
+    rep = ex.agreement_depth(g_a, g_b, poly, cfg.n_max, support_cap=cfg.support_cap)
     pairs = [[_coeff_out(a), _coeff_out(b)] for a, b in rep.coeff_pairs]
     obj = _result_object(
         cfg,
@@ -313,7 +311,6 @@ GENFUN_SERIES = {
 
 
 def run_genfun(cfg: JobConfig, series: str, degree: int | None):
-    n = cfg.n if cfg.n is not None else 10
     if series not in GENFUN_SERIES:
         raise DomainError(f"unknown series {series!r}")
     coeffs_of, degree_meaning = GENFUN_SERIES[series]
@@ -323,7 +320,7 @@ def run_genfun(cfg: JobConfig, series: str, degree: int | None):
         raise DomainError(f"{series} series needs --degree{degree_meaning}")
     else:
         name = f"{series}-{degree}"
-    coeffs = coeffs_of(degree, n)
+    coeffs = coeffs_of(degree, cfg.n)
     obj = _result_object(cfg, "closed-form", None, 0, {"series": name, "coeffs": coeffs})
     return obj, ["n", "coeff"], [[i, c] for i, c in enumerate(coeffs)]
 

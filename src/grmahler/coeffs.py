@@ -141,13 +141,6 @@ def conj(c):
     return c.conjugate()
 
 
-def as_gaussian(c) -> GaussianRational:
-    """Lift an exact coefficient to a GaussianRational."""
-    if isinstance(c, GaussianRational):
-        return c
-    return GaussianRational(c)
-
-
 def exact_real(x):
     """An exact real value as an int when integral, else a Fraction.
 

@@ -60,7 +60,8 @@ class RationalU:
     """u(P, lambda) = (1/|G|) sum_i 1/(1 - lambda s_i) over the spectrum.
 
     Keeps the adjacency matrix so Taylor coefficients can be produced in
-    exact arithmetic (trace powers) when the inputs are exact.
+    exact arithmetic (powers of A applied to one row) when the inputs are
+    exact.
     """
 
     eigenvalues: sp.Spectrum
@@ -80,10 +81,19 @@ class RationalU:
         """Coefficients of the expansion around 0: (1/|G|) trace(A^n).
 
         Exact (int/Fraction) when the adjacency is exact; floats otherwise.
+        The exact ones are (A^n)_00, row 0 of the identity pushed through A
+        one step at a time: a Cayley graph is vertex-transitive (A[i][j]
+        depends only on g_i^-1 g_j), so every diagonal entry of A^n equals
+        trace(A^n)/|G|.
         """
         if self.adjacency.is_exact():
-            traces = sp.trace_powers_exact(self.adjacency, N)
-            return [exact_real(Fraction(t, self.group_order)) for t in traces]
+            cols = list(zip(*self.adjacency.entries))
+            row = [1] + [0] * (self.group_order - 1)
+            diag = [1]
+            for _ in range(N):
+                row = [sum(r * a for r, a in zip(row, col)) for col in cols]
+                diag.append(exact_real(row[0]))
+            return diag
         return [
             sum(s**n for s in self.eigenvalues.eigenvalues) / self.group_order
             for n in range(N + 1)

@@ -225,8 +225,11 @@ def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
     cur = {ident: 1}
     yield 1
     while True:
-        # the unfiltered product is a temporary: only one power outlives a step
-        cur = {e: c for e, c in _mul_terms(group, cur.items(), P.terms).items() if c != 0}
+        # zero coefficients are deleted in place (insertion order is kept):
+        # only one power outlives a step
+        cur = _mul_terms(group, cur.items(), P.terms)
+        for e in [e for e, c in cur.items() if c == 0]:
+            del cur[e]
         if len(cur) > support_cap:
             raise ResourceLimitError(
                 f"support of power exceeded cap ({len(cur)} > {support_cap})"

@@ -7,8 +7,9 @@ canonical enumeration order; reciprocity of P makes A Hermitian exactly.
 Floating spectra come from LAPACK's Hermitian eigensolver
 (numpy.linalg.eigvalsh) through hermitian_eigenvalues, the one eigenvalue
 entry point; callers take floating log-determinants from that spectrum.
-Determinants and traces of exact matrices are done in exact
-Gaussian-rational arithmetic so that integer constants come out exactly.
+Determinants of exact matrices clear denominators once and run
+fraction-free Bareiss elimination on pairs of ints (Gaussian integers), so
+that integer constants come out exactly.
 """
 from __future__ import annotations
 
@@ -105,24 +106,41 @@ def hermitian_eigenvalues(M: HermitianMatrix) -> Spectrum:
 
 
 def _det_exact(rows) -> cf.GaussianRational:
-    """Exact determinant by Gaussian elimination over the Gaussian rationals."""
+    """Exact determinant of a square matrix of int, Fraction or
+    GaussianRational entries.
+
+    Denominators are cleared once: with d the lcm of the denominators of
+    every real and imaginary part, each entry of d*rows is held as a pair
+    (re, im) of ints, and det(rows) = det(d*rows) / d^n.  d*rows is reduced
+    by fraction-free Bareiss elimination with row swaps (Bareiss, Math.
+    Comp. 22, 1968): each step k replaces the trailing block by
+    (x*pivot - c*y) / previous pivot, a division that is exact in the
+    Gaussian integers Z[i], and the last pivot is the determinant.
+    """
     n = len(rows)
-    a = [[cf.as_gaussian(c) for c in row] for row in rows]
-    det = cf.GaussianRational(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot_row is None:
+    d = math.lcm(*(x.denominator for row in rows for c in row for x in (c.real, c.imag)))
+    a = [[(int(c.real * d), int(c.imag * d)) for c in row] for row in rows]
+    sign, (qr, qi) = 1, (1, 0)
+    while a:
+        k = next((r for r, row in enumerate(a) if row[0] != (0, 0)), None)
+        if k is None:
             return cf.GaussianRational(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        pivot = a[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] / pivot
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+        if k:
+            a[0], a[k] = a[k], a[0]
+            sign = -sign
+        (pr, pi), *top = a[0]
+        q2 = qr * qr + qi * qi
+        rest = []
+        for (cr, ci), *row in a[1:]:
+            new = []
+            for (xr, xi), (yr, yi) in zip(row, top):
+                tr = xr * pr - xi * pi - cr * yr + ci * yi
+                ti = xr * pi + xi * pr - cr * yi - ci * yr
+                new.append(((tr * qr + ti * qi) // q2, (ti * qr - tr * qi) // q2))
+            rest.append(new)
+        a, qr, qi = rest, pr, pi
+    scale = d**n
+    return cf.GaussianRational(Fraction(sign * qr, scale), Fraction(sign * qi, scale))
 
 
 def det_hermitian(M: HermitianMatrix):
@@ -138,13 +156,9 @@ def det_hermitian(M: HermitianMatrix):
 def det_i_minus_lambda_exact(M: HermitianMatrix, lam):
     """Exact det(I - lam*M); requires exact entries and rational lam."""
     lam = Fraction(lam)
-    n = M.n
     rows = [
-        [
-            (1 if i == j else 0) - lam * cf.as_gaussian(M.entries[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
+        [(1 if i == j else 0) - lam * c for j, c in enumerate(row)]
+        for i, row in enumerate(M.entries)
     ]
     return cf.exact_real(_det_exact(rows))
 
@@ -162,33 +176,6 @@ def trace_power(M: HermitianMatrix, n: int) -> float:
     for _ in range(n):
         acc = acc @ a
     return float(np.trace(acc).real)
-
-
-def trace_powers_exact(M: HermitianMatrix, N: int) -> list:
-    """Exact traces of M^0..M^N; requires exact entries.
-
-    Returned values are ints or Fractions (the imaginary parts vanish
-    identically for Hermitian matrices).
-    """
-    n = M.n
-    a = [[cf.as_gaussian(c) for c in row] for row in M.entries]
-    acc = [
-        [cf.GaussianRational(1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    out = []
-    for k in range(N + 1):
-        tr = sum((acc[i][i] for i in range(n)), cf.GaussianRational(0))
-        out.append(cf.exact_real(tr))
-        if k == N:
-            break
-        acc = [
-            [
-                sum((acc[i][t] * a[t][j] for t in range(n)), cf.GaussianRational(0))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    return out
 
 
 # ---------------------------------------------------------------------------

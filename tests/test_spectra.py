@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from grmahler import groups as gr
+from grmahler import mahler as mh
 from grmahler import ring as rg
 from grmahler import spectra as sp
 from grmahler.coeffs import GaussianRational
@@ -200,6 +203,57 @@ def test_det_exact_matches_float(rng):
         assert abs(float(exact) - approx) < 1e-9 * max(1.0, abs(approx))
 
 
+_ZERO = st.just(0)
+_RATIONAL = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+# zeros are drawn often, so pivots vanish (row swaps) and matrices go singular
+_EXACT = st.one_of(
+    _ZERO, _ZERO, _RATIONAL, st.builds(GaussianRational, _RATIONAL, _RATIONAL)
+)
+
+
+@st.composite
+def exact_hermitian(draw):
+    n = draw(st.integers(0, 5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.one_of(_ZERO, _RATIONAL))
+        for j in range(i + 1, n):
+            c = draw(_EXACT)
+            rows[i][j], rows[j][i] = c, c.conjugate()
+    return sp.HermitianMatrix(rows)
+
+
+def _det_by_permutations(rows):
+    """Leibniz expansion in GaussianRational arithmetic (independent oracle)."""
+    n = len(rows)
+    total = GaussianRational(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        sign = GaussianRational((-1) ** inversions)
+        total += math.prod((rows[i][perm[i]] for i in range(n)), start=sign)
+    return total
+
+
+@given(exact_hermitian(), st.fractions(min_value=-2, max_value=2, max_denominator=5))
+@example(sp.HermitianMatrix(((0, 1), (1, 0))), Fraction(1, 2))  # pivot needs a swap
+@example(sp.HermitianMatrix(((1, 1), (1, 1))), Fraction(1, 2))  # det(M) = det(I - M/2) = 0
+def test_exact_determinants_match_permutation_expansion(M, lam):
+    shifted = [
+        [(1 if i == j else 0) - lam * c for j, c in enumerate(row)]
+        for i, row in enumerate(M.entries)
+    ]
+    for det, rows in (
+        (sp.det_hermitian(M), M.entries),
+        (sp.det_i_minus_lambda_exact(M, lam), shifted),
+    ):
+        expected = _det_by_permutations(rows)
+        assert det == expected
+        assert expected.im == 0
+        assert type(det) is (int if expected.re.denominator == 1 else Fraction)
+
+
 # ---------------------------------------------------------------------------
 # character routes
 
@@ -287,12 +341,17 @@ def test_walk_counts_equal_normalized_traces(rng):
             assert abs(lhs - complex(coeffs[n]).real) <= 1e-10 * max(1.0, abs(lhs))
 
 
-def test_trace_powers_exact_matches_float(rng):
-    P = random_reciprocal(D3, rng)
-    A = sp.cayley_adjacency(D3, P)
-    exact = sp.trace_powers_exact(A, 6)
-    for n, t in enumerate(exact):
-        assert abs(float(t) - sp.trace_power(A, n)) < 1e-9 * max(1.0, abs(float(t)))
+def test_exact_taylor_coefficients_match_float_traces(rng):
+    # vertex transitivity: |G| (A^n)_00 = trace(A^n) on every family
+    for g in FINITE_CATALOGUE:
+        P = random_reciprocal(g, rng)
+        A = sp.cayley_adjacency(g, P)
+        coeffs = mh.u_rational(g, P).taylor_coefficients(6)
+        assert len(coeffs) == 7
+        for n, c in enumerate(coeffs):
+            assert isinstance(c, (int, Fraction))
+            exact = gr.order(g) * c
+            assert abs(float(exact) - sp.trace_power(A, n)) < 1e-9 * max(1.0, abs(float(exact)))
 
 
 # ---------------------------------------------------------------------------
