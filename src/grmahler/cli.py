@@ -52,14 +52,58 @@ class JobConfig:
 # deterministic serialization
 
 
+_CHUNK_DIGITS = 1000  # below the interpreter's str(int) digit limit
+
+
+def _int_text(n: int) -> str:
+    """All digits of n, in chunks: str() of a very long int is refused."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    chunks = []
+    while n >= 10**_CHUNK_DIGITS:
+        n, r = divmod(n, 10**_CHUNK_DIGITS)
+        chunks.append(f"{r:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def _fraction_text(x: Fraction) -> str:
+    """x rounded half-even to 15 significant digits and laid out as
+    format(float, ".15g") would, in exact arithmetic: float(x) overflows
+    past about 1e308."""
+    if x == 0:
+        return "0"
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    # decimal exponent of the leading digit: estimated, then made exact
+    e = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    digits = round(x / Fraction(10) ** (e - 14))
+    if digits == 10**15:
+        digits, e = 10**14, e + 1
+    s = str(digits).rstrip("0")
+    if not -4 <= e < 15:
+        mantissa = s[0] + ("." + s[1:] if len(s) > 1 else "")
+        return f"{sign}{mantissa}e{'-' if e < 0 else '+'}{abs(e):02d}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{s}"
+    if len(s) <= e + 1:
+        return sign + s + "0" * (e + 1 - len(s))
+    return f"{sign}{s[:e + 1]}.{s[e + 1:]}"
+
+
 def format_number(x) -> str:
-    """15 significant digits for floats; exact integers stay integers."""
+    """15 significant digits for floats and Fractions; exact integers stay
+    integers, however long."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
-        return str(x)
+        return _int_text(x)
     if isinstance(x, Fraction):
-        x = float(x)
+        return _fraction_text(x)
     if isinstance(x, float):
         if math.isnan(x):
             raise ValueError("NaN cannot be rendered as a number")
@@ -346,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
         p.add_argument("--support-cap", dest="support_cap", type=int,
                        default=rg.DEFAULT_SUPPORT_CAP,
-                       help="abort powering beyond this many stored terms")
+                       help="refuse a_n = [P^n]_0 once |supp P^ceil(n/2)| * "
+                            "|supp P^floor(n/2)|, a bound on |supp P^n|, exceeds this")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the artifact to a file")
 

@@ -234,9 +234,9 @@ def invert(g: GroupSpec, a):
                 return a  # printed presentation: y^2 = e
             return (1, (k + m) % mod)  # (y x^k)^-1 = y x^(k+m)
         case Free():
-            return tuple(-letter for letter in reversed(a))
+            return tuple([-letter for letter in reversed(a)])
         case FreeProductCyclic(orders):
-            return tuple((fac, orders[fac] - exp) for fac, exp in reversed(a))
+            return tuple([(fac, orders[fac] - exp) for fac, exp in reversed(a)])
     raise TypeError(f"not a group spec: {g!r}")
 
 

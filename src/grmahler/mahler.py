@@ -100,6 +100,20 @@ class RationalU:
         ]
 
 
+def _log(x) -> float:
+    """Natural log of a positive int, Fraction or float.
+
+    float(x) overflows past about 1e308, so an exact x outside float range
+    is first scaled into it by a power of two.  Inside it, x goes through
+    float unchanged: log(num) - log(den) would cancel for x near 1.
+    """
+    if isinstance(x, (int, Fraction)):
+        shift = x.numerator.bit_length() - x.denominator.bit_length()
+        if abs(shift) > 1000:
+            return math.log(float(x / Fraction(2) ** shift)) + shift * math.log(2)
+    return math.log(float(x))
+
+
 # ---------------------------------------------------------------------------
 # series route
 
@@ -205,7 +219,7 @@ def mahler_finite(
             raise SingularMatrixError("1/lambda is an eigenvalue of A")
         if not allow_continuation and det < 0:
             raise DomainError("determinant not positive inside the stated domain")
-        value = math.log(abs(float(det))) / n
+        value = _log(abs(det)) / n
         return MeasureResult(value, "finite-determinant", 0.0, lam_f)
     factors = [abs(1.0 - lam_f * s) for s in spec.eigenvalues]
     if 0.0 in factors:
@@ -230,7 +244,8 @@ def mahler_general(
     with internal lambda = 1/(2 l1(QQ*)) by default, summing until a term
     drops below epsilon (at least 8 terms); the reported error bound is a
     geometric-ratio estimate, not a rigorous tail.  ResourceLimitError when
-    max_terms terms or support_cap stored terms do not suffice.  The terms
+    max_terms terms do not suffice, or when the walk counts of
+    1 - lambda QQ* outgrow support_cap (see ring.walk_counts).  The terms
     can fall slowly: over Dinf, Q = 3+x+y reaches epsilon = 1e-6 within
     400 terms, but not 1e-8, the CLI's default 1e-10 (exit 4 there) or the
     default here; callers that run out of terms should pass a larger epsilon.
@@ -248,7 +263,7 @@ def mahler_general(
             raise SingularMatrixError("B is singular: the measure is undefined")
         if det < 0:
             raise SingularMatrixError("adjacency of QQ* must be positive semidefinite")
-        value = math.log(float(det)) / (2 * B.n)
+        value = _log(det) / (2 * B.n)
         return MeasureResult(value, "finite-determinant", 0.0, None, determinant=det)
     if method != "series":
         raise ValueError(f"unknown method {method!r}")

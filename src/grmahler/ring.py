@@ -8,7 +8,9 @@ to complex as soon as a floating value enters.
 The central quantity everywhere downstream is the sequence of constant
 coefficients of powers, a_n = [P^n]_0, which counts weighted closed walks
 at the identity of the weighted Cayley graph; walk_counts is the one
-kernel that computes it, for every series route downstream.
+kernel that computes it, for every series route downstream.  It pairs two
+half powers, a_(j+k) = sum_g [P^j]_g [P^k]_(g^-1), so a_0..a_N store no
+power past P^ceil(N/2).
 """
 from __future__ import annotations
 
@@ -20,7 +22,9 @@ from . import coeffs as cf
 from . import groups as gr
 from .errors import GroupMismatchError, ResourceLimitError
 
-DEFAULT_SUPPORT_CAP = 5_000_000
+# bounds the product of the two half-power supports walk_counts pairs, so
+# a stored power holds at most about 5M terms
+DEFAULT_SUPPORT_CAP = 5_000_000**2
 
 
 @dataclass(frozen=True)
@@ -214,27 +218,47 @@ def ring_power(a: RingElement, n: int) -> RingElement:
 
 
 def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
-    """Yield a_0 = 1, a_1, a_2, ... (a_n = [P^n]_0) by P^(n+1) = P^n * P.
+    """Yield a_0 = 1, a_1, a_2, ... (a_n = [P^n]_0) from two half powers.
+
+    a_(j+k) = sum_g [P^j]_g [P^k]_(g^-1) (Kesten's meet-in-the-middle), so
+    a_2k pairs P^k with itself and a_(2k+1) pairs P^k with P^(k+1).  Only
+    P^k and P^(k+1) are held, and a_2k is yielded before P^(k+1) is built:
+    drawing a_0..a_N stores no power past P^ceil(N/2).  The pairing looks
+    up g^-1 instead of conjugating coefficients, so P need not be
+    reciprocal.  Exact coefficients give exact a_n.
 
     P^n has finite support even over infinite groups, but it may grow
-    exponentially (free families): ResourceLimitError once a power stores
-    more than `support_cap` terms.  Exact coefficients give exact a_n.
+    exponentially (free families).  support_cap bounds |supp P^n| through
+    the product |supp P^j| * |supp P^k| >= |supp P^n| of the two halves
+    paired for a_n: ResourceLimitError before a_n when it exceeds the cap.
+    A stored power therefore holds about sqrt(support_cap) terms at most.
     """
     group = P.group
-    ident = gr.identity(group)
-    cur = {ident: 1}
-    yield 1
-    while True:
-        # zero coefficients are deleted in place (insertion order is kept):
-        # only one power outlives a step
-        cur = _mul_terms(group, cur.items(), P.terms)
-        for e in [e for e, c in cur.items() if c == 0]:
-            del cur[e]
-        if len(cur) > support_cap:
+
+    def count(high: dict, low: dict):
+        size = len(high) * len(low)
+        if size > support_cap:
             raise ResourceLimitError(
-                f"support of power exceeded cap ({len(cur)} > {support_cap})"
+                f"support of power exceeded cap "
+                f"({len(high)}*{len(low)} = {size} > {support_cap})"
             )
-        yield cur.get(ident, 0)
+        total = 0
+        for g, c in low.items():  # the smaller half drives the loop
+            d = high.get(gr.invert(group, g))
+            if d is not None:
+                total += c * d
+        # a count off the support is the int 0, whatever the coefficient kind
+        return total or 0
+
+    low = {gr.identity(group): 1}
+    while True:
+        yield count(low, low)
+        # zero coefficients are deleted in place (insertion order is kept)
+        high = _mul_terms(group, low.items(), P.terms)
+        for e in [e for e, c in high.items() if c == 0]:
+            del high[e]
+        yield count(high, low)
+        low = high
 
 
 def power_constant_coeffs(

@@ -1,8 +1,17 @@
 import io
 import contextlib
 import json
+import math
+import re
+import shlex
+import time
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grmahler import spectra as sp
 from grmahler.cli import format_number, main, render_json
@@ -50,13 +59,13 @@ def run_cli(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def strict_json(text):
+def strict_json(text, **kwargs):
     """json.loads that refuses the non-standard NaN and Infinity constants."""
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
-    return json.loads(text, parse_constant=reject)
+    return json.loads(text, parse_constant=reject, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +96,13 @@ def test_golden_is_valid_json():
 
 # the one golden whose walk counts are floats: the series fallback powers
 # R = 1 - lambda QQ* over Dinf with a float lambda, so any reordering of the
-# sums in group-ring multiplication changes its last bits
+# sums in group-ring multiplication or in the pairing of two half powers
+# changes its last bits
 FLOAT_WALK_ARGV = ("measure", "--group", "Dinf", "--poly", "3+x+y", "--epsilon", "1e-06")
 FLOAT_WALK_GOLDEN = (
     '{"command": "measure", "group": "Dinf", "poly": "3+x+y", "lambda": null, '
     '"method": "series", "value": 1.03055580873425, '
-    '"error_bound": 4.37484460919485e-05, '
+    '"error_bound": 4.37484460919487e-05, '
     '"extra": {"group_order": "infinite", "internal_lambda": 0.02}}\n'
 )
 
@@ -114,6 +124,24 @@ def test_format_number_15_significant_digits():
     assert format_number(-0.0) == "0"
     assert format_number(81) == "81"
     assert format_number(123456789012345678) == "123456789012345678"
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_format_number_renders_a_fraction_like_its_float(x):
+    # a float converts to Fraction exactly, so the exact rendering must
+    # reproduce format(x, ".15g") digit for digit
+    assert format_number(Fraction(x)) == format_number(x)
+
+
+def test_format_number_beyond_float_range():
+    assert format_number(Fraction(10**400, 3)) == "3.33333333333333e+399"
+    assert format_number(Fraction(-2, 10**400)) == "-2e-400"
+    # log10 rounds this up to 400.0; the exponent must still be 399
+    assert format_number(Fraction(10**400 - 10**386)) == "9.9999999999999e+399"
+    big = 7 * 10**9000 + 1  # past the interpreter's str(int) digit limit
+    text = format_number(big)
+    assert len(text) == 9001 and text.startswith("70") and text.endswith("01")
+    assert format_number(-big) == "-" + text
 
 
 def test_render_json_deterministic_order():
@@ -172,6 +200,21 @@ def test_non_finite_input_is_a_domain_error(argv):
 def test_format_number_rejects_nan():
     with pytest.raises(ValueError):
         format_number(float("nan"))
+
+
+# lambda-free exact determinants far past float range (det B ~ c^(2|G|))
+@pytest.mark.parametrize(
+    "group, poly, c",
+    [("Z/3", "1" + "0" * 1500 + "+x", 10**1500), ("Z/2xZ/2", "1" + "0" * 80 + "+x+y", 10**80)],
+    ids=["Z/3", "Z/2xZ/2"],
+)
+def test_overflowing_exact_determinant_gives_a_value(group, poly, c):
+    rc, out, err = run_cli(["measure", "--group", group, "--poly", poly])
+    assert rc == 0 and err == ""
+    obj = strict_json(out, parse_int=Decimal)  # det B has up to ~9000 digits
+    digits = obj["extra"]["determinant"].adjusted()  # floor(log10 det B)
+    assert abs(digits - 2 * int(obj["extra"]["group_order"]) * math.log10(c)) <= 1
+    assert abs(obj["value"] - math.log(c)) <= 1e-12 * math.log(c)
 
 
 def test_resource_cap_exit_4():
@@ -361,3 +404,22 @@ def test_csv_format_for_coeffs():
     )
     assert rc == 0
     assert out == "n,a_n\n0,1\n1,0\n2,4\n3,0\n4,36\n"
+
+
+def test_readme_examples_answer():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    commands = [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("grmahler ")
+    ]
+    assert len(commands) >= 9
+    for argv in commands:
+        start = time.perf_counter()
+        rc, out, err = run_cli(argv)
+        elapsed = time.perf_counter() - start
+        assert rc == 0 and err == "", argv
+        strict_json(out)
+        assert elapsed < 10.0, (argv, elapsed)

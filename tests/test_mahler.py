@@ -189,6 +189,26 @@ def test_general_known_constants():
     assert abs(mh.mahler_general(D3, parse_poly_over(q, D3)).value - math.log(200) / 6) < 1e-15
 
 
+def test_exact_determinant_logs_past_float_range_and_near_one():
+    # det far past 1e308, where float(det) overflows: m(c + x) over Z/3 is
+    # log|c^3 + 1|/3 and m over Z/2 at lambda = 1 is log|1 - c^2|/2
+    c = Fraction(10**200, 7)
+    log_c = math.log(10**200) - math.log(7)
+    Z3 = gr.AbelianProduct((3,))
+    res = mh.mahler_general(Z3, rg.ring_element(Z3, {(0,): c, (1,): 1}))
+    assert isinstance(res.determinant, Fraction)
+    assert abs(res.value - log_c) <= 1e-13 * log_c
+    Z2_ = gr.AbelianProduct((2,))
+    P = rg.ring_element(Z2_, {(1,): c})
+    res = mh.mahler_finite(Z2_, P, 1, allow_continuation=True)
+    assert abs(res.value - log_c) <= 1e-13 * log_c
+    # det B = 1.00001^2 exactly: a log of numerator minus denominator would
+    # cancel to about 2e-11 relative error
+    Z5 = gr.AbelianProduct((5,))
+    value = mh.mahler_general(Z5, parse_poly_over("0.1+x", Z5)).value
+    assert abs(value - math.log1p(1e-5) / 5) <= 1e-11 * value
+
+
 def test_general_singular_is_an_error():
     g = gr.AbelianProduct((2,))
     Q = parse_poly_over("1+x", g)  # QQ* = 2 + 2x, det B = 0

@@ -4,16 +4,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grmahler import genfun as gf
 from grmahler import groups as gr
 from grmahler import ring as rg
 from grmahler.coeffs import GaussianRational
 from grmahler.errors import GroupMismatchError, ResourceLimitError
 from grmahler.parsing import parse_poly_over
 
-from conftest import random_reciprocal, random_ring_element
+from conftest import (
+    FINITE_CATALOGUE,
+    random_element,
+    random_reciprocal,
+    random_ring_element,
+)
 
 Z32 = gr.AbelianProduct((3, 2))
 D3 = gr.Dihedral(3)
@@ -173,6 +179,77 @@ def test_free_group_walks_match_distance_dp():
     assert [next(counts) for _ in range(11)] == dp
 
 
+# every catalogue family; Dicyclic is the one where (y x^k)^-1 != y x^k
+KERNEL_GROUPS = FINITE_CATALOGUE + [
+    gr.Free(2),
+    gr.FreeProductCyclic((2, 3)),
+    Z2,
+    gr.Dihedral(0),
+]
+
+EXACT_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-2, 2, max_denominator=4),
+    st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+@pytest.mark.parametrize("g", KERNEL_GROUPS, ids=repr)
+@settings(max_examples=8)
+@given(st.randoms(use_true_random=False), st.lists(EXACT_COEFFS, min_size=1, max_size=3))
+def test_walk_counts_match_ring_powers(g, rnd, coeffs):
+    # meet-in-the-middle pairing against the constant coefficient of the
+    # full power, for both parities and non-reciprocal P
+    terms = {}
+    for c in coeffs:
+        e = random_element(g, rnd)
+        terms[e] = terms.get(e, 0) + c
+    P = rg.ring_element(g, terms)
+    assume(not rg.is_reciprocal(P))
+    powers = [rg.one(g)]  # ring_power(P, n), one multiplication per step
+    for _ in range(9):
+        powers.append(rg.mul(powers[-1], P))
+    counts = rg.walk_counts(P)
+    assert [next(counts) for _ in powers] == [rg.constant_coefficient(Pn) for Pn in powers]
+
+
+def test_cancelled_walk_count_is_the_int_zero():
+    # a_2 = 1 + 1 + i*i + i*i cancels; like a count off the support it is 0
+    P = parse_poly_over("x + x^-1 + i*y + i*y^-1", Z2)
+    values = rg.power_constant_coeffs(P, 2).values
+    assert values == (1, 0, 0) and type(values[2]) is int
+
+
+def test_psl2_walks_match_closed_form_to_30():
+    # reference from the algebraic series, not from powering
+    g = gr.FreeProductCyclic((2, 3))
+    P = parse_poly_over("2*x + y + y^-1", g)
+    want = tuple(gf.u_psl2("2x+y+y^-1").coeffs(30))
+    assert rg.power_constant_coeffs(P, 30).values == want
+
+
+@pytest.mark.parametrize(
+    "g", [gr.Free(2), Z2, gr.Dihedral(0), gr.FreeProductCyclic((2, 3))], ids=repr
+)
+@given(st.randoms(use_true_random=False), st.integers(1, 2000), st.integers(0, 9))
+def test_support_cap_never_refuses_later_than_a_power(g, rnd, cap, n):
+    P = random_ring_element(g, rnd, n_terms=4, gaussian=False)
+    powers = [rg.one(g)]  # ring_power(P, m), one multiplication per step
+    for _ in range(n):
+        powers.append(rg.mul(powers[-1], P))
+    supports = [len(Pm.terms) for Pm in powers]
+    # a_m pairs P^ceil(m/2) with P^floor(m/2); their support product bounds
+    # |supp P^m|, so a power that outgrows the cap always refuses
+    bound = max(supports[(m + 1) // 2] * supports[m // 2] for m in range(n + 1))
+    assert max(supports) <= bound
+    if bound > cap:
+        with pytest.raises(ResourceLimitError):
+            rg.power_constant_coeffs(P, n, support_cap=cap)
+    else:
+        got = rg.power_constant_coeffs(P, n, support_cap=cap).values
+        assert got == tuple(rg.constant_coefficient(Pm) for Pm in powers)
+
+
 def test_only_ring_touches_private_ring_names():
     # one walk-count kernel: the other modules use ring's public API only
     src = Path(rg.__file__).parent
@@ -202,11 +279,12 @@ def test_support_cap():
     P = parse_poly_over("x + x^-1 + y + y^-1", gr.Free(2))
     with pytest.raises(ResourceLimitError):
         rg.power_constant_coeffs(P, 8, support_cap=50)
-    # supports of P^1..P^4 over F2: 4, 13, 40, 121 reduced words; the
-    # kernel yields every count before the power that breaks the cap
+    # supports of P^1..P^4 over F2: 4, 13, 40, 121 reduced words; a_n
+    # pairs P^ceil(n/2) with P^floor(n/2), whose support product bounds
+    # |supp P^n|: a_2 passes (4*4), a_3 breaks the cap (13*4)
     counts = rg.walk_counts(P, support_cap=50)
-    assert [next(counts) for _ in range(4)] == [1, 0, 4, 0]
-    with pytest.raises(ResourceLimitError, match="121 > 50"):
+    assert [next(counts) for _ in range(3)] == [1, 0, 4]
+    with pytest.raises(ResourceLimitError, match=re.escape("13*4 = 52 > 50")):
         next(counts)
 
 
