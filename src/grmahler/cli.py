@@ -5,10 +5,13 @@ Every run emits one deterministic artifact: a JSON object
     {"command": ..., "group": ..., "poly": ..., "lambda": ..., "method": ...,
      "value": ..., "error_bound": ..., "extra": {...}}
 
-or, with --format csv, a table with a header row.  Numeric fields are
-printed with 15 significant digits.  Exit codes: 0 ok, 2 parse error,
-3 domain error (lambda out of disc, singular determinant, ...), 4 resource
-cap exceeded.
+or, with --format csv, a table with a header row.  format_number renders
+every value the library returns: floats and Fractions with 15 significant
+digits, ints exactly, a complex or Gaussian-rational value with zero
+imaginary part as its real value, any other as the string "(a+bi)", and
+infinity as "infinite".  Each subcommand binds its runner, which takes the
+parsed arguments.  Exit codes: 0 ok, 2 parse error, 3 domain error (lambda
+out of disc, singular determinant, ...), 4 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -16,9 +19,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import coeffs as cf
 from . import experiments as ex
 from . import genfun as gf
 from . import groups as gr
@@ -29,23 +32,6 @@ from .errors import DomainError, GrmahlerError, ParseError, ResourceLimitError
 from .parsing import parse_group, parse_poly, to_ring_element
 
 DEFAULT_EPSILON = 1e-10
-
-
-@dataclass
-class JobConfig:
-    """Validated per-run settings; defaults are documented in --help."""
-
-    command: str
-    group: str | None = None
-    poly: str | None = None
-    lam: float | None = None
-    epsilon: float = DEFAULT_EPSILON
-    grid: int | None = None
-    n: int | None = None
-    n_max: int | None = None
-    support_cap: int = rg.DEFAULT_SUPPORT_CAP
-    fmt: str = "json"
-    out: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +83,8 @@ def _fraction_text(x: Fraction) -> str:
 
 def format_number(x) -> str:
     """15 significant digits for floats and Fractions; exact integers stay
-    integers, however long."""
+    integers, however long.  A complex or Gaussian-rational value with zero
+    imaginary part is its real value; any other is the string "(a+bi)"."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
@@ -112,7 +99,16 @@ def format_number(x) -> str:
         if x == 0.0:
             return "0"
         return f"{x:.15g}"
-    raise TypeError(f"not a number: {x!r}")
+    if isinstance(x, cf.GaussianRational):
+        re, im = cf.exact_real(x.re), cf.exact_real(x.im)
+    elif isinstance(x, complex):
+        re, im = x.real, x.imag
+    else:
+        raise TypeError(f"not a number: {x!r}")
+    if im == 0:
+        return format_number(re)
+    a, b = (format_number(v).strip('"') for v in (re, abs(im)))
+    return f'"({a}{"-" if im < 0 else "+"}{b}i)"'
 
 
 def render_json(obj) -> str:
@@ -120,7 +116,7 @@ def render_json(obj) -> str:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (bool, int, float, Fraction)):
+    if isinstance(obj, (bool, int, float, Fraction, complex, cf.GaussianRational)):
         return format_number(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(render_json(v) for v in obj) + "]"
@@ -145,12 +141,12 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
-def _result_object(cfg: JobConfig, method, value, error_bound, extra) -> dict:
+def _result_object(args, method, value, error_bound, extra) -> dict:
     return {
-        "command": cfg.command,
-        "group": cfg.group,
-        "poly": cfg.poly,
-        "lambda": cfg.lam,
+        "command": args.command,
+        "group": args.group,
+        "poly": args.poly,
+        "lambda": args.lam,
         "method": method,
         "value": value,
         "error_bound": error_bound,
@@ -159,86 +155,77 @@ def _result_object(cfg: JobConfig, method, value, error_bound, extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (json_obj, csv_header, csv_rows)
+# subcommand implementations; each takes the parsed arguments and returns
+# (json_obj, csv_header, csv_rows)
 
 
-def _bind(cfg: JobConfig):
-    group = parse_group(cfg.group)
-    poly = to_ring_element(parse_poly(cfg.poly), group)
+def _bind(args):
+    group = parse_group(args.group)
+    poly = to_ring_element(parse_poly(args.poly), group)
     return group, poly
 
 
-def run_measure(cfg: JobConfig, allow_continuation: bool, method: str):
-    group, poly = _bind(cfg)
+def run_measure(args):
+    group, poly = _bind(args)
+    method = args.method
     if method == "auto":
-        if cfg.lam is None:
+        if args.lam is None:
             method = "general"
         elif gr.is_finite(group):
             method = "finite"
         else:
             method = "series"
     if method == "general":
-        res = mh.mahler_general(group, poly, epsilon=cfg.epsilon, support_cap=cfg.support_cap)
+        res = mh.mahler_general(group, poly, epsilon=args.epsilon, support_cap=args.support_cap)
         extra = {"group_order": gr.order(group)}
         if gr.is_finite(group):
             extra["determinant"] = res.determinant
         else:
             extra["internal_lambda"] = res.lam
     elif method == "finite":
-        res = mh.mahler_finite(group, poly, cfg.lam, allow_continuation)
+        res = mh.mahler_finite(group, poly, args.lam, args.allow_continuation)
         extra = {
             "group_order": gr.order(group),
             "imaginary_discard": res.imaginary_discard,
         }
     elif method == "series":
-        if cfg.lam is None:
+        if args.lam is None:
             raise DomainError("series measure needs an explicit --lambda")
         res = mh.mahler_series(
-            group, poly, cfg.lam, cfg.epsilon, support_cap=cfg.support_cap
+            group, poly, args.lam, args.epsilon, support_cap=args.support_cap
         )
         extra = {"imaginary_discard": res.imaginary_discard}
     elif method == "torus":
-        if cfg.lam is None:
+        if args.lam is None:
             raise DomainError("torus quadrature needs an explicit --lambda")
-        res = mh.mahler_torus(poly, cfg.lam, cfg.grid)
-        extra = {"grid": cfg.grid}
+        res = mh.mahler_torus(poly, args.lam, args.grid)
+        extra = {"grid": args.grid}
     else:
         raise DomainError(f"unknown measure method {method!r}")
-    obj = _result_object(cfg, res.method, res.value, res.error_bound, extra)
+    obj = _result_object(args, res.method, res.value, res.error_bound, extra)
     return obj, ["method", "value", "error_bound"], [[res.method, res.value, res.error_bound]]
 
 
-def run_coeffs(cfg: JobConfig):
-    group, poly = _bind(cfg)
-    series = rg.power_constant_coeffs(poly, cfg.n, support_cap=cfg.support_cap)
-    values = [_coeff_out(v) for v in series.values]
+def run_coeffs(args):
+    group, poly = _bind(args)
+    series = rg.power_constant_coeffs(poly, args.n, support_cap=args.support_cap)
     obj = _result_object(
-        cfg,
+        args,
         "group-ring-powering",
         None,
         0,
-        {"coeffs": values, "l1_bound": series.l1_bound},
+        {"coeffs": series.values, "l1_bound": series.l1_bound},
     )
-    rows = [[i, v] for i, v in enumerate(values)]
+    rows = [[i, v] for i, v in enumerate(series.values)]
     return obj, ["n", "a_n"], rows
 
 
-def _coeff_out(v):
-    if isinstance(v, complex):
-        return v.real if v.imag == 0 else str(v)
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return v
-    return str(v)
-
-
-def run_spectrum(cfg: JobConfig):
-    group, poly = _bind(cfg)
+def run_spectrum(args):
+    group, poly = _bind(args)
     A = sp.cayley_adjacency(group, poly)
     spec = sp.hermitian_eigenvalues(A)
     obj = _result_object(
-        cfg,
+        args,
         "eigvalsh",
         None,
         0,
@@ -248,91 +235,91 @@ def run_spectrum(cfg: JobConfig):
     return obj, ["index", "eigenvalue"], rows
 
 
-def run_u(cfg: JobConfig):
-    group, poly = _bind(cfg)
-    if cfg.lam is None:
+def run_u(args):
+    group, poly = _bind(args)
+    if args.lam is None:
         raise DomainError("u needs an explicit --lambda")
-    val = mh.u_series(group, poly, cfg.lam, cfg.epsilon, support_cap=cfg.support_cap)
+    val = mh.u_series(group, poly, args.lam, args.epsilon, support_cap=args.support_cap)
     obj = _result_object(
-        cfg, "series", val.real, cfg.epsilon, {"imag": val.imag}
+        args, "series", val.real, args.epsilon, {"imag": val.imag}
     )
     return obj, ["value", "imag"], [[val.real, val.imag]]
 
 
-def run_compare(cfg: JobConfig, group_b: str):
-    g_a = parse_group(cfg.group)
-    g_b = parse_group(group_b)
-    poly = to_ring_element(parse_poly(cfg.poly), g_a)
-    res = ex.compare_groups(g_a, g_b, poly, cfg.lam, cfg.epsilon, support_cap=cfg.support_cap)
+def run_compare(args):
+    g_a = parse_group(args.group)
+    g_b = parse_group(args.group_b)
+    poly = to_ring_element(parse_poly(args.poly), g_a)
+    res = ex.compare_groups(g_a, g_b, poly, args.lam, args.epsilon, support_cap=args.support_cap)
     obj = _result_object(
-        cfg,
+        args,
         "compare",
         None,
         0,
         {
-            "group_b": group_b,
+            "group_b": args.group_b,
             "value_a": res.value_a,
             "value_b": res.value_b,
             "verdict": res.verdict,
         },
     )
-    rows = [[cfg.group, group_b, res.value_a, res.value_b, res.verdict]]
+    rows = [[args.group, args.group_b, res.value_a, res.value_b, res.verdict]]
     return obj, ["group_a", "group_b", "value_a", "value_b", "verdict"], rows
 
 
-def run_converge(cfg: JobConfig, chain: str, params_text: str):
-    params = [int(p) for p in params_text.split(",") if p.strip()]
+def _parse_params(text: str) -> list[int]:
+    params = []
+    for p in text.split(","):
+        if p.strip():
+            try:
+                params.append(int(p))
+            except ValueError:
+                raise ParseError(f"--params entry {p.strip()!r} is not an integer") from None
     if not params:
         raise ParseError("empty --params list")
-    if cfg.lam is None:
+    return params
+
+
+def run_converge(args):
+    params = _parse_params(args.params)
+    if args.lam is None:
         raise DomainError("converge needs an explicit --lambda")
-    if chain == "abelian":
-        group, poly = _bind(cfg)
+    group, poly = _bind(args)
+    if args.chain == "abelian":
         l = gr.num_generators(group)
-        rows = ex.converge_abelian(poly, cfg.lam, [(m,) * l for m in params], support_cap=cfg.support_cap)
+        rows = ex.converge_abelian(poly, args.lam, [(m,) * l for m in params], support_cap=args.support_cap)
     else:
-        group = parse_group(cfg.group) if cfg.group else gr.Dihedral(0)
-        poly = to_ring_element(parse_poly(cfg.poly), group)
-        rows = ex.converge_quotients(chain, poly, cfg.lam, params, support_cap=cfg.support_cap)
+        rows = ex.converge_quotients(args.chain, poly, args.lam, params, support_cap=args.support_cap)
     data = [
         {
             "parameter": r.parameter,
             "value": r.value,
             "gap": r.gap,
             "limit_method": r.limit_method,
-            "q": _q_out(r.q),
+            "q": r.q,
         }
         for r in rows
     ]
-    obj = _result_object(cfg, "converge-" + chain, None, 0, {"rows": data})
-    csv_rows = [
-        [r.parameter, r.value, r.gap, r.limit_method, _q_out(r.q)] for r in rows
-    ]
+    obj = _result_object(args, "converge-" + args.chain, None, 0, {"rows": data})
+    csv_rows = [[r.parameter, r.value, r.gap, r.limit_method, r.q] for r in rows]
     return obj, ["parameter", "value", "gap", "limit_method", "q"], csv_rows
 
 
-def _q_out(q):
-    if q is math.inf:
-        return "infinite"
-    return q
-
-
-def run_agree_depth(cfg: JobConfig, group_b: str):
-    g_a = parse_group(cfg.group)
-    g_b = parse_group(group_b)
-    poly = to_ring_element(parse_poly(cfg.poly), g_b if not gr.is_finite(g_b) else g_a)
-    rep = ex.agreement_depth(g_a, g_b, poly, cfg.n_max, support_cap=cfg.support_cap)
-    pairs = [[_coeff_out(a), _coeff_out(b)] for a, b in rep.coeff_pairs]
+def run_agree_depth(args):
+    g_a = parse_group(args.group)
+    g_b = parse_group(args.group_b)
+    poly = to_ring_element(parse_poly(args.poly), g_b if not gr.is_finite(g_b) else g_a)
+    rep = ex.agreement_depth(g_a, g_b, poly, args.n_max, support_cap=args.support_cap)
     obj = _result_object(
-        cfg,
+        args,
         "agree-depth",
         None,
         0,
         {
-            "group_b": group_b,
+            "group_b": args.group_b,
             "first_disagreement": rep.first_disagreement,
             "n_max": rep.n_max,
-            "coeff_pairs": pairs,
+            "coeff_pairs": rep.coeff_pairs,
         },
     )
     rows = [
@@ -354,7 +341,8 @@ GENFUN_SERIES = {
 }
 
 
-def run_genfun(cfg: JobConfig, series: str, degree: int | None):
+def run_genfun(args):
+    series, degree = args.series, args.degree
     if series not in GENFUN_SERIES:
         raise DomainError(f"unknown series {series!r}")
     coeffs_of, degree_meaning = GENFUN_SERIES[series]
@@ -364,8 +352,8 @@ def run_genfun(cfg: JobConfig, series: str, degree: int | None):
         raise DomainError(f"{series} series needs --degree{degree_meaning}")
     else:
         name = f"{series}-{degree}"
-    coeffs = coeffs_of(degree, cfg.n)
-    obj = _result_object(cfg, "closed-form", None, 0, {"series": name, "coeffs": coeffs})
+    coeffs = coeffs_of(degree, args.n)
+    obj = _result_object(args, "closed-form", None, 0, {"series": name, "coeffs": coeffs})
     return obj, ["n", "coeff"], [[i, c] for i, c in enumerate(coeffs)]
 
 
@@ -380,13 +368,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True, poly=True, lam=True):
-        if group:
-            p.add_argument("--group", required=True, help="group specifier, e.g. Z/3xZ/2, D5, F2")
-        if poly:
-            p.add_argument("--poly", required=True, help='polynomial, e.g. "1+x+y"')
+    def common(p, run, lam=True):
+        p.set_defaults(run=run)
+        p.add_argument("--group", required=True, help="group specifier, e.g. Z/3xZ/2, D5, F2")
+        p.add_argument("--poly", required=True, help='polynomial, e.g. "1+x+y"')
         if lam:
             p.add_argument("--lambda", dest="lam", type=float, default=None)
+        else:
+            p.set_defaults(lam=None)
         p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
         p.add_argument("--support-cap", dest="support_cap", type=int,
                        default=rg.DEFAULT_SUPPORT_CAP,
@@ -396,36 +385,37 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the artifact to a file")
 
     p = sub.add_parser("measure", help="Mahler measure m(P, lambda) or m(Q)")
-    common(p)
+    common(p, run_measure)
     p.add_argument("--method", choices=("auto", "finite", "series", "general", "torus"), default="auto")
     p.add_argument("--grid", type=int, default=None, help="torus grid size per dimension")
     p.add_argument("--allow-continuation", action="store_true")
 
     p = sub.add_parser("coeffs", help="walk-count coefficients a_n = [P^n]_0")
-    common(p, lam=False)
+    common(p, run_coeffs, lam=False)
     p.add_argument("--n", type=int, default=8)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the weighted Cayley adjacency")
-    common(p, lam=False)
+    common(p, run_spectrum, lam=False)
 
     p = sub.add_parser("u", help="walk generating function u(P, lambda)")
-    common(p)
+    common(p, run_u)
 
     p = sub.add_parser("compare", help="measure over two groups and compare")
-    common(p)
+    common(p, run_compare)
     p.add_argument("--group-b", required=True)
 
     p = sub.add_parser("converge", help="finite-model convergence sweeps")
-    common(p)
+    common(p, run_converge)
     p.add_argument("--chain", choices=("abelian", "dihedral", "dicyclic", "zxzm"), required=True)
     p.add_argument("--params", required=True, help="comma-separated sizes, e.g. 4,8,16,32")
 
     p = sub.add_parser("agree-depth", help="first index where walk counts disagree")
-    common(p, lam=False)
+    common(p, run_agree_depth, lam=False)
     p.add_argument("--group-b", required=True)
     p.add_argument("--n-max", dest="n_max", type=int, default=12)
 
     p = sub.add_parser("genfun", help="closed-form series coefficients")
+    p.set_defaults(run=run_genfun, group=None, poly=None, lam=None, epsilon=DEFAULT_EPSILON)
     p.add_argument("--series", required=True,
                    choices=tuple(GENFUN_SERIES))
     p.add_argument("--degree", type=int, default=None)
@@ -433,40 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     return ap
-
-
-def _dispatch(args) -> tuple[dict, list, list]:
-    cfg = JobConfig(
-        command=args.command,
-        group=getattr(args, "group", None),
-        poly=getattr(args, "poly", None),
-        lam=getattr(args, "lam", None),
-        epsilon=getattr(args, "epsilon", DEFAULT_EPSILON),
-        grid=getattr(args, "grid", None),
-        n=getattr(args, "n", None),
-        n_max=getattr(args, "n_max", None),
-        support_cap=getattr(args, "support_cap", rg.DEFAULT_SUPPORT_CAP),
-        fmt=args.fmt,
-        out=args.out,
-    )
-    if cfg.lam is not None and not math.isfinite(cfg.lam):
-        raise DomainError(f"lambda must be finite, got {cfg.lam!r}")
-    if not (math.isfinite(cfg.epsilon) and cfg.epsilon > 0):
-        raise DomainError(f"epsilon must be finite and positive, got {cfg.epsilon!r}")
-    return COMMANDS[args.command](cfg, args)
-
-
-# command -> runner from (JobConfig, parsed arguments)
-COMMANDS = {
-    "measure": lambda cfg, args: run_measure(cfg, args.allow_continuation, args.method),
-    "coeffs": lambda cfg, args: run_coeffs(cfg),
-    "spectrum": lambda cfg, args: run_spectrum(cfg),
-    "u": lambda cfg, args: run_u(cfg),
-    "compare": lambda cfg, args: run_compare(cfg, args.group_b),
-    "converge": lambda cfg, args: run_converge(cfg, args.chain, args.params),
-    "agree-depth": lambda cfg, args: run_agree_depth(cfg, args.group_b),
-    "genfun": lambda cfg, args: run_genfun(cfg, args.series, args.degree),
-}
 
 
 def _exit_code(err: GrmahlerError) -> int:
@@ -478,10 +434,15 @@ def _exit_code(err: GrmahlerError) -> int:
 
 
 def main(argv=None) -> int:
+    # built on each call, so each runner is looked up in the module globals
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        obj, header, rows = _dispatch(args)
+        if args.lam is not None and not math.isfinite(args.lam):
+            raise DomainError(f"lambda must be finite, got {args.lam!r}")
+        if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+            raise DomainError(f"epsilon must be finite and positive, got {args.epsilon!r}")
+        obj, header, rows = args.run(args)
         text = render_json(obj) if args.fmt == "json" else render_csv(header, rows)
     except GrmahlerError as err:
         payload = render_json(

@@ -16,7 +16,7 @@ _EXACT_REAL = (int, Fraction)
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """a + b*i with rational a, b; exact field arithmetic."""
+    """a + b*i with rational a, b; exact ring arithmetic (+, -, *)."""
 
     re: Fraction
     im: Fraction
@@ -25,7 +25,7 @@ class GaussianRational:
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
-    # -- field operations -------------------------------------------------
+    # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
@@ -68,28 +68,6 @@ class GaussianRational:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _EXACT_REAL):
-            return GaussianRational(self.re / other, self.im / other)
-        if isinstance(other, GaussianRational):
-            d = other.re * other.re + other.im * other.im
-            if d == 0:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return GaussianRational(
-                (self.re * other.re + self.im * other.im) / d,
-                (self.im * other.re - self.re * other.im) / d,
-            )
-        if isinstance(other, (float, complex)):
-            return complex(self) / other
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _EXACT_REAL):
-            return GaussianRational(other) / self
-        if isinstance(other, (float, complex)):
-            return other / complex(self)
-        return NotImplemented
 
     # -- structure ---------------------------------------------------------
 

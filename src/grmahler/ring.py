@@ -42,55 +42,11 @@ class RingElement:
         """Coefficient of `elem`; 0 off the support."""
         return self._by_element.get(elem, 0)
 
-    def support(self):
-        return [e for e, _ in self.terms]
-
     def is_exact(self) -> bool:
         return all(cf.is_exact(c) for _, c in self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    # convenience operator sugar; the module-level functions are the API
-    def __add__(self, other):
-        return add(self, _coerce(self.group, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, scale(-1, _coerce(self.group, other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(self.group, other), scale(-1, self))
-
-    def __mul__(self, other):
-        if isinstance(other, RingElement):
-            return mul(self, other)
-        return scale(other, self)
-
-    def __rmul__(self, other):
-        return scale(other, self)
-
-    def __neg__(self):
-        return scale(-1, self)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = gr.generator_names(self.group)
-        parts = []
-        for e, c in self.terms:
-            word = gr.element_word(self.group, e)
-            mono = "".join(
-                names[i] + (f"^{exp}" if exp != 1 else "") for i, exp in word
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"({c})*{mono}")
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -100,13 +56,6 @@ class SeriesCoeffs:
     values: tuple
     n: int
     l1_bound: float
-
-
-def _coerce(group, value):
-    if isinstance(value, RingElement):
-        return value
-    # scalars embed as multiples of the identity
-    return ring_element(group, {gr.identity(group): value})
 
 
 def ring_element(group: gr.GroupSpec, mapping) -> RingElement:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from grmahler import spectra as sp
 from grmahler.cli import format_number, main, render_json
+from grmahler.coeffs import GaussianRational
 
 GOLDEN = {
     (
@@ -202,6 +203,24 @@ def test_format_number_rejects_nan():
         format_number(float("nan"))
 
 
+def test_library_value_error_exit_3():
+    # a non-reciprocal P reaches mahler_series, which raises ValueError
+    rc, out, err = run_cli(["measure", "--group", "Z^2", "--poly", "x+y", "--lambda", "0.1"])
+    assert rc == 3 and out == ""
+    assert strict_json(err) == {"error": {"type": "ValueError", "message": "P must be reciprocal"}}
+
+
+@pytest.mark.parametrize("params, entry", [("4,x", "x"), ("4, 8,1.5", "1.5")])
+def test_bad_params_entry_is_a_parse_error(params, entry):
+    rc, out, err = run_cli(
+        ["converge", "--chain", "abelian", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1",
+         "--lambda", "0.1", "--params", params]
+    )
+    assert rc == 2 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ParseError" and repr(entry) in error["message"]
+
+
 # lambda-free exact determinants far past float range (det B ~ c^(2|G|))
 @pytest.mark.parametrize(
     "group, poly, c",
@@ -349,6 +368,45 @@ def test_agree_depth_command():
     assert rc == 0
     obj = json.loads(out)
     assert obj["extra"]["first_disagreement"] == 6
+
+
+# exact Gaussian-rational walk counts: a real one renders as its number,
+# any other as "(a+bi)"
+GAUSSIAN_COEFFS = ("coeffs", "--group", "Z^2", "--poly", "x+x^-1+i*y+i*y^-1", "--n", "4")
+GAUSSIAN_AGREE = ("agree-depth", "--group", "Z/4", "--group-b", "Z",
+                  "--poly", "x+x^-1+i*x^2", "--n-max", "4")
+
+
+def test_gaussian_walk_count_renders_as_a_number():
+    rc, out, err = run_cli(GAUSSIAN_COEFFS)
+    assert rc == 0 and err == ""
+    coeffs = strict_json(out)["extra"]["coeffs"]
+    assert coeffs == [1, 0, 0, 0, -12] and type(coeffs[4]) is int
+    rc, out, _ = run_cli(GAUSSIAN_COEFFS + ("--format", "csv"))
+    assert rc == 0 and out.splitlines()[-1] == "4,-12"
+
+
+def test_gaussian_agree_depth_in_json_and_csv():
+    rc, out, err = run_cli(GAUSSIAN_AGREE)
+    assert rc == 0 and err == ""
+    extra = strict_json(out)["extra"]
+    assert extra["first_disagreement"] == 2
+    assert extra["coeff_pairs"] == [[1, 1], [0, 0], [1, 2], ["(0+6i)", "(0+3i)"], [-3, 6]]
+    rc, out, err = run_cli(GAUSSIAN_AGREE + ("--format", "csv"))
+    assert rc == 0 and err == ""
+    assert out.splitlines()[4] == "3,(0+6i),(0+3i),no"
+
+
+def test_format_number_renders_complex_values():
+    GR = GaussianRational
+    assert format_number(GR(-12)) == "-12"
+    assert format_number(GR(Fraction(1, 3))) == format_number(Fraction(1, 3))
+    assert format_number(GR(Fraction(1, 2), -2)) == '"(0.5-2i)"'
+    assert format_number(GR(10**20, 1)) == f'"({10**20}+1i)"'
+    assert format_number(complex(0.25, 0.0)) == "0.25"
+    assert format_number(complex(-1.5, 1e-20)) == '"(-1.5+1e-20i)"'
+    assert isinstance(strict_json(format_number(complex(0.0, math.inf))), str)
+    assert strict_json(render_json([GR(0, 6), 1j])) == ["(0+6i)", "(0+1i)"]
 
 
 def test_genfun_command():

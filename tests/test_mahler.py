@@ -209,6 +209,23 @@ def test_exact_determinant_logs_past_float_range_and_near_one():
     assert abs(value - math.log1p(1e-5) / 5) <= 1e-11 * value
 
 
+def _float_twin(P):
+    """P with every coefficient made floating (the ring degrades it to complex)."""
+    return rg.ring_element(P.group, {e: complex(c) for e, c in P.terms})
+
+
+@pytest.mark.parametrize("g", [Z32, D3], ids=["Z/3xZ/2", "D3"])
+def test_general_float_coefficients_match_exact(g):
+    # the float determinant (numpy) against the exact one (Bareiss)
+    for q in ("x+2*y", "3 + i*x - i*x^-1 + y"):
+        Q = parse_poly_over(q, g)
+        exact = mh.mahler_general(g, Q)
+        floating = mh.mahler_general(g, _float_twin(Q))
+        assert isinstance(floating.determinant, float)
+        assert abs(floating.determinant - exact.determinant) <= 1e-12 * exact.determinant
+        assert abs(floating.value - exact.value) <= 1e-12 * abs(exact.value)
+
+
 def test_general_singular_is_an_error():
     g = gr.AbelianProduct((2,))
     Q = parse_poly_over("1+x", g)  # QQ* = 2 + 2x, det B = 0
@@ -301,6 +318,18 @@ def test_u_rational_taylor_matches_powering(rng):
         walks = rg.power_constant_coeffs(P, 8).values
         for t, w in zip(taylor, walks):
             assert t == w  # exact equality of exact rationals
+
+
+@pytest.mark.parametrize("g", [Z32, D3], ids=["Z/3xZ/2", "D3"])
+def test_u_rational_float_taylor_matches_exact(g):
+    # trace(A^n)/|G| from the float spectrum against the exact (A^n)_00
+    P = parse_poly_over("x + x^-1 + 2*y + i*x - i*x^-1", g)
+    exact = mh.u_rational(g, P).taylor_coefficients(8)
+    floating = mh.u_rational(g, _float_twin(P)).taylor_coefficients(8)
+    assert all(isinstance(t, (int, Fraction)) for t in exact)
+    assert all(isinstance(t, float) for t in floating)
+    for t, f in zip(exact, floating):
+        assert abs(f - t) <= 1e-12 * max(1, abs(t))
 
 
 def test_u_and_measure_differential_relation(rng):
