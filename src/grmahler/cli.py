@@ -180,8 +180,6 @@ def run_measure(args):
         extra = {"group_order": gr.order(group)}
         if gr.is_finite(group):
             extra["determinant"] = res.determinant
-        else:
-            extra["internal_lambda"] = res.lam
     elif method == "finite":
         res = mh.mahler_finite(group, poly, args.lam, args.allow_continuation)
         extra = {
@@ -275,6 +273,8 @@ def _parse_params(text: str) -> list[int]:
                 params.append(int(p))
             except ValueError:
                 raise ParseError(f"--params entry {p.strip()!r} is not an integer") from None
+            if params[-1] < 1:
+                raise ParseError(f"--params entry {p.strip()!r} is below 1")
     if not params:
         raise ParseError("empty --params list")
     return params
@@ -361,8 +361,24 @@ def run_genfun(args):
 # argument wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ParseError, like every other input
+    error, instead of printing usage and exiting; --help is unchanged."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
+def size(text: str) -> int:
+    """A non-negative int option; argparse names it in its errors."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="grmahler",
         description="Mahler measures of group-ring elements over a group catalogue.",
     )
@@ -392,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="walk-count coefficients a_n = [P^n]_0")
     common(p, run_coeffs, lam=False)
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=size, default=8)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the weighted Cayley adjacency")
     common(p, run_spectrum, lam=False)
@@ -412,14 +428,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("agree-depth", help="first index where walk counts disagree")
     common(p, run_agree_depth, lam=False)
     p.add_argument("--group-b", required=True)
-    p.add_argument("--n-max", dest="n_max", type=int, default=12)
+    p.add_argument("--n-max", dest="n_max", type=size, default=12)
 
     p = sub.add_parser("genfun", help="closed-form series coefficients")
     p.set_defaults(run=run_genfun, group=None, poly=None, lam=None, epsilon=DEFAULT_EPSILON)
     p.add_argument("--series", required=True,
                    choices=tuple(GENFUN_SERIES))
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=size, default=10)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     return ap
@@ -436,8 +452,8 @@ def _exit_code(err: GrmahlerError) -> int:
 def main(argv=None) -> int:
     # built on each call, so each runner is looked up in the module globals
     ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         if args.lam is not None and not math.isfinite(args.lam):
             raise DomainError(f"lambda must be finite, got {args.lam!r}")
         if not (math.isfinite(args.epsilon) and args.epsilon > 0):

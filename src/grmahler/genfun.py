@@ -15,7 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -145,13 +144,11 @@ _PSL2_FORMULAS = {
     "2x+y+y^-1": ([1, -2, -11, 12, 4], [0, -1, 1, -2], [2, -4, -22, 24]),
 }
 
-_PSL2_ELEMENTS = {
-    "x+y+y^-1": ((1, ((0, 1),)), (1, ((1, 1),)), (1, ((1, 2),))),
-    "2x+y+y^-1": ((2, ((0, 1),)), (1, ((1, 1),)), (1, ((1, 2),))),
-}
 
-
-def _psl2_raw(variant: str) -> AlgebraicSeries:
+def u_psl2(variant: str) -> AlgebraicSeries:
+    """Walk series over C2 * C3 for x + y + y^-1 or 2x + y + y^-1."""
+    if variant not in PSL2_VARIANTS:
+        raise ValueError(f"variant must be one of {PSL2_VARIANTS}")
     sq_poly, extra, den_poly = _PSL2_FORMULAS[variant]
 
     def evaluate(lam):
@@ -178,28 +175,6 @@ def _psl2_raw(variant: str) -> AlgebraicSeries:
         return _series_div(num, _pad(den_poly, n), n)
 
     return AlgebraicSeries(evaluate, coeff_fn)
-
-
-@lru_cache(maxsize=None)
-def _psl2_checked(variant: str) -> AlgebraicSeries:
-    # Self-check on first use: the printed formulas must reproduce the
-    # brute-force walk counts, so a transcription slip fails loudly here.
-    series = _psl2_raw(variant)
-    g = gr.FreeProductCyclic((2, 3))
-    P = rg.from_word_terms(g, [(c, w) for c, w in _PSL2_ELEMENTS[variant]])
-    brute = rg.power_constant_coeffs(P, 10).values
-    if tuple(series.coeffs(10)) != tuple(brute):
-        raise AssertionError(
-            f"closed form for {variant} disagrees with brute-force walk counts"
-        )
-    return series
-
-
-def u_psl2(variant: str) -> AlgebraicSeries:
-    """Walk series over C2 * C3 for x + y + y^-1 or 2x + y + y^-1."""
-    if variant not in PSL2_VARIANTS:
-        raise ValueError(f"variant must be one of {PSL2_VARIANTS}")
-    return _psl2_checked(variant)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Four computation routes share one result type:
 * series       -- m(P, lambda) = -sum a_n lambda^n / n with the rigorous
                   geometric tail bound from |a_n| <= k^n, k the l1-norm;
                   the lambda-free measure of Q falls back to a series in
-                  (1 - lambda QQ*) on infinite groups, with an estimated
-                  (not rigorous) bound;
+                  (1 - lambda QQ*) on infinite groups, with the same kind
+                  of rigorous tail, its decay rate read off an enclosure of
+                  spec(QQ*);
 * finite-determinant -- log det(I - lambda A) / |G| over finite groups,
                   exact determinants whenever the inputs are exact;
 * quadrature   -- uniform torus grids for free abelian groups (the grid
@@ -15,8 +16,8 @@ Four computation routes share one result type:
 
 lambda is kept real for measure routes; only the walk generating function
 u accepts complex lambda.  Every series route takes its walk counts
-a_n = [P^n]_0 from ring.walk_counts; mahler_series and u_series share one
-depth search (_series_depth) and differ only in the tail formula.
+a_n = [P^n]_0 from ring.walk_counts; all three share one depth search
+(_series_depth) and differ only in the decay rate and the tail formula.
 """
 from __future__ import annotations
 
@@ -104,10 +105,14 @@ def _log(x) -> float:
     """Natural log of a positive int, Fraction or float.
 
     float(x) overflows past about 1e308, so an exact x outside float range
-    is first scaled into it by a power of two.  Inside it, x goes through
-    float unchanged: log(num) - log(den) would cancel for x near 1.
+    is first scaled into it by a power of two.  An exact x within 1/2 of 1
+    goes through log1p of the exact x - 1, which keeps the digits that
+    rounding x to a float first would lose; any other x goes through float
+    unchanged.
     """
     if isinstance(x, (int, Fraction)):
+        if abs(x - 1) < Fraction(1, 2):
+            return math.log1p(float(x - 1))
         shift = x.numerator.bit_length() - x.denominator.bit_length()
         if abs(shift) > 1000:
             return math.log(float(x / Fraction(2) ** shift)) + shift * math.log(2)
@@ -117,23 +122,27 @@ def _log(x) -> float:
 # ---------------------------------------------------------------------------
 # series route
 
+MAX_TERMS = 400  # the deepest lambda-free series mahler_general walks
+
 
 def _tail_bound(klam: float, N: int) -> float:
     return klam ** (N + 1) / ((N + 1) * (1.0 - klam))
 
 
-def _series_depth(P: rg.RingElement, lam, epsilon: float, tail) -> tuple[float, int]:
-    """(k|lambda|, N) with k = l1(P) and N >= 1 the smallest depth whose
-    tail(k|lambda|, N) is at most epsilon; requires k|lambda| < 1 strictly."""
-    klam = rg.l1_norm(P) * abs(lam)
-    if klam >= 1.0:
-        raise DomainError(f"|lambda|*l1_norm = {klam} >= 1: outside the series disc")
+def _series_depth(rate: float, epsilon: float, tail) -> int:
+    """The smallest depth N >= 1 whose tail(rate, N) is at most epsilon.
+
+    rate bounds the decay of the summed terms, |term_n| <= rate^n, and must
+    be below 1 strictly: for the lambda routes it is k|lambda|, k = l1(P).
+    """
+    if rate >= 1.0:
+        raise DomainError(f"|lambda|*l1_norm = {rate} >= 1: outside the series disc")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     N = 1
-    while tail(klam, N) > epsilon:
+    while tail(rate, N) > epsilon:
         N += 1
-    return klam, N
+    return N
 
 
 def mahler_series(
@@ -152,7 +161,8 @@ def mahler_series(
     lam = float(lam)
     if lam == 0.0:
         return MeasureResult(0.0, "series", 0.0, 0.0)
-    klam, N = _series_depth(P, lam, epsilon, _tail_bound)
+    klam = rg.l1_norm(P) * abs(lam)
+    N = _series_depth(klam, epsilon, _tail_bound)
     coeffs = rg.power_constant_coeffs(P, N, support_cap=support_cap)
     total = 0 + 0j
     for n in range(1, N + 1):
@@ -172,7 +182,8 @@ def u_series(
     P = rg.transfer(P, g)
     if lam == 0:
         return 1 + 0j
-    _, N = _series_depth(P, lam, epsilon, lambda klam, N: klam ** (N + 1) / (1.0 - klam))
+    klam = rg.l1_norm(P) * abs(lam)
+    N = _series_depth(klam, epsilon, lambda klam, N: klam ** (N + 1) / (1.0 - klam))
     coeffs = rg.power_constant_coeffs(P, N, support_cap=support_cap)
     total = 0 + 0j
     for n in range(N, -1, -1):
@@ -232,23 +243,22 @@ def mahler_general(
     g: gr.GroupSpec,
     Q: rg.RingElement,
     method: str = "auto",
-    internal_lambda: float | None = None,
     epsilon: float = 1e-12,
-    max_terms: int = 400,
     support_cap: int = rg.DEFAULT_SUPPORT_CAP,
 ) -> MeasureResult:
     """Measure of an arbitrary Q via QQ*: log det(B) / (2|G|) on finite
     groups (B the adjacency of QQ*), a series fallback otherwise.
 
-    The fallback expands -log(lambda)/2 - sum_n [(1 - lambda QQ*)^n]_0/(2n)
-    with internal lambda = 1/(2 l1(QQ*)) by default, summing until a term
-    drops below epsilon (at least 8 terms); the reported error bound is a
-    geometric-ratio estimate, not a rigorous tail.  ResourceLimitError when
-    max_terms terms do not suffice, or when the walk counts of
-    1 - lambda QQ* outgrow support_cap (see ring.walk_counts).  The terms
-    can fall slowly: over Dinf, Q = 3+x+y reaches epsilon = 1e-6 within
-    400 terms, but not 1e-8, the CLI's default 1e-10 (exit 4 there) or the
-    default here; callers that run out of terms should pass a larger epsilon.
+    The fallback needs spec(QQ*) inside [lo, hi] with lo > 0: hi = l1(QQ*),
+    and lo = (2|c| - l1(Q))^2 for the largest coefficient c of Q, since
+    ||Q* v|| >= (|c| - (l1(Q) - |c|)) ||v||.  Without that certificate
+    (2|c| <= l1(Q), e.g. 1 + x + y) it raises DomainError.  With it, it
+    expands -log(lambda)/2 - sum_n [(1 - lambda QQ*)^n]_0/(2n) at
+    lambda = 2/(lo + hi), where ||1 - lambda QQ*|| <= r = (hi - lo)/(hi + lo),
+    to the smallest depth N whose rigorous tail r^(N+1)/(2(N+1)(1 - r)) is
+    at most epsilon.  ResourceLimitError, before any walk, when N would
+    exceed MAX_TERMS, or when the walk counts of 1 - lambda QQ* outgrow
+    support_cap (see ring.walk_counts).
     """
     Q = rg.transfer(Q, g)
     QQs = rg.mul(Q, rg.star(Q))
@@ -267,34 +277,31 @@ def mahler_general(
         return MeasureResult(value, "finite-determinant", 0.0, None, determinant=det)
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
-    k2 = rg.l1_norm(QQs)
-    if k2 == 0.0:
+    hi = rg.l1_norm(QQs)
+    if hi == 0.0:
         raise SingularMatrixError("QQ* = 0: the measure is undefined")
-    lam = internal_lambda if internal_lambda is not None else 1.0 / (2.0 * k2)
-    if not 0.0 < lam < 1.0 / k2:
-        raise DomainError("internal lambda must lie in (0, 1/l1(QQ*))")
-    R = rg.add(rg.one(g), rg.scale(-lam, QQs))
-    counts = rg.walk_counts(R, support_cap)
-    next(counts)  # a_0 = 1 is not part of the sum
-    total = 0.0
-    b_n = None
-    for n in range(1, max_terms + 1):
-        b_prev = b_n
-        b_n = complex(next(counts)).real
-        total += b_n / (2 * n)
-        if n >= 8 and abs(b_n) / (2 * n) < epsilon:
-            break
-    else:
-        raise ResourceLimitError(
-            f"series fallback did not reach epsilon={epsilon:g} within max_terms={max_terms}"
+    l1 = rg.l1_norm(Q)
+    c = max(float(abs(v)) for _, v in Q.terms)
+    if 2 * c <= l1:
+        raise DomainError(
+            f"no spectral gap certificate for the series fallback: twice the largest "
+            f"coefficient, {2 * c:g}, must exceed l1(Q) = {l1:g}"
         )
-    if b_prev and b_n and 0 < b_n < b_prev:
-        ratio = b_n / b_prev
-        err = b_n * ratio / (1.0 - ratio) / (2 * n)
-    else:
-        err = abs(b_n) if b_n else 0.0
+    lo = (2 * c - l1) ** 2
+    lam = 2.0 / (lo + hi)
+    rate = (hi - lo) / (hi + lo)
+    # the terms carry 1/(2n), so the tail is half the lambda routes' one
+    if _tail_bound(rate, MAX_TERMS) > 2 * epsilon:
+        raise ResourceLimitError(
+            f"series fallback needs more than max_terms={MAX_TERMS} terms to reach "
+            f"epsilon={epsilon:g} at decay rate {rate:.6g}"
+        )
+    N = _series_depth(rate, 2 * epsilon, _tail_bound)
+    counts = rg.walk_counts(rg.add(rg.one(g), rg.scale(-lam, QQs)), support_cap)
+    next(counts)  # a_0 = 1 is not part of the sum
+    total = math.fsum(complex(next(counts)).real / (2 * n) for n in range(1, N + 1))
     value = -math.log(lam) / 2.0 - total
-    return MeasureResult(value, "series", err, lam)
+    return MeasureResult(value, "series", _tail_bound(rate, N) / 2, None)
 
 
 # ---------------------------------------------------------------------------

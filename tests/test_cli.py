@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grmahler import spectra as sp
@@ -98,13 +98,14 @@ def test_golden_is_valid_json():
 # the one golden whose walk counts are floats: the series fallback powers
 # R = 1 - lambda QQ* over Dinf with a float lambda, so any reordering of the
 # sums in group-ring multiplication or in the pairing of two half powers
-# changes its last bits
+# changes its last bits; the value lies within its bound of the D32 and D64
+# determinants, 1.03051796939366
 FLOAT_WALK_ARGV = ("measure", "--group", "Dinf", "--poly", "3+x+y", "--epsilon", "1e-06")
 FLOAT_WALK_GOLDEN = (
     '{"command": "measure", "group": "Dinf", "poly": "3+x+y", "lambda": null, '
-    '"method": "series", "value": 1.03055580873425, '
-    '"error_bound": 4.37484460919487e-05, '
-    '"extra": {"group_order": "infinite", "internal_lambda": 0.02}}\n'
+    '"method": "series", "value": 1.03051799820863, '
+    '"error_bound": 9.76551706228931e-07, '
+    '"extra": {"group_order": "infinite"}}\n'
 )
 
 
@@ -210,7 +211,9 @@ def test_library_value_error_exit_3():
     assert strict_json(err) == {"error": {"type": "ValueError", "message": "P must be reciprocal"}}
 
 
-@pytest.mark.parametrize("params, entry", [("4,x", "x"), ("4, 8,1.5", "1.5")])
+@pytest.mark.parametrize(
+    "params, entry", [("4,x", "x"), ("4, 8,1.5", "1.5"), ("4,0", "0"), ("-3", "-3")]
+)
 def test_bad_params_entry_is_a_parse_error(params, entry):
     rc, out, err = run_cli(
         ["converge", "--chain", "abelian", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1",
@@ -219,6 +222,126 @@ def test_bad_params_entry_is_a_parse_error(params, entry):
     assert rc == 2 and out == ""
     error = strict_json(err)["error"]
     assert error["type"] == "ParseError" and repr(entry) in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--group", "Z", "--poly", "x", "--lambda", "abc"],
+        ["measure", "--poly", "x"],
+        ["converge", "--chain", "cyclic", "--group", "Z", "--poly", "x", "--params", "4"],
+        ["measure", "--group", "Z", "--poly", "x", "--format", "xml"],
+        ["coeffs", "--group", "Z", "--poly", "x", "--n", "abc"],
+        ["frobnicate"],
+        [],
+    ],
+)
+def test_command_line_mistake_is_a_json_parse_error(argv):
+    rc, out, err = run_cli(argv)
+    assert rc == 2 and out == ""
+    assert strict_json(err)["error"]["type"] == "ParseError"
+
+
+def test_help_still_prints_usage():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        main(["measure", "--help"])
+    assert exit_info.value.code == 0
+    assert out.getvalue().startswith("usage: grmahler measure")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--group", "Z", "--poly", "x", "--n", "-1"],
+        ["genfun", "--series", "z2", "--n", "-1"],
+        ["agree-depth", "--group", "D6", "--group-b", "Dinf", "--poly", "x+x^-1+y",
+         "--n-max", "-2"],
+    ],
+    ids=["coeffs", "genfun", "agree-depth"],
+)
+def test_negative_size_is_a_parse_error(argv):
+    rc, out, err = run_cli(argv)
+    assert rc == 2 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ParseError" and "non-negative" in error["message"]
+
+
+# pieces of command lines as (valid, invalid) choices; tiny epsilon is only
+# drawn without --lambda, where the series fallback refuses a depth past
+# its term budget before walking (a tiny epsilon with --lambda runs an
+# uncapped depth search and walk on finite groups)
+CLI_GROUPS = (("Z^2", "ZxZ/4", "Z/3xZ/2", "D3", "Dic2", "Dinf", "F2", "C2*C3"), ("Q8", "Z/0", "Z"))
+CLI_POLYS = (("x+x^-1+y+y^-1", "3+x+y", "1+x+y", "x+2*y", "x", "2*x+y+y^-1",
+              "3 + i*x - i*x^-1 + y"), ("0", "x+*y", "x^", ""))
+CLI_LAMBDAS = ((None, "0", "0.05", "-0.1", "0.3"), ("2", "nan", "inf", "abc"))
+CLI_EPSILONS = ((None, "1e-3", "1e-6"), ("0", "-1", "nan", "abc"))
+CLI_SIZES = (("0", "3", "6"), ("-1", "x"))
+CLI_COMMANDS = {
+    # command: (takes --lambda, required options, optional options), each
+    # option with its pieces (None: a flag)
+    "measure": (True, {}, {"--method": (("auto", "finite", "series", "general", "torus"),
+                                        ("bad",)),
+                           "--grid": (("4", "8"), ("1", "x")),
+                           "--allow-continuation": None}),
+    "coeffs": (False, {}, {"--n": CLI_SIZES}),
+    "spectrum": (False, {}, {}),
+    "u": (True, {}, {}),
+    "compare": (True, {"--group-b": CLI_GROUPS}, {}),
+    "converge": (True, {"--chain": (("abelian", "dihedral", "dicyclic", "zxzm"), ("bad",)),
+                        "--params": (("4", "2,3"), ("0", "4,x", "", "-2"))}, {}),
+    "agree-depth": (False, {"--group-b": CLI_GROUPS}, {"--n-max": CLI_SIZES}),
+    "genfun": (False, {"--series": (("tree", "free", "free-p2", "psl2-xyy", "z2"), ("bad",))},
+               {"--degree": (("2", "3"), ("-1", "0")), "--n": CLI_SIZES}),
+}
+
+
+def _piece(pieces):
+    valid, invalid = pieces
+    # one draw in sixteen takes an invalid piece; 7 rather than 0, since
+    # Hypothesis draws the ends of a range far more often than its middle
+    return st.tuples(st.integers(0, 15), st.sampled_from(valid), st.sampled_from(invalid)).map(
+        lambda t: t[2] if t[0] == 7 else t[1]
+    )
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(_piece((tuple(CLI_COMMANDS), ("bogus",))))
+    takes_lam, required, optional = CLI_COMMANDS.get(command, (True, {}, {}))
+    argv = [command]
+    if command != "genfun":
+        argv += ["--group", draw(_piece(CLI_GROUPS)), "--poly", draw(_piece(CLI_POLYS)),
+                 "--support-cap", "20000"]
+    lam = draw(_piece(CLI_LAMBDAS)) if takes_lam else None
+    if lam is not None:
+        argv += ["--lambda", lam]
+    valid_eps, invalid_eps = CLI_EPSILONS
+    epsilon = draw(_piece((valid_eps + (() if lam else ("1e-12", "1e-300")), invalid_eps)))
+    if epsilon is not None and command != "genfun":
+        argv += ["--epsilon", epsilon]
+    for option, pieces in required.items():
+        argv += [option, draw(_piece(pieces))]
+    for option, pieces in optional.items():
+        if draw(st.booleans()):
+            argv += [option] if pieces is None else [option, draw(_piece(pieces))]
+    if draw(st.integers(0, 15)) == 7:  # an option goes missing
+        del argv[1:3]
+    return argv + ["--format", draw(_piece((("json",), ("xml",))))]
+
+
+@settings(max_examples=300)
+@given(command_lines())
+def test_any_command_line_gives_json_or_a_typed_error(argv):
+    start = time.perf_counter()
+    rc, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 10.0, argv
+    assert rc in (0, 2, 3, 4), argv
+    if rc == 0:
+        strict_json(out)
+    else:
+        assert out == ""
+        assert isinstance(strict_json(err.splitlines()[-1])["error"]["message"], str)
 
 
 # lambda-free exact determinants far past float range (det B ~ c^(2|G|))
@@ -269,12 +392,27 @@ def test_support_cap_reaches_every_series_command(argv):
     assert strict_json(err)["error"]["type"] == "ResourceLimitError"
 
 
-def test_unconverged_general_series_is_a_resource_error():
-    rc, out, err = run_cli(["measure", "--group", "Dinf", "--poly", "1+x+y"])
+@pytest.mark.parametrize(
+    "group, poly", [("Z", "1+x"), ("Z^2", "1+x+y"), ("Dinf", "1+x+y")]
+)
+def test_uncertified_general_series_is_a_domain_error(group, poly):
+    rc, out, err = run_cli(["measure", "--group", group, "--poly", poly])
+    assert rc == 3 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "DomainError"
+    assert "certificate" in error["message"]
+
+
+def test_general_series_too_deep_is_refused_at_once():
+    start = time.perf_counter()
+    rc, out, err = run_cli(
+        ["measure", "--group", "Z^2", "--poly", "3+x+y", "--epsilon", "1e-300"]
+    )
+    assert time.perf_counter() - start < 1.0
     assert rc == 4 and out == ""
     error = strict_json(err)["error"]
     assert error["type"] == "ResourceLimitError"
-    assert "max_terms" in error["message"]
+    assert "max_terms=400" in error["message"]
 
 
 # ---------------------------------------------------------------------------

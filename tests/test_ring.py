@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from fractions import Fraction
@@ -257,6 +258,18 @@ def test_only_ring_touches_private_ring_names():
         if path.name != "ring.py":
             text = path.read_text()
             assert not re.search(r"\b(rg|ring)\._", text), path.name
+
+
+def test_no_runtime_assertions_in_the_library():
+    # python -O strips assert statements, so a runtime check must raise a
+    # typed error instead; AssertionError is no member of the taxonomy
+    src = Path(rg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Name):
+                assert node.id != "AssertionError", f"{path.name}:{node.lineno}"
 
 
 def test_power_coeffs_free_product():
