@@ -167,39 +167,10 @@ def _bind(args):
 
 def run_measure(args):
     group, poly = _bind(args)
-    method = args.method
-    if method == "auto":
-        if args.lam is None:
-            method = "general"
-        elif gr.is_finite(group):
-            method = "finite"
-        else:
-            method = "series"
-    if method == "general":
-        res = mh.mahler_general(group, poly, epsilon=args.epsilon, support_cap=args.support_cap)
-        extra = {"group_order": gr.order(group)}
-        if gr.is_finite(group):
-            extra["determinant"] = res.determinant
-    elif method == "finite":
-        res = mh.mahler_finite(group, poly, args.lam, args.allow_continuation)
-        extra = {
-            "group_order": gr.order(group),
-            "imaginary_discard": res.imaginary_discard,
-        }
-    elif method == "series":
-        if args.lam is None:
-            raise DomainError("series measure needs an explicit --lambda")
-        res = mh.mahler_series(
-            group, poly, args.lam, args.epsilon, support_cap=args.support_cap
-        )
-        extra = {"imaginary_discard": res.imaginary_discard}
-    elif method == "torus":
-        if args.lam is None:
-            raise DomainError("torus quadrature needs an explicit --lambda")
-        res = mh.mahler_torus(poly, args.lam, args.grid)
-        extra = {"grid": args.grid}
-    else:
-        raise DomainError(f"unknown measure method {method!r}")
+    res = mh.measure(group, poly, args.lam, args.method, args.epsilon, args.support_cap,
+                     args.grid, args.allow_continuation)
+    computed = ("group_order", "determinant", "imaginary_discard", "grid")  # in print order
+    extra = {k: getattr(res, k) for k in computed if getattr(res, k) is not None}
     obj = _result_object(args, res.method, res.value, res.error_bound, extra)
     return obj, ["method", "value", "error_bound"], [[res.method, res.value, res.error_bound]]
 
@@ -369,12 +340,21 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
-def size(text: str) -> int:
-    """A non-negative int option; argparse names it in its errors."""
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
-    return n
+def _int_at_least(low: int, name: str = "int"):
+    """An int option of at least low, called name in argparse's errors."""
+
+    def convert(text: str) -> int:
+        n = int(text)
+        if n < low:
+            rule = "non-negative" if low == 0 else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {n}")
+        return n
+
+    convert.__name__ = name
+    return convert
+
+
+size = _int_at_least(0, "size")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -393,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.set_defaults(lam=None)
         p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-        p.add_argument("--support-cap", dest="support_cap", type=int,
+        p.add_argument("--support-cap", dest="support_cap", type=_int_at_least(1),
                        default=rg.DEFAULT_SUPPORT_CAP,
                        help="refuse a_n = [P^n]_0 once |supp P^ceil(n/2)| * "
                             "|supp P^floor(n/2)|, a bound on |supp P^n|, exceeds this")
@@ -402,8 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="Mahler measure m(P, lambda) or m(Q)")
     common(p, run_measure)
-    p.add_argument("--method", choices=("auto", "finite", "series", "general", "torus"), default="auto")
-    p.add_argument("--grid", type=int, default=None, help="torus grid size per dimension")
+    p.add_argument("--method", choices=mh.METHODS, default="auto")
+    p.add_argument("--grid", type=_int_at_least(2), default=None,
+                   help="torus grid size per dimension")
     p.add_argument("--allow-continuation", action="store_true")
 
     p = sub.add_parser("coeffs", help="walk-count coefficients a_n = [P^n]_0")
@@ -434,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=run_genfun, group=None, poly=None, lam=None, epsilon=DEFAULT_EPSILON)
     p.add_argument("--series", required=True,
                    choices=tuple(GENFUN_SERIES))
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_int_at_least(1), default=None)
     p.add_argument("--n", type=size, default=10)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)

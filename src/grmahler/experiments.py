@@ -93,7 +93,7 @@ def converge_abelian(
     g = P.group
     if not isinstance(g, gr.AbelianProduct) or any(m != 0 for m in g.moduli):
         raise ValueError("P must live over a free abelian group")
-    limit = mh.mahler_series(g, P, lam, 1e-9, support_cap).value
+    limit = mh.measure(g, P, lam, epsilon=1e-9, support_cap=support_cap).value
     rows = []
     for moduli in moduli_sequence:
         gq = gr.AbelianProduct(tuple(moduli))
@@ -158,28 +158,21 @@ def converge_quotients(
     """
     if chain not in CHAINS:
         raise ValueError(f"chain must be one of {CHAINS}")
+    family = {"dihedral": gr.Dihedral, "dicyclic": gr.Dicyclic}.get(chain)
+    g_inf = family(0) if family else gr.AbelianProduct((0, 0))
+    P_inf = rg.transfer(P, g_inf)
+    if not family and P_inf.terms != rg.ring_element(
+        g_inf, {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}
+    ).terms:
+        raise ValueError("the zxzm chain is the closed form for x + x^-1 + y + y^-1 only")
+    limit = mh.measure(g_inf, P_inf, lam, epsilon=1e-10, support_cap=support_cap).value
     rows = []
-    if chain == "zxzm":
-        g_inf = gr.AbelianProduct((0, 0))
-        P_inf = rg.transfer(P, g_inf)
-        if P_inf.terms != rg.ring_element(
-            g_inf, {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}
-        ).terms:
-            raise ValueError(
-                "the zxzm chain is the closed form for x + x^-1 + y + y^-1 only"
-            )
-        limit = mh.mahler_series(g_inf, P_inf, lam, 1e-10, support_cap).value
-        for m in m_list:
+    for m in map(int, m_list):
+        if family:
+            value = mh.measure(family(m), rg.transfer(P, family(m)), lam).value
+        else:
             value = mh.mahler_zxzm(m, lam)
-            rows.append(ConvergenceRow(int(m), value, abs(value - limit), "series"))
-    else:
-        family = gr.Dihedral if chain == "dihedral" else gr.Dicyclic
-        g_inf = family(0)
-        limit = mh.mahler_series(g_inf, rg.transfer(P, g_inf), lam, 1e-10, support_cap).value
-        for m in m_list:
-            g_m = family(int(m))
-            value = mh.mahler_finite(g_m, rg.transfer(P, g_m), lam).value
-            rows.append(ConvergenceRow(int(m), value, abs(value - limit), "series"))
+        rows.append(ConvergenceRow(m, value, abs(value - limit), "series"))
     rows.sort(key=lambda r: r.parameter)
     return rows
 
@@ -194,22 +187,15 @@ def compare_groups(
 ) -> ComparisonResult:
     """Measure the same polynomial over two groups and classify the gap.
 
-    With lam given, compares m(P, lambda) (finite groups by determinant,
-    infinite by series with the shared epsilon).  Without lam, compares the
-    lambda-free measure through QQ*.  Hypothesis violations are not errors:
-    an honest inequality verdict is the point of the counterexamples.
+    Both sides go through mahler.measure's automatic route with the shared
+    epsilon: m(P, lambda) with lam, the lambda-free m(P) without it.
+    Hypothesis violations are not errors: an honest inequality verdict is
+    the point of the counterexamples.
     """
-
-    def measure(g):
-        p = rg.transfer(poly, g)
-        if lam is None:
-            return mh.mahler_general(g, p, epsilon=epsilon, support_cap=support_cap).value
-        if gr.is_finite(g):
-            return mh.mahler_finite(g, p, lam).value
-        return mh.mahler_series(g, p, lam, epsilon, support_cap).value
-
-    va = measure(g_a)
-    vb = measure(g_b)
+    va, vb = (
+        mh.measure(g, rg.transfer(poly, g), lam, epsilon=epsilon, support_cap=support_cap).value
+        for g in (g_a, g_b)
+    )
     diff = abs(va - vb)
     if diff <= EQUAL_TOL:
         verdict = "equal"

@@ -14,6 +14,9 @@ Four computation routes share one result type:
                   average *is* the finite-group measure at the grid size);
 * closed-form  -- the Z x Z/m family for the standard 4-term element.
 
+measure holds the one rule that picks a route from the method, lambda and
+the group; it only dispatches, and no route calls another.
+
 lambda is kept real for measure routes; only the walk generating function
 u accepts complex lambda.  Every series route takes its walk counts
 a_n = [P^n]_0 from ring.walk_counts; all three share one depth search
@@ -41,19 +44,45 @@ from .errors import (
 
 @dataclass(frozen=True)
 class MeasureResult:
-    """One measure value with the route that produced it.
-
-    determinant is det(B), B the adjacency of QQ*, on the lambda-free
-    finite-group route: an int or Fraction for exact input, a float
-    otherwise.  It is None on every other route.
-    """
+    """One measure value, the route that produced it and what that route
+    computed, None where it computes nothing: group_order (math.inf when
+    infinite), det(B) for B the adjacency of QQ* on the lambda-free finite
+    route (exact for exact input), the imaginary part the lambda series
+    drops (0 on finite-determinant) and the torus grid size per dimension."""
 
     value: float
     method: str  # series | finite-determinant | quadrature | closed-form
     error_bound: float
-    lam: float | None
-    imaginary_discard: float = 0.0
+    group_order: int | float | None = None
     determinant: int | Fraction | float | None = None
+    imaginary_discard: float | None = None
+    grid: int | None = None
+
+
+METHODS = ("auto", "finite", "series", "general", "torus")  # the choices of measure
+
+
+def measure(g: gr.GroupSpec, P: rg.RingElement, lam=None, method: str = "auto",
+            epsilon: float = 1e-10, support_cap: int = rg.DEFAULT_SUPPORT_CAP,
+            grid: int | None = None, allow_continuation: bool = False) -> MeasureResult:
+    """m(P, lambda), or the lambda-free m(P) when lam is None, by one route:
+    "auto" takes mahler_general without lam, mahler_finite on finite groups
+    and mahler_series otherwise.  "general" refuses a lam; "finite",
+    "series" and "torus" need one (DomainError)."""
+    if method not in METHODS:
+        raise ValueError(f"unknown measure method {method!r}")
+    if method == "auto":
+        method = "general" if lam is None else "finite" if gr.is_finite(g) else "series"
+    if (lam is None) != (method == "general"):
+        rule = "takes no lambda" if lam is not None else "needs an explicit lambda"
+        raise DomainError(f"method {method!r} {rule}")
+    if method == "general":
+        return mahler_general(g, P, epsilon=epsilon, support_cap=support_cap)
+    if method == "finite":
+        return mahler_finite(g, P, lam, allow_continuation)
+    if method == "series":
+        return mahler_series(g, P, lam, epsilon, support_cap)
+    return mahler_torus(rg.transfer(P, g), lam, grid)
 
 
 @dataclass(frozen=True)
@@ -160,7 +189,7 @@ def mahler_series(
         raise ValueError("P must be reciprocal")
     lam = float(lam)
     if lam == 0.0:
-        return MeasureResult(0.0, "series", 0.0, 0.0)
+        return MeasureResult(0.0, "series", 0.0, imaginary_discard=0.0)
     klam = rg.l1_norm(P) * abs(lam)
     N = _series_depth(klam, epsilon, _tail_bound)
     coeffs = rg.power_constant_coeffs(P, N, support_cap=support_cap)
@@ -168,7 +197,7 @@ def mahler_series(
     for n in range(1, N + 1):
         total += complex(coeffs.values[n]) * lam**n / n
     value = -total.real
-    return MeasureResult(value, "series", _tail_bound(klam, N), lam, abs(total.imag))
+    return MeasureResult(value, "series", _tail_bound(klam, N), imaginary_discard=abs(total.imag))
 
 
 def u_series(
@@ -231,12 +260,12 @@ def mahler_finite(
         if not allow_continuation and det < 0:
             raise DomainError("determinant not positive inside the stated domain")
         value = _log(abs(det)) / n
-        return MeasureResult(value, "finite-determinant", 0.0, lam_f)
-    factors = [abs(1.0 - lam_f * s) for s in spec.eigenvalues]
-    if 0.0 in factors:
-        raise SingularMatrixError("1/lambda is an eigenvalue of A")
-    value = math.fsum(math.log(f) for f in factors) / n
-    return MeasureResult(value, "finite-determinant", 0.0, lam_f)
+    else:
+        factors = [abs(1.0 - lam_f * s) for s in spec.eigenvalues]
+        if 0.0 in factors:
+            raise SingularMatrixError("1/lambda is an eigenvalue of A")
+        value = math.fsum(math.log(f) for f in factors) / n
+    return MeasureResult(value, "finite-determinant", 0.0, group_order=n, imaginary_discard=0.0)
 
 
 def mahler_general(
@@ -274,7 +303,7 @@ def mahler_general(
         if det < 0:
             raise SingularMatrixError("adjacency of QQ* must be positive semidefinite")
         value = _log(det) / (2 * B.n)
-        return MeasureResult(value, "finite-determinant", 0.0, None, determinant=det)
+        return MeasureResult(value, "finite-determinant", 0.0, group_order=B.n, determinant=det)
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
     hi = rg.l1_norm(QQs)
@@ -301,7 +330,7 @@ def mahler_general(
     next(counts)  # a_0 = 1 is not part of the sum
     total = math.fsum(complex(next(counts)).real / (2 * n) for n in range(1, N + 1))
     value = -math.log(lam) / 2.0 - total
-    return MeasureResult(value, "series", _tail_bound(rate, N) / 2, None)
+    return MeasureResult(value, "series", _tail_bound(rate, N) / 2, group_order=gr.order(g))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +346,8 @@ def u_rational(g: gr.GroupSpec, P: rg.RingElement) -> RationalU:
 
 # ---------------------------------------------------------------------------
 # torus quadrature for free abelian groups
+
+TORUS_MAX_POINTS = 2**20  # most grid points per call; about 80 MB of numpy arrays
 
 
 def abelian_measure_via_characters(
@@ -344,7 +375,8 @@ def mahler_torus(
 
     The G-point grid average equals the Z/G x ... x Z/G measure exactly, so
     refining G converges to the free-abelian measure; the error estimate is
-    the difference between the G and G/2 grids.
+    the difference between the G and G//2 grids.  ResourceLimitError, before
+    any array is built, when grid**l exceeds TORUS_MAX_POINTS.
     """
     g = P.group
     if not isinstance(g, gr.AbelianProduct) or any(m != 0 for m in g.moduli):
@@ -353,23 +385,22 @@ def mahler_torus(
     if l > 3:
         raise ValueError("torus quadrature limited to at most 3 variables")
     lam = float(lam)
-    k = rg.l1_norm(P)
-    if abs(lam) * k >= 1.0 and lam != 0.0:
+    if abs(lam) * rg.l1_norm(P) >= 1.0:
         raise DomainError("lambda outside the disc: integrand may vanish on the torus")
     if grid is None:
         grid = 256 if l <= 2 else 64
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if lam == 0.0:
-        return MeasureResult(0.0, "quadrature", 0.0, 0.0)
+    if grid**l > TORUS_MAX_POINTS:
+        raise ResourceLimitError(f"{grid}^{l} torus points exceed max_points={TORUS_MAX_POINTS}")
 
     def grid_value(G: int) -> float:
         gq = gr.AbelianProduct((G,) * l)
         return abelian_measure_via_characters(gq, rg.transfer(P, gq), lam)
 
     value = grid_value(grid)
-    coarse = grid_value(max(grid // 2, 1)) if grid // 2 >= 2 else value
-    return MeasureResult(value, "quadrature", abs(value - coarse), lam)
+    coarse = grid_value(grid // 2)
+    return MeasureResult(value, "quadrature", abs(value - coarse), grid=grid)
 
 
 # ---------------------------------------------------------------------------

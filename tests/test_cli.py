@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grmahler import spectra as sp
@@ -242,6 +242,29 @@ def test_command_line_mistake_is_a_json_parse_error(argv):
     assert strict_json(err)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--group", "Z", "--poly", "x", "--support-cap", "-5"],
+        ["measure", "--group", "Z", "--poly", "x", "--support-cap", "0"],
+        ["measure", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--lambda", "0.1",
+         "--method", "torus", "--grid", "0"],
+        ["measure", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--lambda", "0.1",
+         "--method", "torus", "--grid", "1"],
+        ["genfun", "--series", "tree", "--degree", "-1"],
+        ["genfun", "--series", "free", "--degree", "0"],
+    ],
+    ids=["support-cap-negative", "support-cap-0", "grid-0", "grid-1", "degree-negative",
+         "degree-0"],
+)
+def test_size_below_its_floor_is_a_parse_error(argv):
+    rc, out, err = run_cli(argv)
+    assert rc == 2 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ParseError"
+    assert f"argument {argv[-2]}: must be at least" in error["message"]
+
+
 def test_help_still_prints_usage():
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
@@ -282,7 +305,7 @@ CLI_COMMANDS = {
     # option with its pieces (None: a flag)
     "measure": (True, {}, {"--method": (("auto", "finite", "series", "general", "torus"),
                                         ("bad",)),
-                           "--grid": (("4", "8"), ("1", "x")),
+                           "--grid": (("4", "8", "100000"), ("1", "0", "x")),
                            "--allow-continuation": None}),
     "coeffs": (False, {}, {"--n": CLI_SIZES}),
     "spectrum": (False, {}, {}),
@@ -330,7 +353,27 @@ def command_lines(draw):
     return argv + ["--format", draw(_piece((("json",), ("xml",))))]
 
 
+def with_examples(argvs):
+    def decorate(test):
+        for argv in argvs:
+            test = example(argv)(test)
+        return test
+
+    return decorate
+
+
+# every --method with and without --lambda, on a group each route accepts
+METHOD_ARGVS = [
+    ["measure", "--group", group, "--poly", poly, "--method", method] + lam
+    for method, group, poly in (
+        ("auto", "D3", "3+x+y"), ("finite", "D3", "x+x^-1+y"), ("series", "Dinf", "x+x^-1+y"),
+        ("general", "Dinf", "3+x+y"), ("torus", "Z^2", "x+x^-1+y+y^-1"))
+    for lam in ([], ["--lambda", "0.05"])
+]
+
+
 @settings(max_examples=300)
+@with_examples(METHOD_ARGVS)
 @given(command_lines())
 def test_any_command_line_gives_json_or_a_typed_error(argv):
     start = time.perf_counter()
@@ -565,6 +608,43 @@ def test_measure_torus_method():
     obj = json.loads(out)
     assert obj["method"] == "quadrature"
     assert abs(obj["value"] + 0.0209735074542) < 1e-10
+
+
+# the MeasureResult fields each route fills, in the order "extra" prints them
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["--group", "Z/3xZ/2", "--poly", "1+x+y"], {"group_order": 6, "determinant": 81}),
+        (["--group", "Dinf", "--poly", "3+x+y", "--epsilon", "1e-3"],
+         {"group_order": "infinite"}),
+        (["--group", "D3", "--poly", "x+x^-1+y", "--lambda", "0.1"],
+         {"group_order": 6, "imaginary_discard": 0}),
+        (["--group", "D3", "--poly", "x+x^-1+y", "--lambda", "0.1", "--method", "series"],
+         {"imaginary_discard": 0}),
+        (["--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--lambda", "0.1",
+          "--method", "torus"], {"grid": 256}),
+        (["--group", "Z^3", "--poly", "x1+x1^-1+x2+x2^-1+x3+x3^-1", "--lambda", "0",
+          "--method", "torus"], {"grid": 64}),
+    ],
+    ids=["general-finite", "general-infinite", "finite", "series",
+         "torus-Z2", "torus-Z3"],
+)
+def test_measure_extra_holds_what_its_route_computed(argv, extra):
+    rc, out, err = run_cli(["measure"] + argv)
+    assert rc == 0 and err == ""
+    assert list(strict_json(out)["extra"].items()) == list(extra.items())
+
+
+def test_huge_torus_grid_is_a_resource_error():
+    start = time.perf_counter()
+    rc, out, err = run_cli(
+        ["measure", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--lambda", "0.1",
+         "--method", "torus", "--grid", "100000"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ResourceLimitError" and "max_points" in error["message"]
 
 
 def test_measure_allow_continuation():

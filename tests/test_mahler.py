@@ -419,6 +419,70 @@ def test_torus_guards():
         mh.mahler_torus(parse_poly_over(P_STANDARD, Z2), 0.3)
 
 
+@pytest.mark.parametrize("grid", [2, 3, 4])
+def test_torus_estimate_covers_the_error_on_small_grids(grid):
+    # grids 2 and 3 are compared with the 1-point grid, the Z/1 x Z/1 measure
+    P = parse_poly_over(P_STANDARD, Z2)
+    res = mh.mahler_torus(P, 0.1, grid=grid)
+    series = mh.mahler_series(Z2, P, 0.1, 1e-12).value
+    assert res.error_bound >= abs(res.value - series) > 1e-4
+    assert res.grid == grid
+
+
+def test_torus_refuses_a_grid_past_its_point_cap(monkeypatch):
+    def no_arrays(*args):
+        pytest.fail("the point cap must be checked before any array is built")
+
+    monkeypatch.setattr(sp, "abelian_character_values", no_arrays)
+    cap = f"max_points={mh.TORUS_MAX_POINTS}"
+    side = math.isqrt(mh.TORUS_MAX_POINTS)
+    for g, grid in ((Z2, side + 1), (Z2, 100000), (gr.AbelianProduct((0, 0, 0)), 102)):
+        P = rg.transfer(parse_poly_over(P_STANDARD, Z2), g)
+        with pytest.raises(ResourceLimitError, match=cap):
+            mh.mahler_torus(P, 0.1, grid=grid)
+        with pytest.raises(ResourceLimitError, match=cap):
+            mh.mahler_torus(P, 0.0, grid=grid)
+
+
+# ---------------------------------------------------------------------------
+# the route choice
+
+
+ROUTES = {
+    "general": lambda g, P, lam: mh.mahler_general(g, P, epsilon=1e-8),
+    "finite": lambda g, P, lam: mh.mahler_finite(g, P, lam),
+    "series": lambda g, P, lam: mh.mahler_series(g, P, lam, 1e-8),
+}
+
+
+@pytest.mark.parametrize(
+    "g, poly, lam, route, method",
+    [
+        (D3, "3+x+y", None, "general", "finite-determinant"),
+        (D3, "x+x^-1+y", 0.1, "finite", "finite-determinant"),
+        (gr.Dihedral(0), "3+x+y", None, "general", "series"),
+        (gr.Dihedral(0), "x+x^-1+y", 0.1, "series", "series"),
+    ],
+    ids=["finite-free", "finite-lambda", "infinite-free", "infinite-lambda"],
+)
+def test_measure_picks_the_route_it_names(g, poly, lam, route, method):
+    P = parse_poly_over(poly, g)
+    res = mh.measure(g, P, lam, epsilon=1e-8)
+    assert res.method == method
+    assert res == ROUTES[route](g, P, lam)
+
+
+def test_measure_refuses_a_lambda_its_method_cannot_use():
+    P = parse_poly_over("x+x^-1+y", D3)
+    with pytest.raises(DomainError):
+        mh.measure(D3, P, 0.1, method="general")
+    for method in ("finite", "series", "torus"):
+        with pytest.raises(DomainError):
+            mh.measure(D3, P, method=method)
+    with pytest.raises(ValueError):
+        mh.measure(D3, P, 0.1, method="determinant")
+
+
 # ---------------------------------------------------------------------------
 # the Z x Z/m closed form
 

@@ -260,6 +260,15 @@ def test_only_ring_touches_private_ring_names():
             assert not re.search(r"\b(rg|ring)\._", text), path.name
 
 
+def test_only_mahler_names_a_measure_route():
+    # one route choice, mahler.measure: the other modules measure through it
+    src = Path(rg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "mahler.py":
+            text = path.read_text()
+            assert not re.search(r"\bmahler_(finite|series|general|torus)\b", text), path.name
+
+
 def test_no_runtime_assertions_in_the_library():
     # python -O strips assert statements, so a runtime check must raise a
     # typed error instead; AssertionError is no member of the taxonomy
