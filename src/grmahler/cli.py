@@ -10,8 +10,10 @@ every value the library returns: floats and Fractions with 15 significant
 digits, ints exactly, a complex or Gaussian-rational value with zero
 imaginary part as its real value, any other as the string "(a+bi)", and
 infinity as "infinite".  Each subcommand binds its runner, which takes the
-parsed arguments.  Exit codes: 0 ok, 2 parse error, 3 domain error (lambda
-out of disc, singular determinant, ...), 4 resource cap exceeded.
+parsed arguments.  The parser is built once, when this module is imported,
+so main can be called many times in one process.  Exit codes: 0 ok, 2 parse
+error (an unwritable --out file too), 3 domain error (lambda out of disc,
+singular determinant, ...), 4 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -422,6 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+PARSER = _build_parser()
+
+
 def _exit_code(err: GrmahlerError) -> int:
     if isinstance(err, ParseError):
         return 2
@@ -430,11 +435,14 @@ def _exit_code(err: GrmahlerError) -> int:
     return 3
 
 
+def _report(type_name: str, message: str, code: int) -> int:
+    print(render_json({"error": {"type": type_name, "message": message}}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    # built on each call, so each runner is looked up in the module globals
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = PARSER.parse_args(argv)
         if args.lam is not None and not math.isfinite(args.lam):
             raise DomainError(f"lambda must be finite, got {args.lam!r}")
         if not (math.isfinite(args.epsilon) and args.epsilon > 0):
@@ -442,18 +450,17 @@ def main(argv=None) -> int:
         obj, header, rows = args.run(args)
         text = render_json(obj) if args.fmt == "json" else render_csv(header, rows)
     except GrmahlerError as err:
-        payload = render_json(
-            {"error": {"type": type(err).__name__, "message": str(err)}}
-        )
-        print(payload, file=sys.stderr)
-        return _exit_code(err)
+        return _report(type(err).__name__, str(err), _exit_code(err))
     except ValueError as err:
-        payload = render_json({"error": {"type": "ValueError", "message": str(err)}})
-        print(payload, file=sys.stderr)
-        return 3
+        return _report("ValueError", str(err), 3)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            # reported as argparse reports any other bad argument value
+            message = f"{PARSER.prog} {args.command}: argument --out: {err.strerror}: {args.out!r}"
+            return _report("ParseError", message, 2)
     else:
         print(text)
     return 0

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grmahler import cli
 from grmahler import spectra as sp
 from grmahler.cli import format_number, main, render_json
 from grmahler.coeffs import GaussianRational
@@ -671,6 +672,71 @@ def test_out_writes_file(tmp_path):
     assert rc == 0 and out == ""
     text = path.read_text()
     assert text == GOLDEN[("measure", "--group", "Z/3xZ/2", "--poly", "1+x+y")]
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_a_typed_error(tmp_path, target):
+    path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    rc, out, err = run_cli(
+        ["measure", "--group", "Z/3xZ/2", "--poly", "1+x+y", "--out", str(path)]
+    )
+    assert rc == 2 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("grmahler measure: argument --out: ")
+    assert str(path) in error["message"]
+
+
+# one call of every subcommand, each of which must succeed
+EVERY_SUBCOMMAND = [
+    ("measure", "--group", "Z/3xZ/2", "--poly", "3+x+x^-1+y", "--lambda", "0.1"),
+    ("measure", "--group", "Z/3xZ/2", "--poly", "3+x+x^-1+y"),
+    ("coeffs", "--group", "D3", "--poly", "x+x^-1+y", "--n", "4", "--format", "csv"),
+    ("spectrum", "--group", "D3", "--poly", "x+x^-1+y"),
+    ("u", "--group", "Z", "--poly", "x+x^-1", "--lambda", "0.1"),
+    ("compare", "--group", "Z/3xZ/2", "--group-b", "D3", "--poly", "x+2*y"),
+    ("converge", "--chain", "dihedral", "--group", "Dinf", "--poly", "x+x^-1+y",
+     "--lambda", "0.1", "--params", "4,8"),
+    ("agree-depth", "--group", "D6", "--group-b", "Dinf", "--poly", "x+x^-1+y", "--n-max", "6"),
+    ("genfun", "--series", "z2", "--n", "4"),
+]
+
+
+def run_cli_or_exit(argv):
+    """run_cli, with a SystemExit (from --help) recorded as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exit_info:
+            rc = ("SystemExit", exit_info.code)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_main_reuses_one_parser(monkeypatch):
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    for argv in EVERY_SUBCOMMAND:
+        rc, out, err = run_cli(argv)
+        assert rc == 0 and err == "", argv
+
+    # no state leaks from one call into the next: each answers alike in
+    # either order
+    sequence = [
+        *sorted(GOLDEN),
+        *EVERY_SUBCOMMAND,
+        ("measure", "--group", "Z", "--poly", "x", "--lambda", "abc"),
+        ("measure", "--help"),
+        ("genfun", "--series", "free", "--degree", "2", "--n", "4"),
+    ]
+    forward = [run_cli_or_exit(argv) for argv in sequence]
+    backward = [run_cli_or_exit(argv) for argv in reversed(sequence)][::-1]
+    assert forward == backward
+    assert forward[-3][0] == 2 and strict_json(forward[-3][2])["error"]["type"] == "ParseError"
+    assert forward[-2][0] == ("SystemExit", 0)
+    assert strict_json(forward[-1][1])["group"] is None
 
 
 def test_csv_format_for_coeffs():
