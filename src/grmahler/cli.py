@@ -453,7 +453,7 @@ def main(argv=None) -> int:
         return _report(type(err).__name__, str(err), _exit_code(err))
     except ValueError as err:
         return _report("ValueError", str(err), 3)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

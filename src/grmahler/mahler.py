@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import groups as gr
 from . import ring as rg
 from . import spectra as sp
@@ -358,6 +356,8 @@ def abelian_measure_via_characters(
     By the product formula this IS the finite-group Mahler measure, and it is
     the arithmetic path shared with the torus quadrature grid.
     """
+    import numpy as np
+
     vals = sp.abelian_character_values(g, P)
     integrand = 1.0 - lam * vals
     mags = np.abs(integrand)

@@ -10,8 +10,7 @@ Polynomial grammar (whitespace insignificant):
 
 Decimal literals parse to exact rationals and 'i' to the exact imaginary
 unit, so polynomials entered on the command line keep the exact arithmetic
-paths alive.  The leading '-' is a convenience superset of the grammar so
-that printed expressions always re-parse.
+paths alive.  A leading '-' negates the first term.
 
 Group specifiers: Z^l, products of Z and Z/n joined with 'x' (e.g.
 Z/3xZ/2, ZxZ/4), Dm / Dinf, Dicm / Dicinf, Fl, and Ca*Cb free products.
@@ -182,85 +181,6 @@ def parse_poly(src: str) -> PolyExpr:
         term = _parse_term(sc)
         terms.append(Term(-term.coeff, term.word) if op == "-" else term)
     return PolyExpr(tuple(terms))
-
-
-# ---------------------------------------------------------------------------
-# printing (unparse . parse is identity up to canonical term ordering)
-
-
-def _format_coeff(c) -> str:
-    if isinstance(c, GaussianRational):
-        if c.im == 0:
-            return _format_rational(c.re)
-        if c.re == 0 and c.im == 1:
-            return "i"
-        return f"({_format_rational(c.re)}{'+' if c.im >= 0 else '-'}{_format_rational(abs(c.im))}i)"
-    if isinstance(c, complex):
-        return f"({_format_rational(c.real)}{'+' if c.imag >= 0 else '-'}{_format_rational(abs(c.imag))}i)"
-    return _format_rational(c)
-
-
-def _format_rational(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        # exact decimal when the denominator is 2^a 5^b; grammar has no '/'
-        num, den = x.numerator, x.denominator
-        shift = 0
-        while den % 2 == 0:
-            den //= 2
-            shift += 1
-        fives = 0
-        while den % 5 == 0:
-            den //= 5
-            fives += 1
-        if den == 1:
-            scale = max(shift, fives)
-            digits = num * 10**scale // x.denominator
-            s = f"{abs(digits):0{scale + 1}d}"
-            sign = "-" if digits < 0 else ""
-            return f"{sign}{s[:-scale] or '0'}.{s[-scale:]}"
-        return repr(float(x))  # lossy fallback outside the decimal grammar
-    return repr(float(x))
-
-
-def print_poly(expr: PolyExpr) -> str:
-    parts = []
-    for idx, t in enumerate(expr.terms):
-        negative, c = _extract_sign(t.coeff)
-        body = _term_body(c, t.word)
-        if idx == 0:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"{'-' if negative else '+'} {body}")
-    return " ".join(parts)
-
-
-def _extract_sign(c):
-    """Split off a leading minus so the remaining coefficient fits the
-    unsigned grammar literals."""
-    if isinstance(c, GaussianRational):
-        if c.re < 0 or (c.re == 0 and c.im < 0):
-            return True, -c
-        return False, c
-    if isinstance(c, complex):
-        if c.real < 0 or (c.real == 0 and c.imag < 0):
-            return True, -c
-        return False, c
-    return (True, -c) if c < 0 else (False, c)
-
-
-def _term_body(c, word) -> str:
-    word_str = "".join(
-        name + (f"^{exp}" if exp != 1 else "") for name, exp in word
-    )
-    if not word:
-        return _format_coeff(c)
-    if c == 1:
-        return word_str
-    return f"{_format_coeff(c)}*{word_str}"
 
 
 # ---------------------------------------------------------------------------

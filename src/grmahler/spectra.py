@@ -7,6 +7,8 @@ canonical enumeration order; reciprocity of P makes A Hermitian exactly.
 Floating spectra come from LAPACK's Hermitian eigensolver
 (numpy.linalg.eigvalsh) through hermitian_eigenvalues, the one eigenvalue
 entry point; callers take floating log-determinants from that spectrum.
+numpy is imported on first use, inside the float spectral and character
+functions, so the series and exact routes never load it.
 Determinants of exact matrices clear denominators once and run
 fraction-free Bareiss elimination on pairs of ints (Gaussian integers), so
 that integer constants come out exactly.
@@ -17,13 +19,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import coeffs as cf
 from . import groups as gr
 from . import ring as rg
 from .errors import InfiniteGroupError, NonConvergenceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,8 @@ class HermitianMatrix:
         return all(cf.is_exact(c) for row in self.entries for c in row)
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[complex(c) for c in row] for row in self.entries], dtype=complex
         ).reshape(self.n, self.n)
@@ -94,6 +100,8 @@ def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> HermitianMatrix:
 
 def hermitian_eigenvalues(M: HermitianMatrix) -> Spectrum:
     """All-real spectrum, ascending, from LAPACK's Hermitian eigensolver."""
+    import numpy as np
+
     try:
         vals = np.linalg.eigvalsh(M.to_numpy())
     except np.linalg.LinAlgError as err:
@@ -149,6 +157,8 @@ def det_hermitian(M: HermitianMatrix):
         return 1
     if M.is_exact():
         return cf.exact_real(_det_exact(M.entries))
+    import numpy as np
+
     d = complex(np.linalg.det(M.to_numpy()))
     return d.real
 
@@ -171,6 +181,8 @@ def trace_power(M: HermitianMatrix, n: int) -> float:
     """trace(M^n) by repeated matrix multiplication."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    import numpy as np
+
     a = M.to_numpy()
     acc = np.eye(M.n, dtype=complex)
     for _ in range(n):
@@ -192,6 +204,8 @@ def abelian_character_values(g: gr.AbelianProduct, P: rg.RingElement) -> np.ndar
         raise ValueError("character evaluation needs an abelian product group")
     if not gr.is_finite(g):
         raise InfiniteGroupError("character evaluation needs a finite group")
+    import numpy as np
+
     P = rg.transfer(P, g)
     moduli = g.moduli
     grids = np.meshgrid(*(np.arange(m) for m in moduli), indexing="ij")
@@ -210,6 +224,8 @@ def abelian_spectrum(g: gr.AbelianProduct, P: rg.RingElement) -> Spectrum:
     For reciprocal P this equals the adjacency spectrum as a multiset; the
     values are then real.
     """
+    import numpy as np
+
     vals = abelian_character_values(g, P)
     resid = float(np.max(np.abs(vals.imag))) if len(vals) else 0.0
     scale = max(1.0, float(np.max(np.abs(vals)))) if len(vals) else 1.0

@@ -2,8 +2,11 @@ import io
 import contextlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -687,6 +690,14 @@ def test_unwritable_out_is_a_typed_error(tmp_path, target):
     assert str(path) in error["message"]
 
 
+def test_empty_out_is_a_typed_error():
+    rc, out, err = run_cli(["genfun", "--series", "z2", "--n", "2", "--out", ""])
+    assert rc == 2 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("grmahler genfun: argument --out: ")
+
+
 # one call of every subcommand, each of which must succeed
 EVERY_SUBCOMMAND = [
     ("measure", "--group", "Z/3xZ/2", "--poly", "3+x+x^-1+y", "--lambda", "0.1"),
@@ -765,3 +776,37 @@ def test_readme_examples_answer():
         assert rc == 0 and err == "", argv
         strict_json(out)
         assert elapsed < 10.0, (argv, elapsed)
+
+
+# Run in a fresh interpreter, so numpy can only be in sys.modules if the
+# calls made here imported it.  Every call but the last stays off the float
+# spectral and character routes.
+IMPORT_BOUNDARY_SCRIPT = """
+import contextlib, io, json, sys
+import grmahler.cli
+steps = [("import", 0, "numpy" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = grmahler.cli.main(argv)
+    steps.append((argv[0], rc, "numpy" in sys.modules))
+print(json.dumps(steps))
+"""
+
+
+def test_only_float_spectral_routes_import_numpy():
+    numpy_free = [
+        ["coeffs", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--n", "6"],
+        ["genfun", "--series", "z2", "--n", "4"],
+        ["measure", "--group", "Dinf", "--poly", "3+x+y"],  # λ-free series
+        ["measure", "--group", "Z/3xZ/2", "--poly", "1+x+y"],  # exact Bareiss
+    ]
+    float_spectral = ["measure", "--group", "D4", "--poly", "x+x^-1+y", "--lambda", "0.1"]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, json.dumps([*numpy_free, float_spectral])],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    steps = json.loads(done.stdout)
+    assert [rc for _, rc, _ in steps] == [0] * 6
+    assert [loaded for _, _, loaded in steps] == [False] * 5 + [True]

@@ -1,7 +1,8 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from grmahler import groups as gr
@@ -13,7 +14,6 @@ from grmahler.parsing import (
     parse_group,
     parse_poly,
     parse_poly_over,
-    print_poly,
 )
 
 Z2 = gr.AbelianProduct((0, 0))
@@ -124,7 +124,87 @@ def test_parse_never_crashes_near_grammar(src):
 
 
 # ---------------------------------------------------------------------------
-# round trips
+# generated polynomials, checked term by term
+
+GENERATORS = ("x", "y") + tuple(f"x{k}" for k in range(1, 10))
+
+
+@st.composite
+def decimals(draw):
+    """(text, exact value) of an unsigned decimal literal."""
+    whole = draw(st.integers(0, 10**4))
+    digits = draw(st.text("0123456789", max_size=3))
+    text = f"{whole}.{digits}" if digits else str(whole)
+    return text, Fraction(text)
+
+
+@st.composite
+def gaussians(draw):
+    """(text, value) of a parenthesised Gaussian literal (a+bi) or (a-bi)."""
+    (re_text, re), (im_text, im) = draw(decimals()), draw(decimals())
+    sign = draw(st.sampled_from("+-"))
+    return f"({re_text}{sign}{im_text}i)", GaussianRational(re, im if sign == "+" else -im)
+
+
+@st.composite
+def unsigned_terms(draw):
+    """(text, Term) of one term without its sign: coefficient, word or both;
+    words are several generators with optional (negative) exponents."""
+    coeff = draw(st.none() | decimals() | st.just(("i", GaussianRational(0, 1))) | gaussians())
+    exponents = st.none() | st.integers(-9, 9).filter(bool)
+    word = draw(st.lists(st.tuples(st.sampled_from(GENERATORS), exponents), max_size=3))
+    assume(coeff is not None or word)
+    word_text = "".join(g if e is None else f"{g}^{e}" for g, e in word)
+    expected_word = tuple((g, 1 if e is None else e) for g, e in word)
+    if coeff is None:
+        return word_text, Term(1, expected_word)
+    text, value = coeff
+    return text + ("*" + word_text if word else ""), Term(value, expected_word)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("+-"), st.sampled_from(["", " "]), unsigned_terms()),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_parse_poly_term_by_term(parts):
+    src = "".join(
+        f"{'' if i == 0 and sign == '+' else sign}{space}{text}{space}"
+        for i, (sign, space, (text, _)) in enumerate(parts)
+    )
+    expected = tuple(
+        Term(-t.coeff, t.word) if sign == "-" else t for sign, _, (_, t) in parts
+    )
+    assert parse_poly(src).terms == expected
+
+
+# ---------------------------------------------------------------------------
+# round trips through a writer of the grammar
+
+
+def _decimal(x) -> str:
+    """Exact decimal text of a non-negative rational with a terminating expansion."""
+    return format(Decimal(x.numerator) / Decimal(x.denominator), "f")
+
+
+def _write(expr: PolyExpr) -> str:
+    """expr in the grammar, with every coefficient spelled out."""
+    text = ""
+    for t in expr.terms:
+        c = t.coeff
+        if isinstance(c, GaussianRational):
+            negative = c.re < 0 or (c.re == 0 and c.im < 0)
+            c = -c if negative else c
+            body = f"({_decimal(c.re)}{'-' if c.im < 0 else '+'}{_decimal(abs(c.im))}i)"
+        else:
+            negative = c < 0
+            body = _decimal(abs(c))
+        word = "".join(f"{name}^{exp}" for name, exp in t.word)
+        text += f" {'-' if negative else '+'} {body}" + (f"*{word}" if word else "")
+    return text.lstrip(" +")
+
 
 ROUND_TRIP_CORPUS = [
     "x + x^-1 + y + y^-1",
@@ -161,8 +241,7 @@ def test_corpus_is_big_enough():
 @pytest.mark.parametrize("src", ROUND_TRIP_CORPUS)
 def test_print_parse_round_trip(src):
     tree = parse_poly(src)
-    printed = print_poly(tree)
-    assert parse_poly(printed) == tree
+    assert parse_poly(_write(tree)) == tree
 
 
 # ---------------------------------------------------------------------------
