@@ -26,7 +26,6 @@ from fractions import Fraction
 from . import coeffs as cf
 from . import experiments as ex
 from . import genfun as gf
-from . import groups as gr
 from . import mahler as mh
 from . import ring as rg
 from . import spectra as sp
@@ -259,7 +258,7 @@ def run_converge(args):
         raise DomainError("converge needs an explicit --lambda")
     group, poly = _bind(args)
     if args.chain == "abelian":
-        l = gr.num_generators(group)
+        l = group.num_generators()
         rows = ex.converge_abelian(poly, args.lam, [(m,) * l for m in params], support_cap=args.support_cap)
     else:
         rows = ex.converge_quotients(args.chain, poly, args.lam, params, support_cap=args.support_cap)
@@ -281,7 +280,7 @@ def run_converge(args):
 def run_agree_depth(args):
     g_a = parse_group(args.group)
     g_b = parse_group(args.group_b)
-    poly = to_ring_element(parse_poly(args.poly), g_b if not gr.is_finite(g_b) else g_a)
+    poly = to_ring_element(parse_poly(args.poly), g_b if not g_b.is_finite() else g_a)
     rep = ex.agreement_depth(g_a, g_b, poly, args.n_max, support_cap=args.support_cap)
     obj = _result_object(
         args,

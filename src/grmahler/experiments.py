@@ -101,7 +101,7 @@ def converge_abelian(
         q = q_of_m(moduli)
         rows.append(
             ConvergenceRow(
-                parameter=int(gr.order(gq)),
+                parameter=int(gq.order()),
                 value=value,
                 gap=abs(value - limit),
                 limit_method="series",

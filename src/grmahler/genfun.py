@@ -246,13 +246,13 @@ def standard_p2(l: int) -> rg.RingElement:
     if l < 2:
         raise ValueError("l must be >= 2")
     g = gr.AbelianProduct((0,) * (l - 1))
-    ident = gr.identity(g)
+    ident = g.identity()
     a = {ident: 1}
     b = {ident: 1}
     for i in range(l - 1):
         e = tuple(1 if j == i else 0 for j in range(l - 1))
         a[e] = 1
-        b[gr.invert(g, e)] = 1
+        b[g.invert(e)] = 1
     return rg.mul(rg.ring_element(g, a), rg.ring_element(g, b))
 
 

@@ -1,6 +1,8 @@
 """Group families, canonical normal forms, and exact group arithmetic.
 
-Supported families and their element encodings:
+A family is one frozen dataclass that carries its operations as methods
+and its specifier pattern as the classmethod `parse`.  The families and
+their element encodings:
 
 * AbelianProduct(moduli) -- exponent vectors, one entry per factor; an entry
   is reduced mod its modulus when the modulus is positive, and ranges over
@@ -19,26 +21,80 @@ Supported families and their element encodings:
 
 Normal forms are unique, so equal group elements compare equal as plain
 tuples.  All values are immutable and every operation is a pure function.
+element_sort_key is the canonical order on finite groups; on infinite ones,
+integer exponents sort as 0, 1, -1, 2, -2, ... and words by length first.
 
-multiplier(g) holds each family's multiplication law: it chooses the law
-once and returns a plain (a, b) -> a*b function, which loops over many
-pairs of one group (group-ring products, Cayley adjacency, word
-evaluation) call per pair; multiply(g, a, b) is a single call through it.
+g.multiplier() chooses the law once and returns a plain (a, b) -> a*b
+function, which loops over many pairs of one group (group-ring products,
+Cayley adjacency, word evaluation) call per pair; the module-level
+multiplier(g), multiply(g, a, b) and elements(g) call the methods.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 
-from .errors import GroupMismatchError, InfiniteGroupError
+from .errors import GroupMismatchError, InfiniteGroupError, ParseError
 
-# ---------------------------------------------------------------------------
-# group specifications
+MAX_GENERATORS = 9  # the polynomial grammar names x, y or x1..x9
+
+
+def _int_key(x: int):
+    return (abs(x), 0 if x >= 0 else 1)
+
+
+def _count(digits: str) -> int:
+    """A generator count, capped just past what _build accepts, so that a huge
+    count is neither converted nor built."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) == 1 else MAX_GENERATORS + 1
+
+
+def _build(family, arg, src: str):
+    """family(arg) for a parsed specifier, its parameter check reported as a
+    ParseError; refused past the generators the polynomial grammar names."""
+    try:
+        g = family(arg)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
+    if g.num_generators() > MAX_GENERATORS:
+        raise ParseError(f"{src!r} has more than {MAX_GENERATORS} generators, "
+                         "the most the polynomial grammar supports")
+    return g
+
+
+class _Family:
+    """What the families share; a family with finite groups defines _elements."""
+
+    def is_finite(self) -> bool:
+        return self.order() is not math.inf
+
+    def elements(self) -> list:
+        """All elements of a finite group in the canonical frozen order, so
+        that adjacency matrices are reproducible bit-for-bit: exponent vectors
+        lexicographically, or the rotations e, x, ... and then y, yx, ...."""
+        if not self.is_finite():
+            raise InfiniteGroupError(f"cannot enumerate infinite group {self!r}")
+        return self._elements()
+
+    def element_index(self, a) -> int:
+        """Position of `a` in elements() without building the list."""
+        raise InfiniteGroupError(f"no canonical index for {self!r}")
+
+    def generator(self, i: int):
+        """The i-th canonical generator (0-based); x, then y for Dihedral/Dicyclic."""
+        if not 0 <= i < self.num_generators():
+            raise GroupMismatchError(f"group {self!r} has no generator {i}")
+        return self._generator(i)
+
+    def _check(self, a, ok: bool) -> None:
+        if not ok:
+            raise GroupMismatchError(f"{a!r} is not a normal form for {self!r}")
 
 
 @dataclass(frozen=True)
-class AbelianProduct:
+class AbelianProduct(_Family):
     """Z/m1 x ... x Z/ml; a modulus of 0 stands for an infinite cyclic factor."""
 
     moduli: tuple[int, ...]
@@ -51,31 +107,190 @@ class AbelianProduct:
             raise ValueError("moduli must be non-negative")
         object.__setattr__(self, "moduli", moduli)
 
+    @classmethod
+    def parse(cls, s: str, src: str):
+        # Z, Z^l and Z/n joined with 'x': the catch-all, it never declines
+        moduli = []
+        for part in s.split("x"):
+            part = part.strip()
+            if part == "Z":
+                moduli.append(0)
+            elif part.startswith("Z^") and part[2:].isdecimal():
+                moduli.extend([0] * _count(part[2:]))
+            elif part.startswith("Z/") and part[2:].isdecimal() and int(part[2:]) >= 1:
+                moduli.append(int(part[2:]))
+            else:
+                raise ParseError(f"bad abelian factor {part!r} in {src!r}")
+        return _build(cls, moduli, src)
+
+    def order(self):
+        return math.prod(self.moduli) if all(self.moduli) else math.inf
+
+    def identity(self):
+        return (0,) * len(self.moduli)
+
+    def multiplier(self):
+        moduli, n = self.moduli, len(self.moduli)
+
+        def mul(a, b):
+            if len(a) != n or len(b) != n:
+                raise GroupMismatchError("exponent vector length mismatch")
+            return tuple([(x + y) % m if m else x + y for x, y, m in zip(a, b, moduli)])
+
+        return mul
+
+    def invert(self, a):
+        return tuple((-x) % m if m else -x for x, m in zip(a, self.moduli))
+
+    def _elements(self):
+        return [tuple(v) for v in product(*(range(m) for m in self.moduli))]
+
+    def element_index(self, a) -> int:
+        idx = 0
+        for x, m in zip(a, self.moduli):
+            idx = idx * m + x
+        return idx
+
+    def element_sort_key(self, a):
+        if all(self.moduli):
+            return self.element_index(a)
+        return tuple(x if m else _int_key(x) for x, m in zip(a, self.moduli))
+
+    def validate_element(self, a) -> None:
+        self._check(a, isinstance(a, tuple) and len(a) == len(self.moduli) and all(
+            isinstance(x, int) and (m == 0 or 0 <= x < m) for x, m in zip(a, self.moduli)
+        ))
+
+    def num_generators(self) -> int:
+        return len(self.moduli)
+
+    def _generator(self, i):
+        return tuple(1 if j == i else 0 for j in range(len(self.moduli)))
+
+    def element_word(self, a) -> tuple:
+        """A normal form as ((gen_index, exponent), ...), a word valid in any
+        group with at least as many generators: ring elements transfer along
+        it (D_m versus Z/m x Z/2, an infinite group and its quotients)."""
+        return tuple((i, x) for i, x in enumerate(a) if x)
+
 
 @dataclass(frozen=True)
-class Dihedral:
+class _RotationReflection(_Family):
+    """Dihedral and Dicyclic: pairs (eps, k) for y^eps x^k, where x has
+    `rotations` powers (0: infinitely many)."""
+
+    m: int
+
+    def __post_init__(self):
+        if self.m < 0:
+            raise ValueError("m must be non-negative")
+
+    @classmethod
+    def parse(cls, s: str, src: str):
+        # <prefix>m for m >= 1, <prefix>inf for m = 0
+        if not s.startswith(cls._PREFIX):
+            return None
+        rest = s[len(cls._PREFIX):]
+        if rest == "inf":
+            return cls(0)
+        if rest.isdecimal() and int(rest) >= 1:
+            return cls(int(rest))
+        raise ParseError(f"bad {cls._NOUN} specifier {src!r}")
+
+    @property
+    def rotations(self) -> int:
+        return self._ROTATIONS_PER_M * self.m
+
+    def order(self):
+        return 2 * self.rotations if self.m else math.inf
+
+    def identity(self):
+        return (0, 0)
+
+    def _elements(self):
+        return [(e, k) for e in (0, 1) for k in range(self.rotations)]
+
+    def element_index(self, a) -> int:
+        return a[0] * self.rotations + a[1]
+
+    def element_sort_key(self, a):
+        return self.element_index(a) if self.m else (a[0], _int_key(a[1]))
+
+    def validate_element(self, a) -> None:
+        self._check(a, isinstance(a, tuple) and len(a) == 2 and a[0] in (0, 1)
+                    and isinstance(a[1], int) and (self.m == 0 or 0 <= a[1] < self.rotations))
+
+    def num_generators(self) -> int:
+        return 2
+
+    def _generator(self, i):
+        return (0, 1) if i == 0 else (1, 0)
+
+    def element_word(self, a) -> tuple:
+        e, k = a
+        return (((1, 1),) if e else ()) + (((0, k),) if k else ())
+
+
+@dataclass(frozen=True)
+class Dihedral(_RotationReflection):
     """Dihedral group of order 2m; m = 0 is the infinite dihedral group."""
 
-    m: int
+    _PREFIX, _NOUN, _ROTATIONS_PER_M = "D", "dihedral", 1
 
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("m must be non-negative")
+    def multiplier(self):
+        m = self.m
+
+        def mul(a, b):
+            e1, k1 = a
+            e2, k2 = b
+            k = k1 + k2 if e2 == 0 else k2 - k1
+            return (e1 ^ e2, k % m if m else k)
+
+        return mul
+
+    def invert(self, a):
+        e, k = a
+        if e:
+            return a  # reflections are involutions
+        return (0, (-k) % self.m if self.m else -k)
 
 
 @dataclass(frozen=True)
-class Dicyclic:
+class Dicyclic(_RotationReflection):
     """Dicyclic group of order 4m; m = 0 follows the printed infinite presentation."""
 
-    m: int
+    _PREFIX, _NOUN, _ROTATIONS_PER_M = "Dic", "dicyclic", 2
 
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("m must be non-negative")
+    def multiplier(self):
+        m, mod = self.m, 2 * self.m
+
+        def mul(a, b):
+            e1, k1 = a
+            e2, k2 = b
+            if e2 == 0:
+                k = k1 + k2
+            elif e1 == 0:
+                k = k2 - k1
+            else:
+                # y^2 contributes x^m for m >= 1; the printed infinite
+                # presentation has y^2 = e instead.
+                k = k2 - k1 + m
+            return (e1 ^ e2, k % mod if mod else k)
+
+        return mul
+
+    def invert(self, a):
+        e, k = a
+        m, mod = self.m, 2 * self.m
+        if e == 0:
+            return (0, (-k) % mod if mod else -k)
+        if m == 0:
+            return a  # printed presentation: y^2 = e
+        return (1, (k + m) % mod)  # (y x^k)^-1 = y x^(k+m)
 
 
 @dataclass(frozen=True)
-class Free:
+class Free(_Family):
     """Free group on `rank` generators."""
 
     rank: int
@@ -84,9 +299,64 @@ class Free:
         if self.rank < 1:
             raise ValueError("rank must be positive")
 
+    @classmethod
+    def parse(cls, s: str, src: str):
+        # Fl for l >= 1
+        if not s.startswith("F"):
+            return None
+        rank = _count(s[1:]) if s[1:].isdecimal() else 0
+        if rank < 1:
+            raise ParseError(f"bad free-group specifier {src!r}")
+        return _build(cls, rank, src)
+
+    def order(self):
+        return math.inf
+
+    def identity(self):
+        return ()
+
+    def multiplier(self):
+        rank = self.rank
+
+        def mul(a, b):
+            word = list(a)
+            for letter in b:
+                if not -rank <= letter <= rank or letter == 0:
+                    raise GroupMismatchError(f"letter {letter} outside rank {rank}")
+                if word and word[-1] == -letter:
+                    word.pop()
+                else:
+                    word.append(letter)
+            return tuple(word)
+
+        return mul
+
+    def invert(self, a):
+        return tuple([-letter for letter in reversed(a)])
+
+    def element_sort_key(self, a):
+        return (len(a), tuple(_int_key(x) for x in a))
+
+    def validate_element(self, a) -> None:
+        # reduced: no adjacent letter/inverse pair
+        self._check(a, isinstance(a, tuple)
+                    and all(isinstance(x, int) and x != 0 and abs(x) <= self.rank for x in a)
+                    and all(a[i] != -a[i + 1] for i in range(len(a) - 1)))
+
+    def num_generators(self) -> int:
+        return self.rank
+
+    def _generator(self, i):
+        return (i + 1,)
+
+    def element_word(self, a) -> tuple:
+        # in a reduced word, adjacent letters of one generator are equal
+        runs = [(letter, len(list(run))) for letter, run in groupby(a)]
+        return tuple((abs(x) - 1, n if x > 0 else -n) for x, n in runs)
+
 
 @dataclass(frozen=True)
-class FreeProductCyclic:
+class FreeProductCyclic(_Family):
     """Free product Z/n1 * Z/n2 * ... of at least two finite cyclic factors."""
 
     orders: tuple[int, ...]
@@ -99,115 +369,80 @@ class FreeProductCyclic:
             raise ValueError("factor orders must be >= 2")
         object.__setattr__(self, "orders", orders)
 
+    @classmethod
+    def parse(cls, s: str, src: str):
+        # Ca*Cb*... for orders a, b, ... >= 2
+        if "*" not in s:
+            return None
+        orders = []
+        for part in s.split("*"):
+            part = part.strip()
+            if not part.startswith("C") or not part[1:].isdecimal():
+                raise ParseError(f"bad free-product factor {part!r} in {src!r}")
+            orders.append(int(part[1:]))
+        return _build(cls, orders, src)
+
+    def order(self):
+        return math.inf
+
+    def identity(self):
+        return ()
+
+    def multiplier(self):
+        orders = self.orders
+
+        def mul(a, b):
+            word = list(a)
+            for fac, exp in b:
+                if word and word[-1][0] == fac:
+                    e = (word[-1][1] + exp) % orders[fac]
+                    word.pop()
+                    if e:
+                        word.append((fac, e))
+                else:
+                    word.append((fac, exp))
+            return tuple(word)
+
+        return mul
+
+    def invert(self, a):
+        return tuple([(fac, self.orders[fac] - exp) for fac, exp in reversed(a)])
+
+    def element_sort_key(self, a):
+        return (len(a), a)
+
+    def validate_element(self, a) -> None:
+        orders = self.orders
+        self._check(a, isinstance(a, tuple) and all(
+            isinstance(s, tuple) and len(s) == 2
+            and 0 <= s[0] < len(orders) and 1 <= s[1] < orders[s[0]] for s in a
+        ) and all(a[i][0] != a[i + 1][0] for i in range(len(a) - 1)))
+
+    def num_generators(self) -> int:
+        return len(self.orders)
+
+    def _generator(self, i):
+        return ((i, 1),)
+
+    def element_word(self, a) -> tuple:
+        return tuple(a)
+
 
 GroupSpec = AbelianProduct | Dihedral | Dicyclic | Free | FreeProductCyclic
 
+# the order parse_group tries: "Dic" before "D", the abelian catch-all last
+FAMILIES = (Dicyclic, Dihedral, Free, FreeProductCyclic, AbelianProduct)
+
 # ---------------------------------------------------------------------------
-# basic structure
-
-
-def order(g: GroupSpec):
-    """Group order as an int, or math.inf for infinite groups."""
-    match g:
-        case AbelianProduct(moduli):
-            if any(m == 0 for m in moduli):
-                return math.inf
-            return math.prod(moduli)
-        case Dihedral(m):
-            return 2 * m if m else math.inf
-        case Dicyclic(m):
-            return 4 * m if m else math.inf
-        case Free():
-            return math.inf
-        case FreeProductCyclic():
-            return math.inf
-    raise TypeError(f"not a group spec: {g!r}")
-
-
-def is_finite(g: GroupSpec) -> bool:
-    return order(g) is not math.inf
-
-
-def identity(g: GroupSpec):
-    match g:
-        case AbelianProduct(moduli):
-            return (0,) * len(moduli)
-        case Dihedral() | Dicyclic():
-            return (0, 0)
-        case Free() | FreeProductCyclic():
-            return ()
-    raise TypeError(f"not a group spec: {g!r}")
-
-
-def _rot_mod(g) -> int:
-    """Modulus of the rotation part: m for Dihedral, 2m for Dicyclic, 0 = infinite."""
-    return g.m if isinstance(g, Dihedral) else 2 * g.m
+# module-level entry points and words, for any family
 
 
 def multiplier(g: GroupSpec):
-    """The multiplication law of g as a plain function (a, b) -> normal form of a*b.
-
-    The family match runs once, here; a loop over many pairs of one group
-    builds this once and calls it per pair.  Inputs must be valid normal
-    forms for g.  This is the only definition of each family's law.
-    """
-    match g:
-        case AbelianProduct(moduli):
-            n = len(moduli)
-
-            def mul(a, b):
-                if len(a) != n or len(b) != n:
-                    raise GroupMismatchError("exponent vector length mismatch")
-                return tuple(
-                    [(x + y) % m if m else x + y for x, y, m in zip(a, b, moduli)]
-                )
-        case Dihedral(m):
-            def mul(a, b):
-                e1, k1 = a
-                e2, k2 = b
-                k = k1 + k2 if e2 == 0 else k2 - k1
-                return (e1 ^ e2, k % m if m else k)
-        case Dicyclic(m):
-            mod = 2 * m
-
-            def mul(a, b):
-                e1, k1 = a
-                e2, k2 = b
-                if e2 == 0:
-                    k = k1 + k2
-                elif e1 == 0:
-                    k = k2 - k1
-                else:
-                    # y^2 contributes x^m for m >= 1; the printed infinite
-                    # presentation has y^2 = e instead.
-                    k = k2 - k1 + m
-                return (e1 ^ e2, k % mod if mod else k)
-        case Free(rank):
-            def mul(a, b):
-                word = list(a)
-                for letter in b:
-                    if not -rank <= letter <= rank or letter == 0:
-                        raise GroupMismatchError(f"letter {letter} outside rank {rank}")
-                    if word and word[-1] == -letter:
-                        word.pop()
-                    else:
-                        word.append(letter)
-                return tuple(word)
-        case FreeProductCyclic(orders):
-            def mul(a, b):
-                word = list(a)
-                for fac, exp in b:
-                    if word and word[-1][0] == fac:
-                        e = (word[-1][1] + exp) % orders[fac]
-                        word.pop()
-                        if e:
-                            word.append((fac, e))
-                    else:
-                        word.append((fac, exp))
-                return tuple(word)
-        case _:
-            raise TypeError(f"not a group spec: {g!r}")
-    return mul
+    """g.multiplier(): the law of g as a plain function (a, b) -> normal form
+    of a*b.  Inputs must be valid normal forms for g."""
+    if not isinstance(g, GroupSpec):
+        raise TypeError(f"not a group spec: {g!r}")
+    return g.multiplier()
 
 
 def multiply(g: GroupSpec, a, b):
@@ -215,192 +450,29 @@ def multiply(g: GroupSpec, a, b):
     return multiplier(g)(a, b)
 
 
-def invert(g: GroupSpec, a):
-    match g:
-        case AbelianProduct(moduli):
-            return tuple((-x) % m if m else -x for x, m in zip(a, moduli))
-        case Dihedral():
-            e, k = a
-            if e:
-                return a  # reflections are involutions
-            mod = g.m
-            return (0, (-k) % mod if mod else -k)
-        case Dicyclic(m):
-            e, k = a
-            mod = 2 * m
-            if e == 0:
-                return (0, (-k) % mod if mod else -k)
-            if m == 0:
-                return a  # printed presentation: y^2 = e
-            return (1, (k + m) % mod)  # (y x^k)^-1 = y x^(k+m)
-        case Free():
-            return tuple([-letter for letter in reversed(a)])
-        case FreeProductCyclic(orders):
-            return tuple([(fac, orders[fac] - exp) for fac, exp in reversed(a)])
-    raise TypeError(f"not a group spec: {g!r}")
-
-
 def elements(g: GroupSpec) -> list:
-    """All elements of a finite group in the canonical frozen order.
-
-    AbelianProduct lists exponent vectors lexicographically; Dihedral and
-    Dicyclic list the rotation block e, x, ..., then the reflected block
-    y, yx, ....  Adjacency matrices built from this order are reproducible
-    bit-for-bit across runs.
-    """
-    if not is_finite(g):
-        raise InfiniteGroupError(f"cannot enumerate infinite group {g!r}")
-    match g:
-        case AbelianProduct(moduli):
-            return [tuple(v) for v in product(*(range(m) for m in moduli))]
-        case Dihedral() | Dicyclic():
-            mod = _rot_mod(g)
-            return [(e, k) for e in (0, 1) for k in range(mod)]
-    raise TypeError(f"not a group spec: {g!r}")
-
-
-def element_index(g: GroupSpec, a) -> int:
-    """Position of `a` in elements(g) without building the list."""
-    match g:
-        case AbelianProduct(moduli):
-            idx = 0
-            for x, m in zip(a, moduli):
-                idx = idx * m + x
-            return idx
-        case Dihedral() | Dicyclic():
-            e, k = a
-            return e * _rot_mod(g) + k
-    raise InfiniteGroupError(f"no canonical index for {g!r}")
-
-
-def element_sort_key(g: GroupSpec, a):
-    """Total order on normal forms; for finite groups, the canonical order.
-
-    Infinite families use a documented deterministic order: integer
-    exponents sort as 0, 1, -1, 2, -2, ...; words sort by length first,
-    then letterwise.
-    """
-
-    def int_key(x: int):
-        return (abs(x), 0 if x >= 0 else 1)
-
-    match g:
-        case AbelianProduct(moduli):
-            if all(moduli):
-                return element_index(g, a)
-            return tuple(x if m else int_key(x) for x, m in zip(a, moduli))
-        case Dihedral() | Dicyclic():
-            if is_finite(g):
-                return element_index(g, a)
-            return (a[0], int_key(a[1]))
-        case Free():
-            return (len(a), tuple(int_key(x) for x in a))
-        case FreeProductCyclic():
-            return (len(a), a)
-    raise TypeError(f"not a group spec: {g!r}")
-
-
-def validate_element(g: GroupSpec, a) -> None:
-    """Raise GroupMismatchError unless `a` is a valid normal form for g."""
-    ok = False
-    match g:
-        case AbelianProduct(moduli):
-            ok = (
-                isinstance(a, tuple)
-                and len(a) == len(moduli)
-                and all(isinstance(x, int) for x in a)
-                and all(m == 0 or 0 <= x < m for x, m in zip(a, moduli))
-            )
-        case Dihedral() | Dicyclic():
-            mod = _rot_mod(g)
-            ok = (
-                isinstance(a, tuple)
-                and len(a) == 2
-                and a[0] in (0, 1)
-                and isinstance(a[1], int)
-                and (mod == 0 or 0 <= a[1] < mod)
-            )
-        case Free(rank):
-            ok = isinstance(a, tuple) and all(
-                isinstance(x, int) and x != 0 and abs(x) <= rank for x in a
-            )
-            if ok:  # reduced: no adjacent letter/inverse pair
-                ok = all(a[i] != -a[i + 1] for i in range(len(a) - 1))
-        case FreeProductCyclic(orders):
-            ok = isinstance(a, tuple) and all(
-                isinstance(s, tuple)
-                and len(s) == 2
-                and 0 <= s[0] < len(orders)
-                and 1 <= s[1] < orders[s[0]]
-                for s in a
-            )
-            if ok:
-                ok = all(a[i][0] != a[i + 1][0] for i in range(len(a) - 1))
-        case _:
-            raise TypeError(f"not a group spec: {g!r}")
-    if not ok:
-        raise GroupMismatchError(f"{a!r} is not a normal form for {g!r}")
-
-
-# ---------------------------------------------------------------------------
-# generators and words
+    return g.elements()
 
 
 def generator_names(g: GroupSpec) -> list[str]:
     """Names used by the polynomial grammar: x, y for up to two generators,
     x1..x9 beyond that."""
-    n = num_generators(g)
-    if n == 1:
-        return ["x"]
-    if n == 2:
-        return ["x", "y"]
-    if n > 9:
-        raise ValueError("polynomial grammar supports at most 9 generators")
-    return [f"x{i}" for i in range(1, n + 1)]
-
-
-def num_generators(g: GroupSpec) -> int:
-    match g:
-        case AbelianProduct(moduli):
-            return len(moduli)
-        case Dihedral() | Dicyclic():
-            return 2
-        case Free(rank):
-            return rank
-        case FreeProductCyclic(orders):
-            return len(orders)
-    raise TypeError(f"not a group spec: {g!r}")
-
-
-def generator(g: GroupSpec, i: int):
-    """The i-th canonical generator (0-based).  For Dihedral/Dicyclic,
-    generator 0 is the rotation x and generator 1 is y."""
-    n = num_generators(g)
-    if not 0 <= i < n:
-        raise GroupMismatchError(f"group {g!r} has no generator {i}")
-    match g:
-        case AbelianProduct(moduli):
-            return tuple(1 if j == i else 0 for j in range(len(moduli)))
-        case Dihedral() | Dicyclic():
-            return (0, 1) if i == 0 else (1, 0)
-        case Free():
-            return (i + 1,)
-        case FreeProductCyclic():
-            return ((i, 1),)
-    raise TypeError(f"not a group spec: {g!r}")
+    n = g.num_generators()
+    if n > MAX_GENERATORS:
+        raise ValueError(f"polynomial grammar supports at most {MAX_GENERATORS} generators")
+    return ["x", "y"][:n] if n <= 2 else [f"x{i}" for i in range(1, n + 1)]
 
 
 def element_power(g: GroupSpec, a, n: int):
     """a**n by repeated squaring; n may be negative."""
     if n < 0:
-        a, n = invert(g, a), -n
+        a, n = g.invert(a), -n
     mul = multiplier(g)
-    acc = identity(g)
-    base = a
+    acc = g.identity()
     while n:
         if n & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
+            acc = mul(acc, a)
+        a = mul(a, a)
         n >>= 1
     return acc
 
@@ -408,40 +480,7 @@ def element_power(g: GroupSpec, a, n: int):
 def evaluate_word(g: GroupSpec, word):
     """Evaluate ((gen_index, exponent), ...) into a normal form."""
     mul = multiplier(g)
-    acc = identity(g)
+    acc = g.identity()
     for i, exp in word:
-        acc = mul(acc, element_power(g, generator(g, i), exp))
+        acc = mul(acc, element_power(g, g.generator(i), exp))
     return acc
-
-
-def element_word(g: GroupSpec, a) -> tuple:
-    """Express a normal form as ((gen_index, exponent), ...).
-
-    The word is valid in any group with at least as many generators, which
-    is what lets ring elements transfer between comparable groups (for
-    example D_m versus Z/m x Z/2, or an infinite group and its quotients).
-    """
-    match g:
-        case AbelianProduct():
-            return tuple((i, x) for i, x in enumerate(a) if x)
-        case Dihedral() | Dicyclic():
-            e, k = a
-            word = ()
-            if e:
-                word += ((1, 1),)
-            if k:
-                word += ((0, k),)
-            return word
-        case Free():
-            word = []
-            for letter in a:
-                i = abs(letter) - 1
-                s = 1 if letter > 0 else -1
-                if word and word[-1][0] == i:
-                    word[-1] = (i, word[-1][1] + s)
-                else:
-                    word.append((i, s))
-            return tuple(w for w in word if w[1])
-        case FreeProductCyclic():
-            return tuple(a)
-    raise TypeError(f"not a group spec: {g!r}")

@@ -70,7 +70,7 @@ def measure(g: gr.GroupSpec, P: rg.RingElement, lam=None, method: str = "auto",
     if method not in METHODS:
         raise ValueError(f"unknown measure method {method!r}")
     if method == "auto":
-        method = "general" if lam is None else "finite" if gr.is_finite(g) else "series"
+        method = "general" if lam is None else "finite" if g.is_finite() else "series"
     if (lam is None) != (method == "general"):
         rule = "takes no lambda" if lam is not None else "needs an explicit lambda"
         raise DomainError(f"method {method!r} {rule}")
@@ -238,7 +238,7 @@ def mahler_finite(
     Takes the exact-determinant path when P is exact and lambda rational;
     otherwise sums log|1 - lambda*s| over the eigenvalues s of A.
     """
-    if not gr.is_finite(g):
+    if not g.is_finite():
         raise InfiniteGroupError("mahler_finite needs a finite group")
     A = sp.cayley_adjacency(g, P)
     n = A.n
@@ -290,9 +290,9 @@ def mahler_general(
     Q = rg.transfer(Q, g)
     QQs = rg.mul(Q, rg.star(Q))
     if method == "auto":
-        method = "determinant" if gr.is_finite(g) else "series"
+        method = "determinant" if g.is_finite() else "series"
     if method == "determinant":
-        if not gr.is_finite(g):
+        if not g.is_finite():
             raise InfiniteGroupError("determinant route needs a finite group")
         B = sp.cayley_adjacency(g, QQs)
         det = sp.det_hermitian(B)
@@ -328,7 +328,7 @@ def mahler_general(
     next(counts)  # a_0 = 1 is not part of the sum
     total = math.fsum(complex(next(counts)).real / (2 * n) for n in range(1, N + 1))
     value = -math.log(lam) / 2.0 - total
-    return MeasureResult(value, "series", _tail_bound(rate, N) / 2, group_order=gr.order(g))
+    return MeasureResult(value, "series", _tail_bound(rate, N) / 2, group_order=g.order())
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def mahler_general(
 
 
 def u_rational(g: gr.GroupSpec, P: rg.RingElement) -> RationalU:
-    if not gr.is_finite(g):
+    if not g.is_finite():
         raise InfiniteGroupError("u_rational needs a finite group")
     A = sp.cayley_adjacency(g, P)
     return RationalU(sp.hermitian_eigenvalues(A), A.n, A)

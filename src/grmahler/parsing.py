@@ -13,7 +13,8 @@ unit, so polynomials entered on the command line keep the exact arithmetic
 paths alive.  A leading '-' negates the first term.
 
 Group specifiers: Z^l, products of Z and Z/n joined with 'x' (e.g.
-Z/3xZ/2, ZxZ/4), Dm / Dinf, Dicm / Dicinf, Fl, and Ca*Cb free products.
+Z/3xZ/2, ZxZ/4), Dm / Dinf, Dicm / Dicinf, Fl, and Ca*Cb free products,
+with at most 9 generators; each family's `parse` holds its pattern.
 """
 from __future__ import annotations
 
@@ -211,56 +212,14 @@ def parse_poly_over(src: str, group: gr.GroupSpec) -> rg.RingElement:
 # ---------------------------------------------------------------------------
 # group specifiers
 
-_DIGITS_RE = re.compile(r"^\d+$")
-
 
 def parse_group(src: str) -> gr.GroupSpec:
-    """Parse a group specifier string; raises ParseError on unknown forms."""
+    """Parse a group specifier string; raises ParseError on unknown forms.
+    The first family in gr.FAMILIES that claims the specifier parses it."""
     s = src.strip()
     if not s:
         raise ParseError("empty group specifier")
-    if s.startswith("Dic"):
-        rest = s[3:]
-        if rest == "inf":
-            return gr.Dicyclic(0)
-        if _DIGITS_RE.match(rest) and int(rest) >= 1:
-            return gr.Dicyclic(int(rest))
-        raise ParseError(f"bad dicyclic specifier {src!r}")
-    if s.startswith("D"):
-        rest = s[1:]
-        if rest == "inf":
-            return gr.Dihedral(0)
-        if _DIGITS_RE.match(rest) and int(rest) >= 1:
-            return gr.Dihedral(int(rest))
-        raise ParseError(f"bad dihedral specifier {src!r}")
-    if s.startswith("F"):
-        rest = s[1:]
-        if _DIGITS_RE.match(rest) and int(rest) >= 1:
-            return gr.Free(int(rest))
-        raise ParseError(f"bad free-group specifier {src!r}")
-    if "*" in s:
-        orders = []
-        for part in s.split("*"):
-            part = part.strip()
-            if not part.startswith("C") or not _DIGITS_RE.match(part[1:]):
-                raise ParseError(f"bad free-product factor {part!r} in {src!r}")
-            orders.append(int(part[1:]))
-        try:
-            return gr.FreeProductCyclic(tuple(orders))
-        except ValueError as e:
-            raise ParseError(str(e)) from None
-    moduli = []
-    for part in s.split("x"):
-        part = part.strip()
-        if part == "Z":
-            moduli.append(0)
-        elif part.startswith("Z^") and _DIGITS_RE.match(part[2:]):
-            moduli.extend([0] * int(part[2:]))
-        elif part.startswith("Z/") and _DIGITS_RE.match(part[2:]) and int(part[2:]) >= 1:
-            moduli.append(int(part[2:]))
-        else:
-            raise ParseError(f"bad abelian factor {part!r} in {src!r}")
-    try:
-        return gr.AbelianProduct(tuple(moduli))
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    for family in gr.FAMILIES:
+        g = family.parse(s, src)
+        if g is not None:
+            return g

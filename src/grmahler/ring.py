@@ -67,7 +67,7 @@ def ring_element(group: gr.GroupSpec, mapping) -> RingElement:
     items = []
     exact = True
     for e, c in mapping.items():
-        gr.validate_element(group, e)
+        group.validate_element(e)
         if c == 0:
             continue
         exact = exact and cf.is_exact(c)
@@ -75,7 +75,7 @@ def ring_element(group: gr.GroupSpec, mapping) -> RingElement:
     if not exact:
         items = [(e, complex(c)) for e, c in items]
         items = [(e, c) for e, c in items if c != 0]
-    items.sort(key=lambda ec: gr.element_sort_key(group, ec[0]))
+    items.sort(key=lambda ec: group.element_sort_key(ec[0]))
     return RingElement(group, tuple(items))
 
 
@@ -84,7 +84,7 @@ def monomial(group: gr.GroupSpec, elem, coeff=1) -> RingElement:
 
 
 def one(group: gr.GroupSpec) -> RingElement:
-    return monomial(group, gr.identity(group))
+    return monomial(group, group.identity())
 
 
 def zero(group: gr.GroupSpec) -> RingElement:
@@ -139,7 +139,7 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
 def star(a: RingElement) -> RingElement:
     """The reciprocal involution: conjugate coefficients, invert elements."""
     return ring_element(
-        a.group, {gr.invert(a.group, e): cf.conj(c) for e, c in a.terms}
+        a.group, {a.group.invert(e): cf.conj(c) for e, c in a.terms}
     )
 
 
@@ -149,7 +149,7 @@ def is_reciprocal(a: RingElement) -> bool:
 
 
 def constant_coefficient(a: RingElement):
-    return a.coeff(gr.identity(a.group))
+    return a.coeff(a.group.identity())
 
 
 def l1_norm(a: RingElement) -> float:
@@ -183,6 +183,7 @@ def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
     A stored power therefore holds about sqrt(support_cap) terms at most.
     """
     group = P.group
+    invert = group.invert
 
     def count(high: dict, low: dict):
         size = len(high) * len(low)
@@ -193,13 +194,13 @@ def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
             )
         total = 0
         for g, c in low.items():  # the smaller half drives the loop
-            d = high.get(gr.invert(group, g))
+            d = high.get(invert(g))
             if d is not None:
                 total += c * d
         # a count off the support is the int 0, whatever the coefficient kind
         return total or 0
 
-    low = {gr.identity(group): 1}
+    low = {group.identity(): 1}
     while True:
         yield count(low, low)
         # zero coefficients are deleted in place (insertion order is kept)
@@ -229,8 +230,8 @@ def transfer(a: RingElement, target: gr.GroupSpec) -> RingElement:
     """
     if a.group == target:
         return a
-    n_src = gr.num_generators(a.group)
-    n_tgt = gr.num_generators(target)
+    n_src = a.group.num_generators()
+    n_tgt = target.num_generators()
     if n_src > n_tgt:
         raise GroupMismatchError(
             f"cannot transfer: {a.group!r} uses {n_src} generators, "
@@ -238,7 +239,7 @@ def transfer(a: RingElement, target: gr.GroupSpec) -> RingElement:
         )
     acc = {}
     for e, c in a.terms:
-        word = gr.element_word(a.group, e)
+        word = a.group.element_word(e)
         t = gr.evaluate_word(target, word)
         acc[t] = acc.get(t, 0) + c
     return ring_element(target, acc)

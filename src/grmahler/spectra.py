@@ -79,7 +79,7 @@ class Spectrum:
 
 def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> HermitianMatrix:
     """Weighted Cayley adjacency matrix of a finite group for reciprocal P."""
-    if not gr.is_finite(g):
+    if not g.is_finite():
         raise InfiniteGroupError("Cayley adjacency needs a finite group")
     P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
@@ -89,7 +89,7 @@ def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> HermitianMatrix:
     mul = gr.multiplier(g)
     rows = []
     for gi in elems:
-        gi_inv = gr.invert(g, gi)
+        gi_inv = g.invert(gi)
         rows.append(tuple(coeff.get(mul(gi_inv, gj), 0) for gj in elems))
     return HermitianMatrix(rows)
 
@@ -202,7 +202,7 @@ def abelian_character_values(g: gr.AbelianProduct, P: rg.RingElement) -> np.ndar
     """
     if not isinstance(g, gr.AbelianProduct):
         raise ValueError("character evaluation needs an abelian product group")
-    if not gr.is_finite(g):
+    if not g.is_finite():
         raise InfiniteGroupError("character evaluation needs a finite group")
     import numpy as np
 

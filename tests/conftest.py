@@ -49,12 +49,12 @@ FINITE_CATALOGUE = [
 
 def random_element(group, rnd, max_len=3):
     """A valid normal form reached by a short random word of generators."""
-    e = gr.identity(group)
-    n = gr.num_generators(group)
+    e = group.identity()
+    n = group.num_generators()
     for _ in range(rnd.randint(0, max_len)):
         i = rnd.randrange(n)
         exp = rnd.choice([-2, -1, 1, 2])
-        e = gr.multiply(group, e, gr.element_power(group, gr.generator(group, i), exp))
+        e = gr.multiply(group, e, gr.element_power(group, group.generator(i), exp))
     return e
 
 

@@ -172,6 +172,24 @@ def test_bad_group_exit_2():
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--group", "Z^" + "9" * 30, "--poly", "x"],
+        ["measure", "--group", "F10", "--poly", "3+x", "--lambda", "0.1"],
+        ["compare", "--group", "Z^2", "--group-b", "Z^10", "--poly", "3+x+y"],
+    ],
+    ids=["Z^<30 digits>", "F10", "group-b-Z^10"],
+)
+def test_more_than_nine_generators_is_a_parse_error(argv):
+    # a 30-digit count used to escape as an OverflowError (exit 1), F10 was
+    # refused only at binding (exit 3), and Z^10 as --group-b answered
+    rc, out, err = run_cli(argv)
+    assert rc == 2 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ParseError" and "more than 9 generators" in error["message"]
+
+
 def test_domain_error_exit_3():
     rc, _, err = run_cli(
         ["measure", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--lambda", "0.3"]
@@ -298,7 +316,8 @@ def test_negative_size_is_a_parse_error(argv):
 # drawn without --lambda, where the series fallback refuses a depth past
 # its term budget before walking (a tiny epsilon with --lambda runs an
 # uncapped depth search and walk on finite groups)
-CLI_GROUPS = (("Z^2", "ZxZ/4", "Z/3xZ/2", "D3", "Dic2", "Dinf", "F2", "C2*C3"), ("Q8", "Z/0", "Z"))
+CLI_GROUPS = (("Z^2", "ZxZ/4", "Z/3xZ/2", "D3", "Dic2", "Dinf", "F2", "C2*C3"),
+              ("Q8", "Z/0", "Z", "Z^" + "9" * 30, "Z^12"))
 CLI_POLYS = (("x+x^-1+y+y^-1", "3+x+y", "1+x+y", "x+2*y", "x", "2*x+y+y^-1",
               "3 + i*x - i*x^-1 + y"), ("0", "x+*y", "x^", ""))
 CLI_LAMBDAS = ((None, "0", "0.05", "-0.1", "0.3"), ("2", "nan", "inf", "abc"))

@@ -154,7 +154,7 @@ def test_exp_order_times_measure_is_polynomial():
     g = gr.Dihedral(3)
     P = parse_poly_over("x + x^-1 + 2*y", g)
     A = sp.cayley_adjacency(g, P)
-    n = gr.order(g)
+    n = g.order()
     nodes = [Fraction(i, 97) for i in range(n + 1)]
     samples = [sp.det_i_minus_lambda_exact(A, t) for t in nodes]
 

@@ -291,10 +291,43 @@ def test_parse_group_examples():
     assert parse_group("Z^2xZ/3") == gr.AbelianProduct((0, 0, 3))
 
 
+TOO_MANY = "has more than 9 generators, the most the polynomial grammar supports"
+GROUP_REJECTS = [
+    ("", "empty group specifier"),
+    ("Q8", "bad abelian factor 'Q8' in 'Q8'"),
+    ("Z/", "bad abelian factor 'Z/' in 'Z/'"),
+    ("Z/0", "bad abelian factor 'Z/0' in 'Z/0'"),
+    ("C1*C2", "factor orders must be >= 2"),
+    ("C2", "bad abelian factor 'C2' in 'C2'"),
+    ("D-1", "bad dihedral specifier 'D-1'"),
+    ("D0", "bad dihedral specifier 'D0'"),
+    ("Dic0", "bad dicyclic specifier 'Dic0'"),
+    ("F0", "bad free-group specifier 'F0'"),
+    ("Zx", "bad abelian factor '' in 'Zx'"),
+    ("z^2", "bad abelian factor 'z^2' in 'z^2'"),
+    ("C2*D3", "bad free-product factor 'D3' in 'C2*D3'"),
+    ("C2*", "bad free-product factor '' in 'C2*'"),
+    ("Dic", "bad dicyclic specifier 'Dic'"),
+    ("Dinfx", "bad dihedral specifier 'Dinfx'"),
+    ("F2x", "bad free-group specifier 'F2x'"),
+    ("Z^0", "AbelianProduct needs at least one factor"),
+    # more generators than the grammar names x1..x9, refused before building
+    ("Z^12", f"'Z^12' {TOO_MANY}"),
+    ("Z^" + "9" * 30, f"'Z^{'9' * 30}' {TOO_MANY}"),
+    ("Z^1000000", f"'Z^1000000' {TOO_MANY}"),
+    ("Z^5xZ^5", f"'Z^5xZ^5' {TOO_MANY}"),
+    ("F10", f"'F10' {TOO_MANY}"),
+    ("F" + "9" * 5000, f"'F{'9' * 5000}' {TOO_MANY}"),
+    ("C2*" * 9 + "C3", f"'{'C2*' * 9}C3' {TOO_MANY}"),
+    ("C1*" * 9 + "C3", "factor orders must be >= 2"),
+    ("Z^10xQ", "bad abelian factor 'Q' in 'Z^10xQ'"),
+]
+
+
 @pytest.mark.parametrize(
-    "bad",
-    ["", "Q8", "Z/", "Z/0", "C1*C2", "C2", "D-1", "D0", "Dic0", "F0", "Zx", "z^2"],
+    "bad, message", GROUP_REJECTS, ids=[bad[:12] for bad, _ in GROUP_REJECTS]
 )
-def test_parse_group_rejects(bad):
-    with pytest.raises(ParseError):
+def test_parse_group_rejects(bad, message):
+    with pytest.raises(ParseError) as info:
         parse_group(bad)
+    assert str(info.value) == message

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from grmahler import genfun as gf
 from grmahler import groups as gr
 from grmahler import ring as rg
 from grmahler.coeffs import GaussianRational
-from grmahler.errors import GroupMismatchError, ResourceLimitError
+from grmahler.errors import GroupMismatchError, InfiniteGroupError, ResourceLimitError
 from grmahler.parsing import parse_poly_over
 
 from conftest import (
@@ -281,6 +282,49 @@ def test_no_runtime_assertions_in_the_library():
                 assert node.id != "AssertionError", f"{path.name}:{node.lineno}"
 
 
+def test_no_match_statement_in_the_library():
+    # a group family carries its operations as methods: nothing dispatches on it
+    src = Path(rg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Match), f"{path.name}:{node.lineno}"
+
+
+GROUP_PROTOCOL = ("parse", "order", "is_finite", "identity", "multiplier", "invert",
+                  "elements", "element_index", "element_sort_key", "validate_element",
+                  "num_generators", "generator", "element_word")
+# each family by a finite and an infinite specifier where it has both
+FAMILY_SPECS = {
+    "Z/3xZ/2": gr.AbelianProduct((3, 2)), "Z/3xZ": gr.AbelianProduct((3, 0)),
+    "D3": gr.Dihedral(3), "Dinf": gr.Dihedral(0), "Dic2": gr.Dicyclic(2),
+    "Dicinf": gr.Dicyclic(0), "F2": gr.Free(2), "C2*C3": gr.FreeProductCyclic((2, 3)),
+}
+
+
+def test_every_group_family_implements_the_protocol():
+    families = set(typing.get_args(gr.GroupSpec))
+    assert families == set(gr.FAMILIES) == {type(g) for g in FAMILY_SPECS.values()}
+    for spec, g in FAMILY_SPECS.items():
+        family = type(g)
+        missing = [name for name in GROUP_PROTOCOL if not callable(getattr(family, name, None))]
+        assert not missing, (family.__name__, missing)
+        assert family.parse(spec, spec) == g
+        e = g.identity()
+        g.validate_element(e)
+        assert g.multiplier()(e, e) == e and g.invert(e) == e and g.element_word(e) == ()
+        for i in range(g.num_generators()):
+            x = g.generator(i)
+            g.validate_element(x)
+            assert g.multiplier()(x, g.invert(x)) == e
+            assert gr.evaluate_word(g, g.element_word(x)) == x
+            assert g.element_sort_key(e) < g.element_sort_key(x)
+        if g.is_finite():
+            assert [g.element_index(a) for a in g.elements()] == list(range(g.order()))
+        else:
+            with pytest.raises(InfiniteGroupError):
+                g.elements()
+
+
 def test_power_coeffs_free_product():
     g = gr.FreeProductCyclic((2, 3))
     P = parse_poly_over("2*x + y + y^-1", g)
@@ -354,7 +398,7 @@ def test_abelian_powering_matches_laurent_convolution(moduli, rng):
         P = random_ring_element(g, rng, n_terms=3, gaussian=False)
         lifted = {}
         for e, c in P.terms:
-            w = gr.element_word(g, e)
+            w = g.element_word(e)
             vec = [0] * len(moduli)
             for i, exp in w:
                 vec[i] += exp
@@ -409,13 +453,13 @@ def test_binomial_relation_between_families(l):
     a1 = rg.power_constant_coeffs(P1, 12).values
 
     g2 = gr.AbelianProduct((0,) * (l - 1))
-    ident = gr.identity(g2)
+    ident = g2.identity()
     a = {ident: 1}
     b = {ident: 1}
     for i in range(l - 1):
         e = tuple(1 if j == i else 0 for j in range(l - 1))
         a[e] = 1
-        b[gr.invert(g2, e)] = 1
+        b[g2.invert(e)] = 1
     P2 = rg.mul(rg.ring_element(g2, a), rg.ring_element(g2, b))
     a2 = rg.power_constant_coeffs(P2, 6).values
     for n in range(7):

@@ -331,13 +331,13 @@ def test_trace_power_examples():
 def test_walk_counts_equal_normalized_traces(rng):
     # vertex transitivity: a_n = trace(A^n) / |G|
     for g in FINITE_CATALOGUE:
-        if gr.order(g) > 24:
+        if g.order() > 24:
             continue
         P = random_reciprocal(g, rng)
         A = sp.cayley_adjacency(g, P)
         coeffs = rg.power_constant_coeffs(P, 8).values
         for n in range(9):
-            lhs = sp.trace_power(A, n) / gr.order(g)
+            lhs = sp.trace_power(A, n) / g.order()
             assert abs(lhs - complex(coeffs[n]).real) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -350,7 +350,7 @@ def test_exact_taylor_coefficients_match_float_traces(rng):
         assert len(coeffs) == 7
         for n, c in enumerate(coeffs):
             assert isinstance(c, (int, Fraction))
-            exact = gr.order(g) * c
+            exact = g.order() * c
             assert abs(float(exact) - sp.trace_power(A, n)) < 1e-9 * max(1.0, abs(float(exact)))
 
 
