@@ -38,6 +38,7 @@ from itertools import groupby, product
 from .errors import GroupMismatchError, InfiniteGroupError, ParseError
 
 MAX_GENERATORS = 9  # the polynomial grammar names x, y or x1..x9
+MAX_ORDER_DIGITS = 4300  # sys.int_info.default_max_str_digits
 
 
 def _int_key(x: int):
@@ -49,6 +50,14 @@ def _count(digits: str) -> int:
     count is neither converted nor built."""
     digits = digits.lstrip("0") or "0"
     return int(digits) if len(digits) == 1 else MAX_GENERATORS + 1
+
+
+def _order(digits: str, src: str) -> int:
+    """A decimal order or modulus, refused as a ParseError past Python's default
+    limit for converting a digit string (leading zeros count)."""
+    if len(digits) > MAX_ORDER_DIGITS:
+        raise ParseError(f"{src!r} has an order of more than {MAX_ORDER_DIGITS} digits")
+    return int(digits)
 
 
 def _build(family, arg, src: str):
@@ -117,7 +126,7 @@ class AbelianProduct(_Family):
                 moduli.append(0)
             elif part.startswith("Z^") and part[2:].isdecimal():
                 moduli.extend([0] * _count(part[2:]))
-            elif part.startswith("Z/") and part[2:].isdecimal() and int(part[2:]) >= 1:
+            elif part.startswith("Z/") and part[2:].isdecimal() and _order(part[2:], src) >= 1:
                 moduli.append(int(part[2:]))
             else:
                 raise ParseError(f"bad abelian factor {part!r} in {src!r}")
@@ -193,7 +202,7 @@ class _RotationReflection(_Family):
         rest = s[len(cls._PREFIX):]
         if rest == "inf":
             return cls(0)
-        if rest.isdecimal() and int(rest) >= 1:
+        if rest.isdecimal() and _order(rest, src) >= 1:
             return cls(int(rest))
         raise ParseError(f"bad {cls._NOUN} specifier {src!r}")
 
@@ -379,7 +388,7 @@ class FreeProductCyclic(_Family):
             part = part.strip()
             if not part.startswith("C") or not part[1:].isdecimal():
                 raise ParseError(f"bad free-product factor {part!r} in {src!r}")
-            orders.append(int(part[1:]))
+            orders.append(_order(part[1:], src))
         return _build(cls, orders, src)
 
     def order(self):

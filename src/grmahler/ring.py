@@ -10,7 +10,9 @@ coefficients of powers, a_n = [P^n]_0, which counts weighted closed walks
 at the identity of the weighted Cayley graph; walk_counts is the one
 kernel that computes it, for every series route downstream.  It pairs two
 half powers, a_(j+k) = sum_g [P^j]_g [P^k]_(g^-1), so a_0..a_N store no
-power past P^ceil(N/2).
+power past P^ceil(N/2), and it walks a Cayley graph it builds as it goes:
+each element met gets an int id, and its products with the elements of P
+and its inverse are computed once per walk, however often it recurs.
 """
 from __future__ import annotations
 
@@ -181,9 +183,19 @@ def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
     the product |supp P^j| * |supp P^k| >= |supp P^n| of the two halves
     paired for a_n: ResourceLimitError before a_n when it exceeds the cap.
     A stored power therefore holds about sqrt(support_cap) terms at most.
+
+    The powers are {id: coeff} dicts over the ids the generator gives the
+    normal forms it meets; the graph it builds dies with it.  The sums run
+    in the order of ring.mul's, which fixes the last bits of float counts.
     """
     group = P.group
-    invert = group.invert
+    mul, invert = gr.multiplier(group), group.invert
+    elems = [e for e, _ in P.terms]
+    coeffs = [c for _, c in P.terms]
+    forms = [group.identity()]  # id -> normal form
+    ids = {forms[0]: 0}  # normal form -> id
+    rows = {}  # id -> ids of form * e for the e of P, in term order
+    inverses = {}  # id -> id of the inverse
 
     def count(high: dict, low: dict):
         size = len(high) * len(low)
@@ -193,20 +205,40 @@ def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
                 f"({len(high)}*{len(low)} = {size} > {support_cap})"
             )
         total = 0
-        for g, c in low.items():  # the smaller half drives the loop
-            d = high.get(invert(g))
+        for i, c in low.items():  # the smaller half drives the loop
+            j = inverses.get(i)
+            if j is None:
+                f = invert(forms[i])
+                j = inverses[i] = ids.setdefault(f, len(forms))
+                if j == len(forms):
+                    forms.append(f)
+            d = high.get(j)
             if d is not None:
                 total += c * d
         # a count off the support is the int 0, whatever the coefficient kind
         return total or 0
 
-    low = {group.identity(): 1}
+    low = {0: 1}
     while True:
         yield count(low, low)
+        high = {}
+        for i, c in low.items():
+            row = rows.get(i)
+            if row is None:
+                form, row = forms[i], []
+                for e in elems:
+                    f = mul(form, e)
+                    j = ids.setdefault(f, len(forms))
+                    if j == len(forms):
+                        forms.append(f)
+                    row.append(j)
+                rows[i] = row
+            for j, pc in zip(row, coeffs):
+                prev = high.get(j)
+                high[j] = c * pc if prev is None else prev + c * pc
         # zero coefficients are deleted in place (insertion order is kept)
-        high = _mul_terms(group, low.items(), P.terms)
-        for e in [e for e, c in high.items() if c == 0]:
-            del high[e]
+        for j in [j for j, c in high.items() if c == 0]:
+            del high[j]
         yield count(high, low)
         low = high
 

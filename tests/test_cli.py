@@ -119,6 +119,25 @@ def test_float_walk_golden_byte_for_byte():
     assert out == FLOAT_WALK_GOLDEN
 
 
+# the same fallback over Z^2, where the supports of the half powers overlap
+# the most (each power holds all of the previous one): a walk that revisits
+# an element must add its terms in the order a fresh product would; the
+# value is log 3 within its bound
+Z2_FLOAT_WALK_ARGV = ("measure", "--group", "Z^2", "--poly", "3+x+y", "--epsilon", "1e-06")
+Z2_FLOAT_WALK_GOLDEN = (
+    '{"command": "measure", "group": "Z^2", "poly": "3+x+y", "lambda": null, '
+    '"method": "series", "value": 1.09861229197801, '
+    '"error_bound": 9.76551706228931e-07, '
+    '"extra": {"group_order": "infinite"}}\n'
+)
+
+
+def test_z2_float_walk_golden_byte_for_byte():
+    rc, out, err = run_cli(Z2_FLOAT_WALK_ARGV)
+    assert rc == 0 and err == ""
+    assert out == Z2_FLOAT_WALK_GOLDEN
+
+
 # ---------------------------------------------------------------------------
 # formatting rules
 

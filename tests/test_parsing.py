@@ -292,6 +292,7 @@ def test_parse_group_examples():
 
 
 TOO_MANY = "has more than 9 generators, the most the polynomial grammar supports"
+TOO_LONG = "has an order of more than 4300 digits"
 GROUP_REJECTS = [
     ("", "empty group specifier"),
     ("Q8", "bad abelian factor 'Q8' in 'Q8'"),
@@ -321,6 +322,11 @@ GROUP_REJECTS = [
     ("C2*" * 9 + "C3", f"'{'C2*' * 9}C3' {TOO_MANY}"),
     ("C1*" * 9 + "C3", "factor orders must be >= 2"),
     ("Z^10xQ", "bad abelian factor 'Q' in 'Z^10xQ'"),
+    # an order too long for int(): refused, not converted
+    ("D" + "9" * 5000, f"'D{'9' * 5000}' {TOO_LONG}"),
+    ("Dic" + "9" * 5000, f"'Dic{'9' * 5000}' {TOO_LONG}"),
+    ("Z/" + "9" * 5000, f"'Z/{'9' * 5000}' {TOO_LONG}"),
+    ("C" + "9" * 5000 + "*C2", f"'C{'9' * 5000}*C2' {TOO_LONG}"),
 ]
 
 

@@ -1,8 +1,10 @@
 import ast
 import math
 import re
+import tracemalloc
 import typing
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -213,6 +215,134 @@ def test_walk_counts_match_ring_powers(g, rnd, coeffs):
         powers.append(rg.mul(powers[-1], P))
     counts = rg.walk_counts(P)
     assert [next(counts) for _ in powers] == [rg.constant_coefficient(Pn) for Pn in powers]
+
+
+def _walk_counts_on_forms(P, n):
+    """a_0..a_n by the walk on normal forms: each half power is a fresh
+    product of the last one with P (the loop of ring._mul_terms), each
+    pairing inverts every element of the smaller half."""
+    g = P.group
+    mul = gr.multiplier(g)
+
+    def count(high, low):
+        total = 0
+        for e, c in low.items():
+            d = high.get(g.invert(e))
+            if d is not None:
+                total += c * d
+        return total or 0
+
+    values, low = [], {g.identity(): 1}
+    while True:
+        values.append(count(low, low))
+        high = {}
+        for ea, ca in low.items():
+            for eb, cb in P.terms:
+                e = mul(ea, eb)
+                prev = high.get(e)
+                high[e] = ca * cb if prev is None else prev + ca * cb
+        for e in [e for e, c in high.items() if c == 0]:
+            del high[e]
+        values.append(count(high, low))
+        if len(values) > n:
+            return values[: n + 1]
+        low = high
+
+
+FLOAT_COEFFS = st.one_of(
+    st.floats(-2, 2, allow_nan=False),
+    st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+)
+
+
+@pytest.mark.parametrize("g", KERNEL_GROUPS, ids=repr)
+@settings(max_examples=8)
+@given(st.randoms(use_true_random=False), st.lists(FLOAT_COEFFS, min_size=1, max_size=4),
+       st.booleans())
+def test_float_walk_counts_bit_identical_to_the_walk_on_forms(g, rnd, coeffs, reciprocal):
+    # floating sums are not associative: the ids walk must add the same
+    # terms in the same order, which shows in the last bits
+    terms = {}
+    for c in coeffs:
+        e = random_element(g, rnd)
+        terms[e] = terms.get(e, 0) + c
+    P = rg.ring_element(g, terms)
+    if reciprocal:
+        P = rg.add(P, rg.star(P))
+    assume(not P.is_exact() and rg.is_reciprocal(P) == reciprocal)
+    got = list(islice(rg.walk_counts(P), 10))
+    want = _walk_counts_on_forms(P, 9)
+    assert got == want
+    assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
+
+
+@pytest.mark.parametrize("g, poly, N", [(Z2, "x+x^-1+y+y^-1", 40),
+                                        (gr.Dihedral(0), "x+x^-1+y", 60)], ids=repr)
+def test_walk_computes_each_product_and_inverse_once(monkeypatch, g, poly, N):
+    P = parse_poly_over(poly, g)
+    powers = [rg.one(g)]
+    for _ in range(N // 2):
+        powers.append(rg.mul(powers[-1], P))
+    # a_0..a_N pair halves up to P^(N/2), built from P^0..P^(N/2 - 1)
+    expanded = {e for Pk in powers[:-1] for e, _ in Pk.terms}
+    paired = expanded | {e for e, _ in powers[-1].terms}
+    calls = {"law": 0, "invert": 0}
+    family = type(g)
+    multiplier, invert = family.multiplier, family.invert
+
+    def counted_multiplier(self):
+        law = multiplier(self)
+
+        def counted_law(a, b):
+            calls["law"] += 1
+            return law(a, b)
+
+        return counted_law
+
+    def counted_invert(self, a):
+        calls["invert"] += 1
+        return invert(self, a)
+
+    monkeypatch.setattr(family, "multiplier", counted_multiplier)
+    monkeypatch.setattr(family, "invert", counted_invert)
+    values = rg.power_constant_coeffs(P, N).values
+    assert calls["law"] <= len(P.terms) * len(expanded)
+    assert calls["invert"] <= len(paired)
+    monkeypatch.undo()
+    assert list(values) == _walk_counts_on_forms(P, N)
+
+
+def test_interleaved_walks_do_not_share_state():
+    Ps = [parse_poly_over("x+x^-1+y+y^-1", Z2), parse_poly_over("3+x+2*y^-1", Z2),
+          parse_poly_over("x+x^-1+y", gr.Dihedral(0))]
+    alone = [list(islice(rg.walk_counts(P), 16)) for P in Ps]
+    walks = [rg.walk_counts(P) for P in Ps]
+    together = [[next(w) for w in walks] for _ in range(16)]
+    assert [list(column) for column in zip(*together)] == alone
+
+
+def test_a_finished_walk_leaves_nothing_behind():
+    # the Cayley graph a walk builds lives in the generator only
+    assert not [name for name, value in vars(rg).items() if not name.startswith("__")
+                and isinstance(value, (dict, list, set, bytearray))]
+    P = parse_poly_over("x+x^-1+y+y^-1", Z2)
+    in_ring = [tracemalloc.Filter(True, rg.__file__)]
+
+    def held_by_ring():
+        snapshot = tracemalloc.take_snapshot().filter_traces(in_ring)
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    list(islice(rg.walk_counts(P), 41))  # the first call specializes the bytecode
+    tracemalloc.start()
+    try:
+        walk = rg.walk_counts(P)
+        list(islice(walk, 41))
+        during = held_by_ring()
+        del walk
+        after = held_by_ring()
+    finally:
+        tracemalloc.stop()
+    assert during > 0 and after == 0
 
 
 def test_cancelled_walk_count_is_the_int_zero():
