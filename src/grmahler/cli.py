@@ -315,8 +315,6 @@ GENFUN_SERIES = {
 
 def run_genfun(args):
     series, degree = args.series, args.degree
-    if series not in GENFUN_SERIES:
-        raise DomainError(f"unknown series {series!r}")
     coeffs_of, degree_meaning = GENFUN_SERIES[series]
     if degree_meaning is None:
         name = series
@@ -365,57 +363,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, run, lam=True):
-        p.set_defaults(run=run)
+    def common(p, run, lam=False, epsilon=False, support_cap=False):
+        """--group, --poly, which of --lambda, --epsilon and --support-cap the
+        runner reads, --format and --out; no option the runner ignores."""
+        p.set_defaults(run=run, lam=None)
         p.add_argument("--group", required=True, help="group specifier, e.g. Z/3xZ/2, D5, F2")
         p.add_argument("--poly", required=True, help='polynomial, e.g. "1+x+y"')
         if lam:
             p.add_argument("--lambda", dest="lam", type=float, default=None)
-        else:
-            p.set_defaults(lam=None)
-        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-        p.add_argument("--support-cap", dest="support_cap", type=_int_at_least(1),
-                       default=rg.DEFAULT_SUPPORT_CAP,
-                       help="refuse a_n = [P^n]_0 once |supp P^ceil(n/2)| * "
-                            "|supp P^floor(n/2)|, a bound on |supp P^n|, exceeds this")
+        if epsilon:
+            p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+        if support_cap:
+            p.add_argument("--support-cap", dest="support_cap", type=_int_at_least(1),
+                           default=rg.DEFAULT_SUPPORT_CAP,
+                           help="refuse a_n = [P^n]_0 once |supp P^ceil(n/2)| * "
+                                "|supp P^floor(n/2)|, a bound on |supp P^n|, exceeds this")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the artifact to a file")
 
     p = sub.add_parser("measure", help="Mahler measure m(P, lambda) or m(Q)")
-    common(p, run_measure)
+    common(p, run_measure, lam=True, epsilon=True, support_cap=True)
     p.add_argument("--method", choices=mh.METHODS, default="auto")
     p.add_argument("--grid", type=_int_at_least(2), default=None,
                    help="torus grid size per dimension")
     p.add_argument("--allow-continuation", action="store_true")
 
     p = sub.add_parser("coeffs", help="walk-count coefficients a_n = [P^n]_0")
-    common(p, run_coeffs, lam=False)
+    common(p, run_coeffs, support_cap=True)
     p.add_argument("--n", type=size, default=8)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the weighted Cayley adjacency")
-    common(p, run_spectrum, lam=False)
+    common(p, run_spectrum)
 
     p = sub.add_parser("u", help="walk generating function u(P, lambda)")
-    common(p, run_u)
+    common(p, run_u, lam=True, epsilon=True, support_cap=True)
 
     p = sub.add_parser("compare", help="measure over two groups and compare")
-    common(p, run_compare)
+    common(p, run_compare, lam=True, epsilon=True, support_cap=True)
     p.add_argument("--group-b", required=True)
 
     p = sub.add_parser("converge", help="finite-model convergence sweeps")
-    common(p, run_converge)
-    p.add_argument("--chain", choices=("abelian", "dihedral", "dicyclic", "zxzm"), required=True)
+    common(p, run_converge, lam=True, support_cap=True)
+    p.add_argument("--chain", choices=("abelian",) + ex.CHAINS, required=True)
     p.add_argument("--params", required=True, help="comma-separated sizes, e.g. 4,8,16,32")
 
     p = sub.add_parser("agree-depth", help="first index where walk counts disagree")
-    common(p, run_agree_depth, lam=False)
+    common(p, run_agree_depth, support_cap=True)
     p.add_argument("--group-b", required=True)
     p.add_argument("--n-max", dest="n_max", type=size, default=12)
 
     p = sub.add_parser("genfun", help="closed-form series coefficients")
-    p.set_defaults(run=run_genfun, group=None, poly=None, lam=None, epsilon=DEFAULT_EPSILON)
-    p.add_argument("--series", required=True,
-                   choices=tuple(GENFUN_SERIES))
+    p.set_defaults(run=run_genfun, group=None, poly=None, lam=None)
+    p.add_argument("--series", required=True, choices=tuple(GENFUN_SERIES))
     p.add_argument("--degree", type=_int_at_least(1), default=None)
     p.add_argument("--n", type=size, default=10)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
@@ -444,7 +443,7 @@ def main(argv=None) -> int:
         args = PARSER.parse_args(argv)
         if args.lam is not None and not math.isfinite(args.lam):
             raise DomainError(f"lambda must be finite, got {args.lam!r}")
-        if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        if "epsilon" in args and not (math.isfinite(args.epsilon) and args.epsilon > 0):
             raise DomainError(f"epsilon must be finite and positive, got {args.epsilon!r}")
         obj, header, rows = args.run(args)
         text = render_json(obj) if args.fmt == "json" else render_csv(header, rows)

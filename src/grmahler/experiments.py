@@ -93,7 +93,7 @@ def converge_abelian(
     g = P.group
     if not isinstance(g, gr.AbelianProduct) or any(m != 0 for m in g.moduli):
         raise ValueError("P must live over a free abelian group")
-    limit = mh.measure(g, P, lam, epsilon=1e-9, support_cap=support_cap).value
+    limit = mh.measure(g, P, lam, epsilon=1e-9, support_cap=support_cap)
     rows = []
     for moduli in moduli_sequence:
         gq = gr.AbelianProduct(tuple(moduli))
@@ -103,8 +103,8 @@ def converge_abelian(
             ConvergenceRow(
                 parameter=int(gq.order()),
                 value=value,
-                gap=abs(value - limit),
-                limit_method="series",
+                gap=abs(value - limit.value),
+                limit_method=limit.method,
                 q=q if q is not None else f">{DEFAULT_H_MAX}",
             )
         )
@@ -160,19 +160,17 @@ def converge_quotients(
         raise ValueError(f"chain must be one of {CHAINS}")
     family = {"dihedral": gr.Dihedral, "dicyclic": gr.Dicyclic}.get(chain)
     g_inf = family(0) if family else gr.AbelianProduct((0, 0))
-    P_inf = rg.transfer(P, g_inf)
-    if not family and P_inf.terms != rg.ring_element(
-        g_inf, {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}
-    ).terms:
+    standard = {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}
+    if not family and rg.transfer(P, g_inf) != rg.ring_element(g_inf, standard):
         raise ValueError("the zxzm chain is the closed form for x + x^-1 + y + y^-1 only")
-    limit = mh.measure(g_inf, P_inf, lam, epsilon=1e-10, support_cap=support_cap).value
+    limit = mh.measure(g_inf, P, lam, epsilon=1e-10, support_cap=support_cap)
     rows = []
     for m in map(int, m_list):
         if family:
-            value = mh.measure(family(m), rg.transfer(P, family(m)), lam).value
+            value = mh.measure(family(m), P, lam).value
         else:
             value = mh.mahler_zxzm(m, lam)
-        rows.append(ConvergenceRow(m, value, abs(value - limit), "series"))
+        rows.append(ConvergenceRow(m, value, abs(value - limit.value), limit.method))
     rows.sort(key=lambda r: r.parameter)
     return rows
 
@@ -193,7 +191,7 @@ def compare_groups(
     the point of the counterexamples.
     """
     va, vb = (
-        mh.measure(g, rg.transfer(poly, g), lam, epsilon=epsilon, support_cap=support_cap).value
+        mh.measure(g, poly, lam, epsilon=epsilon, support_cap=support_cap).value
         for g in (g_a, g_b)
     )
     diff = abs(va - vb)

@@ -4,12 +4,12 @@ Four computation routes share one result type:
 
 * series       -- m(P, lambda) = -sum a_n lambda^n / n with the rigorous
                   geometric tail bound from |a_n| <= k^n, k the l1-norm;
-                  the lambda-free measure of Q falls back to a series in
-                  (1 - lambda QQ*) on infinite groups, with the same kind
-                  of rigorous tail, its decay rate read off an enclosure of
-                  spec(QQ*);
-* finite-determinant -- log det(I - lambda A) / |G| over finite groups,
-                  exact determinants whenever the inputs are exact;
+                  the lambda-free measure of Q (mahler_general) is a series
+                  in (1 - lambda QQ*) with the same kind of rigorous tail,
+                  its decay rate read off an enclosure of spec(QQ*);
+* finite-determinant -- log det(I - lambda A) / |G| over finite groups, and
+                  the lambda-free log det(B) / (2|G|), B the adjacency of
+                  QQ* (mahler_determinant), exact whenever the inputs are;
 * quadrature   -- uniform torus grids for free abelian groups (the grid
                   average *is* the finite-group measure at the grid size);
 * closed-form  -- the Z x Z/m family for the standard 4-term element.
@@ -64,9 +64,9 @@ def measure(g: gr.GroupSpec, P: rg.RingElement, lam=None, method: str = "auto",
             epsilon: float = 1e-10, support_cap: int = rg.DEFAULT_SUPPORT_CAP,
             grid: int | None = None, allow_continuation: bool = False) -> MeasureResult:
     """m(P, lambda), or the lambda-free m(P) when lam is None, by one route:
-    "auto" takes mahler_general without lam, mahler_finite on finite groups
-    and mahler_series otherwise.  "general" refuses a lam; "finite",
-    "series" and "torus" need one (DomainError)."""
+    "general" is mahler_determinant on finite g, else mahler_general, and
+    refuses a lam; "finite", "series" and "torus" need one (DomainError);
+    "auto" is "general" without lam, else "finite" or "series" by g."""
     if method not in METHODS:
         raise ValueError(f"unknown measure method {method!r}")
     if method == "auto":
@@ -75,7 +75,9 @@ def measure(g: gr.GroupSpec, P: rg.RingElement, lam=None, method: str = "auto",
         rule = "takes no lambda" if lam is not None else "needs an explicit lambda"
         raise DomainError(f"method {method!r} {rule}")
     if method == "general":
-        return mahler_general(g, P, epsilon=epsilon, support_cap=support_cap)
+        if g.is_finite():
+            return mahler_determinant(g, P)
+        return mahler_general(g, P, epsilon, support_cap)
     if method == "finite":
         return mahler_finite(g, P, lam, allow_continuation)
     if method == "series":
@@ -251,7 +253,7 @@ def mahler_finite(
             "pass allow_continuation to evaluate log|det| anyway"
         )
     exact_lam = isinstance(lam, (int, Fraction)) and not isinstance(lam, bool)
-    if A.is_exact() and exact_lam:
+    if exact_lam and A.is_exact():  # a float lambda skips the |G|^2 scan
         det = sp.det_i_minus_lambda_exact(A, lam)
         if det == 0:
             raise SingularMatrixError("1/lambda is an eigenvalue of A")
@@ -266,18 +268,32 @@ def mahler_finite(
     return MeasureResult(value, "finite-determinant", 0.0, group_order=n, imaginary_discard=0.0)
 
 
+def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
+    """The lambda-free m(Q) over finite G: log det(B) / (2|G|), B the adjacency of QQ*."""
+    if not g.is_finite():
+        raise InfiniteGroupError("mahler_determinant needs a finite group")
+    Q = rg.transfer(Q, g)
+    B = sp.cayley_adjacency(g, rg.mul(Q, rg.star(Q)))
+    det = sp.det_hermitian(B)
+    if det == 0:
+        raise SingularMatrixError("B is singular: the measure is undefined")
+    if det < 0:
+        raise SingularMatrixError("adjacency of QQ* must be positive semidefinite")
+    value = _log(det) / (2 * B.n)
+    return MeasureResult(value, "finite-determinant", 0.0, group_order=B.n, determinant=det)
+
+
 def mahler_general(
     g: gr.GroupSpec,
     Q: rg.RingElement,
-    method: str = "auto",
     epsilon: float = 1e-12,
     support_cap: int = rg.DEFAULT_SUPPORT_CAP,
 ) -> MeasureResult:
-    """Measure of an arbitrary Q via QQ*: log det(B) / (2|G|) on finite
-    groups (B the adjacency of QQ*), a series fallback otherwise.
+    """The lambda-free measure of Q by a series in QQ*, over any group (on a
+    finite one it is the cross-check of mahler_determinant).
 
-    The fallback needs spec(QQ*) inside [lo, hi] with lo > 0: hi = l1(QQ*),
-    and lo = (2|c| - l1(Q))^2 for the largest coefficient c of Q, since
+    It needs spec(QQ*) inside [lo, hi] with lo > 0: hi = l1(QQ*), and
+    lo = (2|c| - l1(Q))^2 for the largest coefficient c of Q, since
     ||Q* v|| >= (|c| - (l1(Q) - |c|)) ||v||.  Without that certificate
     (2|c| <= l1(Q), e.g. 1 + x + y) it raises DomainError.  With it, it
     expands -log(lambda)/2 - sum_n [(1 - lambda QQ*)^n]_0/(2n) at
@@ -289,21 +305,6 @@ def mahler_general(
     """
     Q = rg.transfer(Q, g)
     QQs = rg.mul(Q, rg.star(Q))
-    if method == "auto":
-        method = "determinant" if g.is_finite() else "series"
-    if method == "determinant":
-        if not g.is_finite():
-            raise InfiniteGroupError("determinant route needs a finite group")
-        B = sp.cayley_adjacency(g, QQs)
-        det = sp.det_hermitian(B)
-        if det == 0:
-            raise SingularMatrixError("B is singular: the measure is undefined")
-        if det < 0:
-            raise SingularMatrixError("adjacency of QQ* must be positive semidefinite")
-        value = _log(det) / (2 * B.n)
-        return MeasureResult(value, "finite-determinant", 0.0, group_order=B.n, determinant=det)
-    if method != "series":
-        raise ValueError(f"unknown method {method!r}")
     hi = rg.l1_norm(QQs)
     if hi == 0.0:
         raise SingularMatrixError("QQ* = 0: the measure is undefined")

@@ -29,6 +29,7 @@ from .errors import ParseError
 
 GENERATOR_RE = re.compile(r"x[1-9]|x|y|i")
 NUMBER_RE = re.compile(r"\d+(\.\d+)?")
+DIGITS_RE = re.compile(r"\d+")
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,20 @@ class _Scanner:
             raise ParseError(f"expected {ch!r}", self.pos)
         self.pos += 1
 
+    def _digits(self, m: re.Match) -> str:
+        """The matched number; a digit run too long for int() is refused."""
+        for run in DIGITS_RE.finditer(self.src, m.start(), m.end()):
+            if run.end() - run.start() > gr.MAX_ORDER_DIGITS:
+                raise ParseError(f"a number of more than {gr.MAX_ORDER_DIGITS} digits", run.start())
+        self.pos = m.end()
+        return m.group(0)
+
     def match_number(self):
         self.skip_ws()
         m = NUMBER_RE.match(self.src, self.pos)
         if not m:
             return None
-        self.pos = m.end()
-        text = m.group(0)
+        text = self._digits(m)
         if "." in text:
             return Fraction(text)
         return int(text)
@@ -87,12 +95,11 @@ class _Scanner:
             sign = -1
             self.pos += 1
         self.skip_ws()
-        m = re.compile(r"\d+").match(self.src, self.pos)
+        m = DIGITS_RE.match(self.src, self.pos)
         if not m:
             self.pos = start
             return None
-        self.pos = m.end()
-        return sign * int(m.group(0))
+        return sign * int(self._digits(m))
 
     def done(self) -> bool:
         self.skip_ws()

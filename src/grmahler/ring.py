@@ -269,9 +269,4 @@ def transfer(a: RingElement, target: gr.GroupSpec) -> RingElement:
             f"cannot transfer: {a.group!r} uses {n_src} generators, "
             f"{target!r} has {n_tgt}"
         )
-    acc = {}
-    for e, c in a.terms:
-        word = a.group.element_word(e)
-        t = gr.evaluate_word(target, word)
-        acc[t] = acc.get(t, 0) + c
-    return ring_element(target, acc)
+    return from_word_terms(target, ((c, a.group.element_word(e)) for e, c in a.terms))

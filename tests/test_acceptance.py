@@ -55,14 +55,14 @@ def test_c01_exact_constants():
     B = sp.cayley_adjacency(Z32, rg.mul(Q, rg.star(Q)))
     det = sp.det_hermitian(B)
     assert isinstance(det, int) and det == 81
-    assert abs(mh.mahler_general(Z32, Q).value - math.log(3) / 3) <= 1e-12
+    assert abs(mh.mahler_determinant(Z32, Q).value - math.log(3) / 3) <= 1e-12
 
     q1 = "3 + i*x - i*x^-1 + y"
-    assert abs(mh.mahler_general(Z32, parse_poly_over(q1, Z32)).value - math.log(104) / 6) <= 1e-12
-    assert abs(mh.mahler_general(D3, parse_poly_over(q1, D3)).value - math.log(200) / 6) <= 1e-12
+    assert abs(mh.mahler_determinant(Z32, parse_poly_over(q1, Z32)).value - math.log(104) / 6) <= 1e-12
+    assert abs(mh.mahler_determinant(D3, parse_poly_over(q1, D3)).value - math.log(200) / 6) <= 1e-12
     q2 = "x + 2*y"
-    assert abs(mh.mahler_general(Z32, parse_poly_over(q2, Z32)).value - math.log(63) / 6) <= 1e-12
-    assert abs(mh.mahler_general(D3, parse_poly_over(q2, D3)).value - math.log(3) / 2) <= 1e-12
+    assert abs(mh.mahler_determinant(Z32, parse_poly_over(q2, Z32)).value - math.log(63) / 6) <= 1e-12
+    assert abs(mh.mahler_determinant(D3, parse_poly_over(q2, D3)).value - math.log(3) / 2) <= 1e-12
 
 
 @criterion(2, "coefficient identities over Z^2, Z x Z/2, and the P1/P2 relation")
@@ -167,8 +167,8 @@ def test_c05_equality_theorems():
         done += 1
     # the hypotheses are necessary: the printed counterexamples fail loudly
     for poly in ("3 + i*x - i*x^-1 + y", "x + 2*y"):
-        va = mh.mahler_general(Z32, parse_poly_over(poly, Z32)).value
-        vd = mh.mahler_general(D3, parse_poly_over(poly, D3)).value
+        va = mh.mahler_determinant(Z32, parse_poly_over(poly, Z32)).value
+        vd = mh.mahler_determinant(D3, parse_poly_over(poly, D3)).value
         assert abs(va - vd) > 0.01
 
 

@@ -306,6 +306,41 @@ def test_size_below_its_floor_is_a_parse_error(argv):
     assert f"argument {argv[-2]}: must be at least" in error["message"]
 
 
+# a valid command line of each command that once accepted an option its
+# runner never read; with that option it is a command-line mistake now
+WITHOUT_UNREAD_OPTION = {
+    "coeffs": ["coeffs", "--group", "Z", "--poly", "x", "--n", "2"],
+    "spectrum": ["spectrum", "--group", "Z/3", "--poly", "x+x^-1"],
+    "agree-depth": ["agree-depth", "--group", "D6", "--group-b", "Dinf", "--poly", "x+x^-1+y",
+                    "--n-max", "4"],
+    "converge": ["converge", "--chain", "dihedral", "--group", "Dinf", "--poly", "x+x^-1+y",
+                 "--lambda", "0.1", "--params", "4"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, "--epsilon") for command in WITHOUT_UNREAD_OPTION] + [("spectrum", "--support-cap")],
+)
+def test_an_option_the_runner_does_not_read_is_a_parse_error(command, option):
+    argv = WITHOUT_UNREAD_OPTION[command]
+    assert run_cli(argv)[0] == 0
+    rc, out, err = run_cli(argv + [option, "20"])
+    assert rc == 2 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == f"grmahler: unrecognized arguments: {option} 20"
+
+
+@pytest.mark.parametrize("poly", ["x^" + "9" * 5000, "9" * 5000 + "*x", "1." + "9" * 5000 + "*x"],
+                         ids=["exponent", "integer", "decimal"])
+def test_a_number_too_long_for_int_is_a_parse_error(poly):
+    rc, out, err = run_cli(["coeffs", "--group", "Z", "--poly", poly, "--n", "2"])
+    assert rc == 2 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ParseError" and "more than 4300 digits" in error["message"]
+
+
 def test_help_still_prints_usage():
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
@@ -342,21 +377,23 @@ CLI_POLYS = (("x+x^-1+y+y^-1", "3+x+y", "1+x+y", "x+2*y", "x", "2*x+y+y^-1",
 CLI_LAMBDAS = ((None, "0", "0.05", "-0.1", "0.3"), ("2", "nan", "inf", "abc"))
 CLI_EPSILONS = ((None, "1e-3", "1e-6"), ("0", "-1", "nan", "abc"))
 CLI_SIZES = (("0", "3", "6"), ("-1", "x"))
+SERIES_OPTIONS = {"--lambda", "--epsilon", "--support-cap"}
 CLI_COMMANDS = {
-    # command: (takes --lambda, required options, optional options), each
-    # option with its pieces (None: a flag)
-    "measure": (True, {}, {"--method": (("auto", "finite", "series", "general", "torus"),
-                                        ("bad",)),
-                           "--grid": (("4", "8", "100000"), ("1", "0", "x")),
-                           "--allow-continuation": None}),
-    "coeffs": (False, {}, {"--n": CLI_SIZES}),
-    "spectrum": (False, {}, {}),
-    "u": (True, {}, {}),
-    "compare": (True, {"--group-b": CLI_GROUPS}, {}),
-    "converge": (True, {"--chain": (("abelian", "dihedral", "dicyclic", "zxzm"), ("bad",)),
-                        "--params": (("4", "2,3"), ("0", "4,x", "", "-2"))}, {}),
-    "agree-depth": (False, {"--group-b": CLI_GROUPS}, {"--n-max": CLI_SIZES}),
-    "genfun": (False, {"--series": (("tree", "free", "free-p2", "psl2-xyy", "z2"), ("bad",))},
+    # command: (the options of SERIES_OPTIONS it takes, required options,
+    # optional options), each option with its pieces (None: a flag)
+    "measure": (SERIES_OPTIONS, {}, {"--method": (("auto", "finite", "series", "general",
+                                                   "torus"), ("bad",)),
+                                     "--grid": (("4", "8", "100000"), ("1", "0", "x")),
+                                     "--allow-continuation": None}),
+    "coeffs": ({"--support-cap"}, {}, {"--n": CLI_SIZES}),
+    "spectrum": (set(), {}, {}),
+    "u": (SERIES_OPTIONS, {}, {}),
+    "compare": (SERIES_OPTIONS, {"--group-b": CLI_GROUPS}, {}),
+    "converge": ({"--lambda", "--support-cap"},
+                 {"--chain": (("abelian", "dihedral", "dicyclic", "zxzm"), ("bad",)),
+                  "--params": (("4", "2,3"), ("0", "4,x", "", "-2"))}, {}),
+    "agree-depth": ({"--support-cap"}, {"--group-b": CLI_GROUPS}, {"--n-max": CLI_SIZES}),
+    "genfun": (set(), {"--series": (("tree", "free", "free-p2", "psl2-xyy", "z2"), ("bad",))},
                {"--degree": (("2", "3"), ("-1", "0")), "--n": CLI_SIZES}),
 }
 
@@ -373,18 +410,20 @@ def _piece(pieces):
 @st.composite
 def command_lines(draw):
     command = draw(_piece((tuple(CLI_COMMANDS), ("bogus",))))
-    takes_lam, required, optional = CLI_COMMANDS.get(command, (True, {}, {}))
+    takes, required, optional = CLI_COMMANDS.get(command, (SERIES_OPTIONS, {}, {}))
     argv = [command]
     if command != "genfun":
-        argv += ["--group", draw(_piece(CLI_GROUPS)), "--poly", draw(_piece(CLI_POLYS)),
-                 "--support-cap", "20000"]
-    lam = draw(_piece(CLI_LAMBDAS)) if takes_lam else None
+        argv += ["--group", draw(_piece(CLI_GROUPS)), "--poly", draw(_piece(CLI_POLYS))]
+    if "--support-cap" in takes:
+        argv += ["--support-cap", "20000"]
+    lam = draw(_piece(CLI_LAMBDAS)) if "--lambda" in takes else None
     if lam is not None:
         argv += ["--lambda", lam]
-    valid_eps, invalid_eps = CLI_EPSILONS
-    epsilon = draw(_piece((valid_eps + (() if lam else ("1e-12", "1e-300")), invalid_eps)))
-    if epsilon is not None and command != "genfun":
-        argv += ["--epsilon", epsilon]
+    if "--epsilon" in takes:
+        valid_eps, invalid_eps = CLI_EPSILONS
+        epsilon = draw(_piece((valid_eps + (() if lam else ("1e-12", "1e-300")), invalid_eps)))
+        if epsilon is not None:
+            argv += ["--epsilon", epsilon]
     for option, pieces in required.items():
         argv += [option, draw(_piece(pieces))]
     for option, pieces in optional.items():

@@ -181,12 +181,12 @@ def test_exp_order_times_measure_is_polynomial():
 
 
 def test_general_known_constants():
-    assert abs(mh.mahler_general(Z32, parse_poly_over("1+x+y", Z32)).value - math.log(3) / 3) < 1e-15
-    assert abs(mh.mahler_general(Z32, parse_poly_over("x+2*y", Z32)).value - math.log(63) / 6) < 1e-15
-    assert abs(mh.mahler_general(D3, parse_poly_over("x+2*y", D3)).value - math.log(3) / 2) < 1e-15
+    assert abs(mh.mahler_determinant(Z32, parse_poly_over("1+x+y", Z32)).value - math.log(3) / 3) < 1e-15
+    assert abs(mh.mahler_determinant(Z32, parse_poly_over("x+2*y", Z32)).value - math.log(63) / 6) < 1e-15
+    assert abs(mh.mahler_determinant(D3, parse_poly_over("x+2*y", D3)).value - math.log(3) / 2) < 1e-15
     q = "3 + i*x - i*x^-1 + y"
-    assert abs(mh.mahler_general(Z32, parse_poly_over(q, Z32)).value - math.log(104) / 6) < 1e-15
-    assert abs(mh.mahler_general(D3, parse_poly_over(q, D3)).value - math.log(200) / 6) < 1e-15
+    assert abs(mh.mahler_determinant(Z32, parse_poly_over(q, Z32)).value - math.log(104) / 6) < 1e-15
+    assert abs(mh.mahler_determinant(D3, parse_poly_over(q, D3)).value - math.log(200) / 6) < 1e-15
 
 
 def test_exact_determinant_logs_past_float_range_and_near_one():
@@ -195,7 +195,7 @@ def test_exact_determinant_logs_past_float_range_and_near_one():
     c = Fraction(10**200, 7)
     log_c = math.log(10**200) - math.log(7)
     Z3 = gr.AbelianProduct((3,))
-    res = mh.mahler_general(Z3, rg.ring_element(Z3, {(0,): c, (1,): 1}))
+    res = mh.mahler_determinant(Z3, rg.ring_element(Z3, {(0,): c, (1,): 1}))
     assert isinstance(res.determinant, Fraction)
     assert abs(res.value - log_c) <= 1e-13 * log_c
     Z2_ = gr.AbelianProduct((2,))
@@ -205,7 +205,7 @@ def test_exact_determinant_logs_past_float_range_and_near_one():
     # det B = 1.00001^2 exactly: rounding det B to a float before the log
     # would cost about 4e-12 relative error
     Z5 = gr.AbelianProduct((5,))
-    value = mh.mahler_general(Z5, parse_poly_over("0.1+x", Z5)).value
+    value = mh.mahler_determinant(Z5, parse_poly_over("0.1+x", Z5)).value
     assert abs(value - math.log1p(1e-5) / 5) <= 1e-15 * value
 
 
@@ -219,18 +219,24 @@ def test_general_float_coefficients_match_exact(g):
     # the float determinant (numpy) against the exact one (Bareiss)
     for q in ("x+2*y", "3 + i*x - i*x^-1 + y"):
         Q = parse_poly_over(q, g)
-        exact = mh.mahler_general(g, Q)
-        floating = mh.mahler_general(g, _float_twin(Q))
+        exact = mh.mahler_determinant(g, Q)
+        floating = mh.mahler_determinant(g, _float_twin(Q))
         assert isinstance(floating.determinant, float)
         assert abs(floating.determinant - exact.determinant) <= 1e-12 * exact.determinant
         assert abs(floating.value - exact.value) <= 1e-12 * abs(exact.value)
+
+
+def test_determinant_refuses_an_infinite_group():
+    g = gr.Dihedral(0)
+    with pytest.raises(InfiniteGroupError):
+        mh.mahler_determinant(g, parse_poly_over("3+x+y", g))
 
 
 def test_general_singular_is_an_error():
     g = gr.AbelianProduct((2,))
     Q = parse_poly_over("1+x", g)  # QQ* = 2 + 2x, det B = 0
     with pytest.raises(SingularMatrixError):
-        mh.mahler_general(g, Q)
+        mh.mahler_determinant(g, Q)
 
 
 @pytest.mark.parametrize("g", [Z32, D3, gr.Dicyclic(3)], ids=["Z/3xZ/2", "D3", "Dic3"])
@@ -239,8 +245,8 @@ def test_general_series_fallback_matches_determinant(g):
     # agrees with the determinant route within its own rigorous bound
     for poly in ("3+x+y", "5 + i*x - i*x^-1 + y"):
         Q = parse_poly_over(poly, g)
-        v_det = mh.mahler_general(g, Q).value
-        res = mh.mahler_general(g, Q, method="series", epsilon=1e-10)
+        v_det = mh.mahler_determinant(g, Q).value
+        res = mh.mahler_general(g, Q, epsilon=1e-10)
         assert res.error_bound <= 1e-10
         assert abs(res.value - v_det) <= res.error_bound
 
@@ -257,7 +263,7 @@ def test_general_series_fallback_infinite_group():
 
 def _d64_measure(poly):
     D64 = gr.Dihedral(64)
-    return mh.mahler_general(D64, parse_poly_over(poly, D64)).value
+    return mh.mahler_determinant(D64, parse_poly_over(poly, D64)).value
 
 
 @pytest.mark.parametrize(
@@ -285,7 +291,7 @@ def test_general_series_fallback_honours_support_cap():
     g = gr.Free(2)
     Q = parse_poly_over("3+x+y", g)
     with pytest.raises(ResourceLimitError, match="cap"):
-        mh.mahler_general(g, Q, method="series", support_cap=100)
+        mh.mahler_general(g, Q, support_cap=100)
 
 
 def test_general_series_fallback_refuses_an_unconverged_sum():
@@ -449,6 +455,7 @@ def test_torus_refuses_a_grid_past_its_point_cap(monkeypatch):
 
 
 ROUTES = {
+    "determinant": lambda g, P, lam: mh.mahler_determinant(g, P),
     "general": lambda g, P, lam: mh.mahler_general(g, P, epsilon=1e-8),
     "finite": lambda g, P, lam: mh.mahler_finite(g, P, lam),
     "series": lambda g, P, lam: mh.mahler_series(g, P, lam, 1e-8),
@@ -458,7 +465,7 @@ ROUTES = {
 @pytest.mark.parametrize(
     "g, poly, lam, route, method",
     [
-        (D3, "3+x+y", None, "general", "finite-determinant"),
+        (D3, "3+x+y", None, "determinant", "finite-determinant"),
         (D3, "x+x^-1+y", 0.1, "finite", "finite-determinant"),
         (gr.Dihedral(0), "3+x+y", None, "general", "series"),
         (gr.Dihedral(0), "x+x^-1+y", 0.1, "series", "series"),
@@ -559,10 +566,10 @@ def test_dicyclic_equality_theorem(m, rng):
 
 def test_counterexamples_break_the_equality():
     q1 = "3 + i*x - i*x^-1 + y"
-    va = mh.mahler_general(Z32, parse_poly_over(q1, Z32)).value
-    vd = mh.mahler_general(D3, parse_poly_over(q1, D3)).value
+    va = mh.mahler_determinant(Z32, parse_poly_over(q1, Z32)).value
+    vd = mh.mahler_determinant(D3, parse_poly_over(q1, D3)).value
     assert abs(va - vd) > 0.01
     q2 = "x+2*y"
-    va = mh.mahler_general(Z32, parse_poly_over(q2, Z32)).value
-    vd = mh.mahler_general(D3, parse_poly_over(q2, D3)).value
+    va = mh.mahler_determinant(Z32, parse_poly_over(q2, Z32)).value
+    vd = mh.mahler_determinant(D3, parse_poly_over(q2, D3)).value
     assert abs(va - vd) > 0.01

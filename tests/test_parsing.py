@@ -95,6 +95,29 @@ def test_parse_error_positions():
         parse_poly("x^")
 
 
+NINES = "9" * 5000
+POLY_REJECTS = [
+    # a digit run too long for int(): refused where it starts, not converted
+    ("x^" + NINES, 2),
+    (NINES + "*x", 0),
+    ("1." + NINES + "*x", 2),
+    ("x^-" + NINES, 3),
+    ("(1+" + NINES + "i)", 3),
+]
+
+
+@pytest.mark.parametrize("bad, position", POLY_REJECTS, ids=[bad[:6] for bad, _ in POLY_REJECTS])
+def test_parse_poly_rejects(bad, position):
+    with pytest.raises(ParseError) as info:
+        parse_poly(bad)
+    assert str(info.value) == f"a number of more than 4300 digits (at position {position})"
+
+
+def test_parse_takes_the_longest_digit_runs_int_converts():
+    run = "9" * 4300
+    assert parse_poly(f"{run}.{run}*x^{run}").terms[0].word == (("x", int(run)),)
+
+
 def test_strict_grammar_requires_star_between_coeff_and_word():
     with pytest.raises(ParseError):
         parse_poly("2x")
