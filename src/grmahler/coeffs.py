@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DomainError
+
 _EXACT_REAL = (int, Fraction)
 
 
@@ -117,6 +119,14 @@ def is_exact(c) -> bool:
 def conj(c):
     """Complex conjugate for any supported coefficient kind."""
     return c.conjugate()
+
+
+def to_complex(c, name: str) -> complex:
+    """complex(c), or DomainError naming the value when c is past float range."""
+    try:
+        return complex(c)
+    except OverflowError:
+        raise DomainError(f"{name} is out of float range") from None
 
 
 def exact_real(x):

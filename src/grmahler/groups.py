@@ -35,10 +35,11 @@ import math
 from dataclasses import dataclass
 from itertools import groupby, product
 
-from .errors import GroupMismatchError, InfiniteGroupError, ParseError
+from .errors import GroupMismatchError, InfiniteGroupError, ParseError, ResourceLimitError
 
 MAX_GENERATORS = 9  # the polynomial grammar names x, y or x1..x9
 MAX_ORDER_DIGITS = 4300  # sys.int_info.default_max_str_digits
+MAX_WORD_LETTERS = 10**6  # the longest free word element_power builds
 
 
 def _int_key(x: int):
@@ -90,6 +91,9 @@ class _Family:
     def element_index(self, a) -> int:
         """Position of `a` in elements() without building the list."""
         raise InfiniteGroupError(f"no canonical index for {self!r}")
+
+    def check_power(self, a, n: int) -> None:
+        """Refuse a**n before it is built; only free words grow with n."""
 
     def generator(self, i: int):
         """The i-th canonical generator (0-based); x, then y for Dihedral/Dicyclic."""
@@ -343,6 +347,13 @@ class Free(_Family):
     def invert(self, a):
         return tuple([-letter for letter in reversed(a)])
 
+    def check_power(self, a, n: int) -> None:
+        # a = u c u^-1 with c cyclically reduced: a^n has 2|u| + |n||c| letters
+        k = next((k for k in range(len(a) // 2) if a[k] != -a[-1 - k]), len(a) // 2)
+        letters = 2 * k + abs(n) * (len(a) - 2 * k)
+        if n and letters > MAX_WORD_LETTERS:
+            raise ResourceLimitError(f"{letters} letters pass the free-word cap {MAX_WORD_LETTERS}")
+
     def element_sort_key(self, a):
         return (len(a), tuple(_int_key(x) for x in a))
 
@@ -474,6 +485,7 @@ def generator_names(g: GroupSpec) -> list[str]:
 
 def element_power(g: GroupSpec, a, n: int):
     """a**n by repeated squaring; n may be negative."""
+    g.check_power(a, n)
     if n < 0:
         a, n = g.invert(a), -n
     mul = multiplier(g)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import groups as gr
 from . import ring as rg
 from . import spectra as sp
-from .coeffs import exact_real
+from .coeffs import exact_real, to_complex
 from .errors import (
     DomainError,
     InfiniteGroupError,
@@ -87,16 +87,11 @@ def measure(g: gr.GroupSpec, P: rg.RingElement, lam=None, method: str = "auto",
 
 @dataclass(frozen=True)
 class RationalU:
-    """u(P, lambda) = (1/|G|) sum_i 1/(1 - lambda s_i) over the spectrum.
-
-    Keeps the adjacency matrix so Taylor coefficients can be produced in
-    exact arithmetic (powers of A applied to one row) when the inputs are
-    exact.
-    """
+    """u(P, lambda) = (1/|G|) sum_i 1/(1 - lambda s_i) over the spectrum, with
+    the adjacency that gives exact Taylor coefficients for exact P."""
 
     eigenvalues: sp.Spectrum
-    group_order: int
-    adjacency: sp.HermitianMatrix
+    adjacency: sp.CayleyAdjacency
 
     def evaluate(self, lam) -> complex:
         total = 0 + 0j
@@ -105,29 +100,24 @@ class RationalU:
             if abs(d) < 1e-14:
                 raise DomainError(f"lambda = {lam!r} hits eigenvalue 1/{s!r}")
             total += 1.0 / d
-        return total / self.group_order
+        return total / self.eigenvalues.n
 
     def taylor_coefficients(self, N: int) -> list:
         """Coefficients of the expansion around 0: (1/|G|) trace(A^n).
 
         Exact (int/Fraction) when the adjacency is exact; floats otherwise.
         The exact ones are (A^n)_00, row 0 of the identity pushed through A
-        one step at a time: a Cayley graph is vertex-transitive (A[i][j]
-        depends only on g_i^-1 g_j), so every diagonal entry of A^n equals
-        trace(A^n)/|G|.
+        one sparse step at a time: a Cayley graph is vertex-transitive
+        (A[i][j] depends only on g_i^-1 g_j), so every diagonal entry of A^n
+        equals trace(A^n)/|G|.
         """
+        n = self.eigenvalues.n
         if self.adjacency.is_exact():
-            cols = list(zip(*self.adjacency.entries))
-            row = [1] + [0] * (self.group_order - 1)
-            diag = [1]
+            rows = [[1] + [0] * (n - 1)]
             for _ in range(N):
-                row = [sum(r * a for r, a in zip(row, col)) for col in cols]
-                diag.append(exact_real(row[0]))
-            return diag
-        return [
-            sum(s**n for s in self.eigenvalues.eigenvalues) / self.group_order
-            for n in range(N + 1)
-        ]
+                rows.append(self.adjacency.times(rows[-1]))
+            return [exact_real(row[0]) for row in rows]
+        return [sum(s**k for s in self.eigenvalues.eigenvalues) / n for k in range(N + 1)]
 
 
 def _log(x) -> float:
@@ -195,7 +185,7 @@ def mahler_series(
     coeffs = rg.power_constant_coeffs(P, N, support_cap=support_cap)
     total = 0 + 0j
     for n in range(1, N + 1):
-        total += complex(coeffs.values[n]) * lam**n / n
+        total += to_complex(coeffs.values[n], f"walk count a_{n}") * lam**n / n
     value = -total.real
     return MeasureResult(value, "series", _tail_bound(klam, N), imaginary_discard=abs(total.imag))
 
@@ -216,7 +206,7 @@ def u_series(
     coeffs = rg.power_constant_coeffs(P, N, support_cap=support_cap)
     total = 0 + 0j
     for n in range(N, -1, -1):
-        total = total * complex(lam) + complex(coeffs.values[n])
+        total = total * complex(lam) + to_complex(coeffs.values[n], f"walk count a_{n}")
     return total
 
 
@@ -243,8 +233,8 @@ def mahler_finite(
     if not g.is_finite():
         raise InfiniteGroupError("mahler_finite needs a finite group")
     A = sp.cayley_adjacency(g, P)
-    n = A.n
     spec = sp.hermitian_eigenvalues(A)
+    n = spec.n
     rho = spec.max_abs()
     lam_f = float(lam)
     if not allow_continuation and abs(lam_f) * rho >= 1.0:
@@ -252,8 +242,7 @@ def mahler_finite(
             f"|lambda|*spectral_radius = {abs(lam_f) * rho} >= 1; "
             "pass allow_continuation to evaluate log|det| anyway"
         )
-    exact_lam = isinstance(lam, (int, Fraction)) and not isinstance(lam, bool)
-    if exact_lam and A.is_exact():  # a float lambda skips the |G|^2 scan
+    if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool) and A.is_exact():
         det = sp.det_i_minus_lambda_exact(A, lam)
         if det == 0:
             raise SingularMatrixError("1/lambda is an eigenvalue of A")
@@ -279,8 +268,9 @@ def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
         raise SingularMatrixError("B is singular: the measure is undefined")
     if det < 0:
         raise SingularMatrixError("adjacency of QQ* must be positive semidefinite")
-    value = _log(det) / (2 * B.n)
-    return MeasureResult(value, "finite-determinant", 0.0, group_order=B.n, determinant=det)
+    n = g.order()
+    value = _log(det) / (2 * n)
+    return MeasureResult(value, "finite-determinant", 0.0, group_order=n, determinant=det)
 
 
 def mahler_general(
@@ -337,10 +327,8 @@ def mahler_general(
 
 
 def u_rational(g: gr.GroupSpec, P: rg.RingElement) -> RationalU:
-    if not g.is_finite():
-        raise InfiniteGroupError("u_rational needs a finite group")
-    A = sp.cayley_adjacency(g, P)
-    return RationalU(sp.hermitian_eigenvalues(A), A.n, A)
+    A = sp.cayley_adjacency(g, P)  # InfiniteGroupError unless g is finite
+    return RationalU(sp.hermitian_eigenvalues(A), A)
 
 
 # ---------------------------------------------------------------------------

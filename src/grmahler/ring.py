@@ -22,7 +22,7 @@ from itertools import islice
 
 from . import coeffs as cf
 from . import groups as gr
-from .errors import GroupMismatchError, ResourceLimitError
+from .errors import DomainError, GroupMismatchError, ResourceLimitError
 
 # bounds the product of the two half-power supports walk_counts pairs, so
 # a stored power holds at most about 5M terms
@@ -150,12 +150,11 @@ def is_reciprocal(a: RingElement) -> bool:
     return star(a).terms == a.terms
 
 
-def constant_coefficient(a: RingElement):
-    return a.coeff(a.group.identity())
-
-
 def l1_norm(a: RingElement) -> float:
-    return float(sum(abs(c) for _, c in a.terms))
+    try:
+        return float(sum(abs(c) for _, c in a.terms))
+    except OverflowError:
+        raise DomainError("the l1 norm of P is out of float range") from None
 
 
 def ring_power(a: RingElement, n: int) -> RingElement:

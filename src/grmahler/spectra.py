@@ -2,16 +2,16 @@
 
 The adjacency matrix of a finite group for a reciprocal ring element P has
 entries A[i][j] = coefficient of g_i^-1 g_j in P, with vertices in the
-canonical enumeration order; reciprocity of P makes A Hermitian exactly.
+canonical enumeration order.  CayleyAdjacency holds it sparsely, as the
+vertex g_i e_t for each g_i and each term c_t e_t of P: |G|*|supp P|
+group-law calls.  Reciprocity of P, checked once, makes A Hermitian.
 
-Floating spectra come from LAPACK's Hermitian eigensolver
-(numpy.linalg.eigvalsh) through hermitian_eigenvalues, the one eigenvalue
-entry point; callers take floating log-determinants from that spectrum.
-numpy is imported on first use, inside the float spectral and character
-functions, so the series and exact routes never load it.
-Determinants of exact matrices clear denominators once and run
-fraction-free Bareiss elimination on pairs of ints (Gaussian integers), so
-that integer constants come out exactly.
+Floating spectra come from LAPACK's Hermitian eigensolver (eigvalsh)
+through hermitian_eigenvalues, the one eigenvalue entry point.  numpy is
+imported on first use, so the series and exact routes never load it.
+Exact determinants take the dense rows of A or I - lambda A, clear
+denominators once and run fraction-free Bareiss elimination on pairs of
+ints (Gaussian integers), so that integer constants come out exactly.
 """
 from __future__ import annotations
 
@@ -31,35 +31,42 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class HermitianMatrix:
-    """Dense square matrix with conjugate symmetry enforced at construction."""
+class CayleyAdjacency:
+    """A[i][cols[i][t]] = coeffs[t] and 0 elsewhere: cols[i][t] is the index
+    of g_i e_t for the t-th term c_t e_t of P, coeffs P's coefficients."""
 
-    entries: tuple
     n: int
-
-    def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i, n):
-                if rows[i][j] != cf.conj(rows[j][i]):
-                    raise ValueError(
-                        f"not Hermitian: entry ({i},{j}) vs conjugate of ({j},{i})"
-                    )
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "n", n)
+    cols: tuple
+    coeffs: tuple
 
     def is_exact(self) -> bool:
-        return all(cf.is_exact(c) for row in self.entries for c in row)
+        return all(cf.is_exact(c) for c in self.coeffs)
+
+    def rows(self, lam=None) -> list:
+        """Dense rows of A, or of I - lam*A when lam is given."""
+        out = [[0] * self.n if lam is None else [int(i == j) for j in range(self.n)]
+               for i in range(self.n)]
+        for dense, row in zip(out, self.cols):
+            for j, c in zip(row, self.coeffs):
+                dense[j] += c if lam is None else -lam * c
+        return out
+
+    def times(self, v) -> list:
+        """The row vector v*A, in |G|*|supp P| steps."""
+        out = [0] * self.n
+        for x, row in zip(v, self.cols):
+            for j, c in zip(row, self.coeffs):
+                out[j] += x * c
+        return out
 
     def to_numpy(self) -> np.ndarray:
         import numpy as np
 
-        return np.array(
-            [[complex(c) for c in row] for row in self.entries], dtype=complex
-        ).reshape(self.n, self.n)
+        a = np.zeros((self.n, self.n), dtype=complex)
+        cols = np.array(self.cols, dtype=np.intp).reshape(self.n, len(self.coeffs))
+        vals = [cf.to_complex(c, "a coefficient of P") for c in self.coeffs]
+        a[np.arange(self.n)[:, None], cols] = vals
+        return a
 
 
 @dataclass(frozen=True)
@@ -77,36 +84,31 @@ class Spectrum:
 # adjacency
 
 
-def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> HermitianMatrix:
-    """Weighted Cayley adjacency matrix of a finite group for reciprocal P."""
+def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> CayleyAdjacency:
+    """Weighted Cayley adjacency of a finite group for reciprocal P."""
     if not g.is_finite():
         raise InfiniteGroupError("Cayley adjacency needs a finite group")
     P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
         raise ValueError("P must be reciprocal (P == P*)")
-    elems = gr.elements(g)
-    coeff = dict(P.terms)
-    mul = gr.multiplier(g)
-    rows = []
-    for gi in elems:
-        gi_inv = g.invert(gi)
-        rows.append(tuple(coeff.get(mul(gi_inv, gj), 0) for gj in elems))
-    return HermitianMatrix(rows)
+    mul, index = gr.multiplier(g), g.element_index
+    cols = tuple(tuple(index(mul(gi, e)) for e, _ in P.terms) for gi in gr.elements(g))
+    return CayleyAdjacency(len(cols), cols, tuple(c for _, c in P.terms))
 
 
 # ---------------------------------------------------------------------------
 # eigenvalues
 
 
-def hermitian_eigenvalues(M: HermitianMatrix) -> Spectrum:
+def hermitian_eigenvalues(A: CayleyAdjacency) -> Spectrum:
     """All-real spectrum, ascending, from LAPACK's Hermitian eigensolver."""
     import numpy as np
 
     try:
-        vals = np.linalg.eigvalsh(M.to_numpy())
+        vals = np.linalg.eigvalsh(A.to_numpy())
     except np.linalg.LinAlgError as err:
         raise NonConvergenceError(f"Hermitian eigensolver failed: {err}") from err
-    return Spectrum(tuple(vals.tolist()), M.n)
+    return Spectrum(tuple(vals.tolist()), A.n)
 
 
 # ---------------------------------------------------------------------------
@@ -151,43 +153,31 @@ def _det_exact(rows) -> cf.GaussianRational:
     return cf.GaussianRational(Fraction(sign * qr, scale), Fraction(sign * qi, scale))
 
 
-def det_hermitian(M: HermitianMatrix):
-    """Determinant; exact (int or Fraction) for exact entries, float otherwise."""
-    if M.n == 0:
-        return 1
-    if M.is_exact():
-        return cf.exact_real(_det_exact(M.entries))
+def det_hermitian(A: CayleyAdjacency):
+    """det(A); exact (int or Fraction) for exact P, float otherwise."""
+    if A.is_exact():
+        return cf.exact_real(_det_exact(A.rows()))
     import numpy as np
 
-    d = complex(np.linalg.det(M.to_numpy()))
-    return d.real
+    return complex(np.linalg.det(A.to_numpy())).real
 
 
-def det_i_minus_lambda_exact(M: HermitianMatrix, lam):
-    """Exact det(I - lam*M); requires exact entries and rational lam."""
-    lam = Fraction(lam)
-    rows = [
-        [(1 if i == j else 0) - lam * c for j, c in enumerate(row)]
-        for i, row in enumerate(M.entries)
-    ]
-    return cf.exact_real(_det_exact(rows))
+def det_i_minus_lambda_exact(A: CayleyAdjacency, lam):
+    """Exact det(I - lam*A); requires exact P and rational lam."""
+    return cf.exact_real(_det_exact(A.rows(Fraction(lam))))
 
 
 # ---------------------------------------------------------------------------
 # traces
 
 
-def trace_power(M: HermitianMatrix, n: int) -> float:
-    """trace(M^n) by repeated matrix multiplication."""
+def trace_power(A: CayleyAdjacency, n: int) -> float:
+    """trace(A^n) by repeated squaring of the dense matrix."""
     if n < 0:
         raise ValueError("n must be non-negative")
     import numpy as np
 
-    a = M.to_numpy()
-    acc = np.eye(M.n, dtype=complex)
-    for _ in range(n):
-        acc = acc @ a
-    return float(np.trace(acc).real)
+    return float(np.trace(np.linalg.matrix_power(A.to_numpy(), n)).real)
 
 
 # ---------------------------------------------------------------------------

@@ -370,10 +370,15 @@ def test_negative_size_is_a_parse_error(argv):
 # drawn without --lambda, where the series fallback refuses a depth past
 # its term budget before walking (a tiny epsilon with --lambda runs an
 # uncapped depth search and walk on finite groups)
+BIG = "9" * 400  # an integer past float range (about 1e400)
+BIG_POLY = f"{BIG}*x+{BIG}*x^-1"
+HALF_BIG = "9" * 200  # its square is past float range
+
+
 CLI_GROUPS = (("Z^2", "ZxZ/4", "Z/3xZ/2", "D3", "Dic2", "Dinf", "F2", "C2*C3"),
               ("Q8", "Z/0", "Z", "Z^" + "9" * 30, "Z^12"))
 CLI_POLYS = (("x+x^-1+y+y^-1", "3+x+y", "1+x+y", "x+2*y", "x", "2*x+y+y^-1",
-              "3 + i*x - i*x^-1 + y"), ("0", "x+*y", "x^", ""))
+              "3 + i*x - i*x^-1 + y", BIG_POLY), ("0", "x+*y", "x^", ""))
 CLI_LAMBDAS = ((None, "0", "0.05", "-0.1", "0.3"), ("2", "nan", "inf", "abc"))
 CLI_EPSILONS = ((None, "1e-3", "1e-6"), ("0", "-1", "nan", "abc"))
 CLI_SIZES = (("0", "3", "6"), ("-1", "x"))
@@ -481,6 +486,44 @@ def test_overflowing_exact_determinant_gives_a_value(group, poly, c):
     digits = obj["extra"]["determinant"].adjusted()  # floor(log10 det B)
     assert abs(digits - 2 * int(obj["extra"]["group_order"]) * math.log10(c)) <= 1
     assert abs(obj["value"] - math.log(c)) <= 1e-12 * math.log(c)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("spectrum", "--group", "Z/3", "--poly", BIG_POLY), "a coefficient of P"),
+        (("measure", "--group", "Z", "--poly", BIG_POLY, "--lambda", "0.1"), "the l1 norm of P"),
+        (("measure", "--group", "Z", "--poly", BIG_POLY, "--lambda", "0.1", "--method", "torus"),
+         "the l1 norm of P"),
+        (("u", "--group", "Z", "--poly", BIG_POLY, "--lambda", "0.1"), "the l1 norm of P"),
+        (("coeffs", "--group", "Z", "--poly", BIG_POLY), "the l1 norm of P"),
+        (("compare", "--group", "Z", "--group-b", "Z/3", "--poly", BIG_POLY, "--lambda", "0.1"),
+         "the l1 norm of P"),
+        (("measure", "--group", "Dinf", "--poly", HALF_BIG + "+x+y"), "the l1 norm of P"),
+        (("measure", "--group", "Z", "--poly", f"{HALF_BIG}*x+{HALF_BIG}*x^-1",
+          "--lambda", "1e-201"), "walk count a_2"),
+    ],
+)
+def test_a_value_past_float_range_is_a_domain_error(argv, name):
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (3, "")
+    error = strict_json(err)["error"]
+    assert error == {"type": "DomainError", "message": f"{name} is out of float range"}
+
+
+def test_the_exact_finite_route_answers_past_float_range():
+    rc, out, err = run_cli(["measure", "--group", "D3", "--poly", BIG + "+x+y"])
+    assert rc == 0 and err == ""
+    value = strict_json(out, parse_int=Decimal)["value"]  # det B has 4800 digits
+    assert abs(value - 400 * math.log(10)) <= 1e-12 * 400 * math.log(10)
+
+
+def test_a_free_power_past_the_word_cap_is_refused_at_once():
+    start = time.perf_counter()
+    rc, out, err = run_cli(["coeffs", "--group", "F2", "--poly", "x^99999999+y", "--n", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (4, "")
+    assert strict_json(err)["error"]["type"] == "ResourceLimitError"
 
 
 def test_resource_cap_exit_4():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from grmahler import groups as gr
 from grmahler import ring as rg
-from grmahler.errors import GroupMismatchError, InfiniteGroupError
+from grmahler.errors import GroupMismatchError, InfiniteGroupError, ResourceLimitError
 
 from conftest import FINITE_CATALOGUE, random_element
 
@@ -84,6 +84,18 @@ def test_free_reduction():
     xy = (1, 2)
     yinv_x = (-2, 1)
     assert gr.multiply(g, xy, yinv_x) == (1, 1)
+
+
+@pytest.mark.parametrize("a, length", [((1,), 1), ((-2,), 1), ((1, 2), 2), ((1, 2, -1), 1)])
+def test_free_powers_stop_at_the_word_cap(a, length):
+    # a^n has 2|u| + |n||c| letters for a = u c u^-1, c cyclically reduced
+    F2, cap = gr.Free(2), gr.MAX_WORD_LETTERS
+    n = (cap - (len(a) - length)) // length  # the largest power within the cap
+    assert len(gr.element_power(F2, a, n)) == len(a) - length + n * length
+    with pytest.raises(ResourceLimitError, match=f"pass the free-word cap {cap}"):
+        gr.element_power(F2, a, n + 1)
+    with pytest.raises(ResourceLimitError):
+        gr.element_power(F2, a, -(n + 1))
 
 
 def test_dihedral_conjugation_relation():

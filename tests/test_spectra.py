@@ -11,7 +11,7 @@ from grmahler import groups as gr
 from grmahler import mahler as mh
 from grmahler import ring as rg
 from grmahler import spectra as sp
-from grmahler.coeffs import GaussianRational
+from grmahler.coeffs import GaussianRational, conj
 from grmahler.errors import InfiniteGroupError
 from grmahler.parsing import parse_poly_over
 
@@ -58,21 +58,21 @@ def test_cayley_matches_printed_6x6():
     perm = [0, 2, 4, 1, 3, 5]
     for i in range(6):
         for j in range(6):
-            assert A.entries[perm[i]][perm[j]] == printed[i][j]
+            assert A.rows()[perm[i]][perm[j]] == printed[i][j]
 
 
 def test_cayley_z2_double_edge():
     g = gr.AbelianProduct((2,))
     P = parse_poly_over("2*y", gr.AbelianProduct((0, 2)))  # y + y^-1 = 2y
     A = sp.cayley_adjacency(g, rg.transfer(parse_poly_over("2*x", g), g))
-    assert A.entries == ((0, 2), (2, 0))
+    assert A.rows() == [[0, 2], [2, 0]]
     spec = sp.hermitian_eigenvalues(A)
     assert_multisets_close(spec.eigenvalues, [-2.0, 2.0], tol=1e-12)
 
 
 def test_cayley_zero_element():
     A = sp.cayley_adjacency(D3, rg.zero(D3))
-    assert all(all(v == 0 for v in row) for row in A.entries)
+    assert all(all(v == 0 for v in row) for row in A.rows())
 
 
 def test_cayley_rejects_bad_input():
@@ -82,13 +82,35 @@ def test_cayley_rejects_bad_input():
         sp.cayley_adjacency(D3, parse_poly_over("x+2*y", D3))  # not reciprocal
 
 
-def test_hermitian_constructor_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        sp.HermitianMatrix(((0, 1), (2, 0)))
-    with pytest.raises(ValueError):
-        sp.HermitianMatrix(((0, 1j), (1j, 0)))  # needs the conjugate
-    with pytest.raises(ValueError):
-        sp.HermitianMatrix(((0, 1, 2), (1, 0, 3)))  # not square
+@pytest.mark.parametrize("g", FINITE_CATALOGUE, ids=repr)
+def test_reciprocal_p_gives_a_hermitian_adjacency(g, rng):
+    # the constructor checks reciprocity of P only; this is what it buys
+    for _ in range(3):
+        rows = sp.cayley_adjacency(g, random_reciprocal(g, rng, n_terms=3)).rows()
+        assert len(rows) == g.order() and all(len(row) == g.order() for row in rows)
+        for i, row in enumerate(rows):
+            for j, c in enumerate(row):
+                assert c == conj(rows[j][i])
+
+
+@pytest.mark.parametrize("g", FINITE_CATALOGUE, ids=repr)
+def test_adjacency_makes_one_law_call_per_vertex_and_term(g, rng, monkeypatch):
+    P = random_reciprocal(g, rng, n_terms=3)
+    calls = []
+    law = type(g).multiplier
+
+    def counted(self):
+        mul = law(self)
+
+        def wrapped(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        return wrapped
+
+    monkeypatch.setattr(type(g), "multiplier", counted)
+    sp.cayley_adjacency(g, P)
+    assert len(calls) == g.order() * len(P.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +118,25 @@ def test_hermitian_constructor_rejects_asymmetry():
 
 
 def test_eigenvalues_2x2():
-    A = sp.HermitianMatrix(((0, 2), (2, 0)))
+    g = gr.AbelianProduct((2,))
+    A = sp.cayley_adjacency(g, parse_poly_over("2*x", g))  # ((0, 2), (2, 0))
     assert_multisets_close(
         sp.hermitian_eigenvalues(A).eigenvalues, [-2.0, 2.0], tol=1e-12
     )
 
 
 def test_eigenvalues_diagonal():
-    A = sp.HermitianMatrix(((3, 0, 0), (0, -1, 0), (0, 0, 7)))
-    assert sp.hermitian_eigenvalues(A).eigenvalues == (-1.0, 3.0, 7.0)
+    g = gr.AbelianProduct((3,))
+    A = sp.cayley_adjacency(g, parse_poly_over("3", g))  # 3 * identity
+    assert sp.hermitian_eigenvalues(A).eigenvalues == (3.0, 3.0, 3.0)
+
+
+def test_eigenvalues_come_sorted():
+    # the characters of Z/2 x Z/2 give 3 + 2(+-1) + 2(+-1): {-1, 3, 3, 7}
+    g = gr.AbelianProduct((2, 2))
+    vals = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, parse_poly_over("3+2*x+2*y", g))).eigenvalues
+    assert list(vals) == sorted(vals)
+    assert_multisets_close(vals, [-1.0, 3.0, 3.0, 7.0], tol=1e-12)
 
 
 def _z32_formula_roots(a, b, c, d):
@@ -143,16 +175,14 @@ def test_eigenvalues_match_factorization_random(rng):
         assert_multisets_close(spec.eigenvalues, _z32_formula_roots(a, b, c, d))
 
 
-def test_eigenvalues_real_sorted_and_trace_invariants():
+def test_eigenvalues_real_sorted_and_trace_invariants(rng):
     # eigenvalue sum = trace H and sum of squares = squared Frobenius norm,
     # both computed from H itself rather than from another eigensolver
-    rng_np = np.random.default_rng(11)
-    for n in (0, 2, 5, 9, 17):
-        X = rng_np.normal(size=(n, n)) + 1j * rng_np.normal(size=(n, n))
-        H = (X + X.conj().T) / 2
-        M = sp.HermitianMatrix(tuple(tuple(H[i, j] for j in range(n)) for i in range(n)))
-        vals = sp.hermitian_eigenvalues(M).eigenvalues
-        assert len(vals) == n
+    for g in FINITE_CATALOGUE:
+        A = sp.cayley_adjacency(g, random_reciprocal(g, rng, n_terms=3))
+        H = A.to_numpy()
+        vals = sp.hermitian_eigenvalues(A).eigenvalues
+        assert len(vals) == g.order()
         assert all(isinstance(v, float) for v in vals)
         assert list(vals) == sorted(vals)
         tr = float(np.trace(H).real)
@@ -177,8 +207,8 @@ def test_eigen_sums_match_traces(rng):
 
 
 def test_det_hermitian_identity():
-    A = sp.HermitianMatrix(((1, 0), (0, 1)))
-    assert sp.det_hermitian(A) == 1
+    g = gr.AbelianProduct((2,))
+    assert sp.det_hermitian(sp.cayley_adjacency(g, rg.one(g))) == 1
 
 
 def test_det_b_is_81_exactly():
@@ -222,7 +252,7 @@ def exact_hermitian(draw):
         for j in range(i + 1, n):
             c = draw(_EXACT)
             rows[i][j], rows[j][i] = c, c.conjugate()
-    return sp.HermitianMatrix(rows)
+    return rows
 
 
 def _det_by_permutations(rows):
@@ -236,22 +266,35 @@ def _det_by_permutations(rows):
     return total
 
 
-@given(exact_hermitian(), st.fractions(min_value=-2, max_value=2, max_denominator=5))
-@example(sp.HermitianMatrix(((0, 1), (1, 0))), Fraction(1, 2))  # pivot needs a swap
-@example(sp.HermitianMatrix(((1, 1), (1, 1))), Fraction(1, 2))  # det(M) = det(I - M/2) = 0
-def test_exact_determinants_match_permutation_expansion(M, lam):
-    shifted = [
+def _shifted(rows, lam):
+    return [
         [(1 if i == j else 0) - lam * c for j, c in enumerate(row)]
-        for i, row in enumerate(M.entries)
+        for i, row in enumerate(rows)
     ]
-    for det, rows in (
-        (sp.det_hermitian(M), M.entries),
-        (sp.det_i_minus_lambda_exact(M, lam), shifted),
-    ):
-        expected = _det_by_permutations(rows)
-        assert det == expected
-        assert expected.im == 0
-        assert type(det) is (int if expected.re.denominator == 1 else Fraction)
+
+
+@given(exact_hermitian(), st.fractions(min_value=-2, max_value=2, max_denominator=5))
+@example([[0, 1], [1, 0]], Fraction(1, 2))  # pivot needs a swap
+@example([[1, 1], [1, 1]], Fraction(1, 2))  # det(M) = det(I - M/2) = 0
+def test_exact_determinants_match_permutation_expansion(M, lam):
+    for rows in (M, _shifted(M, lam)):
+        det = sp._det_exact(rows)
+        assert det == _det_by_permutations(rows)
+        assert det.im == 0
+
+
+def test_adjacency_determinants_match_permutation_expansion(rng):
+    for g in (g for g in FINITE_CATALOGUE if g.order() <= 6):
+        A = sp.cayley_adjacency(g, random_reciprocal(g, rng, n_terms=3))
+        lam = Fraction(rng.randint(-10, 10), rng.randint(1, 5))
+        for det, rows in (
+            (sp.det_hermitian(A), A.rows()),
+            (sp.det_i_minus_lambda_exact(A, lam), _shifted(A.rows(), lam)),
+        ):
+            expected = _det_by_permutations(rows)
+            assert det == expected
+            assert expected.im == 0
+            assert type(det) is (int if expected.re.denominator == 1 else Fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +363,8 @@ def test_dihedral_trace_matches_matrix_trace(m, rng):
 
 
 def test_trace_power_examples():
-    A = sp.HermitianMatrix(((0, 2), (2, 0)))
+    g = gr.AbelianProduct((2,))
+    A = sp.cayley_adjacency(g, parse_poly_over("2*x", g))  # ((0, 2), (2, 0))
     assert sp.trace_power(A, 2) == 8.0
     assert sp.trace_power(A, 1) == 0.0
     Q = parse_poly_over("1+x+y", Z32)
