@@ -39,7 +39,7 @@ from .errors import GroupMismatchError, InfiniteGroupError, ParseError, Resource
 
 MAX_GENERATORS = 9  # the polynomial grammar names x, y or x1..x9
 MAX_ORDER_DIGITS = 4300  # sys.int_info.default_max_str_digits
-MAX_WORD_LETTERS = 10**6  # the longest free word element_power builds
+MAX_WORD_LETTERS = 10**6  # the longest free word a product or a power builds
 
 
 def _int_key(x: int):
@@ -91,9 +91,6 @@ class _Family:
     def element_index(self, a) -> int:
         """Position of `a` in elements() without building the list."""
         raise InfiniteGroupError(f"no canonical index for {self!r}")
-
-    def check_power(self, a, n: int) -> None:
-        """Refuse a**n before it is built; only free words grow with n."""
 
     def generator(self, i: int):
         """The i-th canonical generator (0-based); x, then y for Dihedral/Dicyclic."""
@@ -330,32 +327,29 @@ class Free(_Family):
 
     def multiplier(self):
         rank = self.rank
+        alphabet = frozenset(range(-rank, rank + 1)) - {0}
 
         def mul(a, b):
-            word = list(a)
-            for letter in b:
-                if not -rank <= letter <= rank or letter == 0:
-                    raise GroupMismatchError(f"letter {letter} outside rank {rank}")
-                if word and word[-1] == -letter:
-                    word.pop()
-                else:
-                    word.append(letter)
-            return tuple(word)
+            if not alphabet.issuperset(b):
+                letter = next(x for x in b if x not in alphabet)
+                raise GroupMismatchError(f"letter {letter} outside rank {rank}")
+            # a and b are reduced, so only the letters where they meet cancel
+            k, most = 0, min(len(a), len(b))
+            while k < most and a[-1 - k] == -b[k]:
+                k += 1
+            length = len(a) + len(b) - 2 * k
+            if length > MAX_WORD_LETTERS:
+                raise ResourceLimitError(f"{length} letters pass the free-word cap {MAX_WORD_LETTERS}")
+            return a[:len(a) - k] + b[k:]
 
         return mul
 
     def invert(self, a):
         return tuple([-letter for letter in reversed(a)])
 
-    def check_power(self, a, n: int) -> None:
-        # a = u c u^-1 with c cyclically reduced: a^n has 2|u| + |n||c| letters
-        k = next((k for k in range(len(a) // 2) if a[k] != -a[-1 - k]), len(a) // 2)
-        letters = 2 * k + abs(n) * (len(a) - 2 * k)
-        if n and letters > MAX_WORD_LETTERS:
-            raise ResourceLimitError(f"{letters} letters pass the free-word cap {MAX_WORD_LETTERS}")
-
     def element_sort_key(self, a):
-        return (len(a), tuple(_int_key(x) for x in a))
+        # shortlex, the letters in the order 1, -1, 2, -2, ...
+        return (len(a), tuple(2 * x if x > 0 else 1 - 2 * x for x in a))
 
     def validate_element(self, a) -> None:
         # reduced: no adjacent letter/inverse pair
@@ -484,8 +478,8 @@ def generator_names(g: GroupSpec) -> list[str]:
 
 
 def element_power(g: GroupSpec, a, n: int):
-    """a**n by repeated squaring; n may be negative."""
-    g.check_power(a, n)
+    """a**n by repeated squaring; n may be negative.  No word built on the
+    way is longer than a**n, so the free-word cap refuses only an a**n past it."""
     if n < 0:
         a, n = g.invert(a), -n
     mul = multiplier(g)
@@ -493,8 +487,9 @@ def element_power(g: GroupSpec, a, n: int):
     while n:
         if n & 1:
             acc = mul(acc, a)
-        a = mul(a, a)
         n >>= 1
+        if n:  # a square past the last bit would be longer than a**n
+            a = mul(a, a)
     return acc
 
 

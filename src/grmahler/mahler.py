@@ -4,9 +4,9 @@ Four computation routes share one result type:
 
 * series       -- m(P, lambda) = -sum a_n lambda^n / n with the rigorous
                   geometric tail bound from |a_n| <= k^n, k the l1-norm;
-                  the lambda-free measure of Q (mahler_general) is a series
-                  in (1 - lambda QQ*) with the same kind of rigorous tail,
-                  its decay rate read off an enclosure of spec(QQ*);
+                  the lambda-free measure of Q = c g0 (1 - P), c its
+                  dominant coefficient (mahler_general), is
+                  log|c| - Re sum [P^n]_0 / n with the same tail;
 * finite-determinant -- log det(I - lambda A) / |G| over finite groups, and
                   the lambda-free log det(B) / (2|G|), B the adjacency of
                   QQ* (mahler_determinant), exact whenever the inputs are;
@@ -258,19 +258,26 @@ def mahler_finite(
 
 
 def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
-    """The lambda-free m(Q) over finite G: log det(B) / (2|G|), B the adjacency of QQ*."""
+    """The lambda-free m(Q) over finite G: log det(B) / (2|G|), B the adjacency
+    of QQ*.  det(B) is exact for exact Q; otherwise log det(B) is the sum of
+    the logs of the eigenvalues of B, which stays finite where det(B) does not."""
     if not g.is_finite():
         raise InfiniteGroupError("mahler_determinant needs a finite group")
     Q = rg.transfer(Q, g)
     B = sp.cayley_adjacency(g, rg.mul(Q, rg.star(Q)))
-    det = sp.det_hermitian(B)
-    if det == 0:
-        raise SingularMatrixError("B is singular: the measure is undefined")
-    if det < 0:
-        raise SingularMatrixError("adjacency of QQ* must be positive semidefinite")
     n = g.order()
-    value = _log(det) / (2 * n)
-    return MeasureResult(value, "finite-determinant", 0.0, group_order=n, determinant=det)
+    # B is positive semidefinite, so it is singular unless det(B) > 0
+    if B.is_exact():
+        det = sp.det_hermitian(B)
+        log_det = _log(det) if det > 0 else None
+    else:
+        eigenvalues = sp.hermitian_eigenvalues(B).eigenvalues
+        det = math.prod(eigenvalues)
+        log_det = math.fsum(map(math.log, eigenvalues)) if eigenvalues[0] > 0 else None
+    if log_det is None:
+        raise SingularMatrixError("B is singular: the measure is undefined")
+    return MeasureResult(log_det / (2 * n), "finite-determinant", 0.0, group_order=n,
+                         determinant=det)
 
 
 def mahler_general(
@@ -279,47 +286,45 @@ def mahler_general(
     epsilon: float = 1e-12,
     support_cap: int = rg.DEFAULT_SUPPORT_CAP,
 ) -> MeasureResult:
-    """The lambda-free measure of Q by a series in QQ*, over any group (on a
-    finite one it is the cross-check of mahler_determinant).
+    """The lambda-free measure of Q by a series at its dominant coefficient,
+    over any group (on a finite one it is the cross-check of
+    mahler_determinant).
 
-    It needs spec(QQ*) inside [lo, hi] with lo > 0: hi = l1(QQ*), and
-    lo = (2|c| - l1(Q))^2 for the largest coefficient c of Q, since
-    ||Q* v|| >= (|c| - (l1(Q) - |c|)) ||v||.  Without that certificate
-    (2|c| <= l1(Q), e.g. 1 + x + y) it raises DomainError.  With it, it
-    expands -log(lambda)/2 - sum_n [(1 - lambda QQ*)^n]_0/(2n) at
-    lambda = 2/(lo + hi), where ||1 - lambda QQ*|| <= r = (hi - lo)/(hi + lo),
-    to the smallest depth N whose rigorous tail r^(N+1)/(2(N+1)(1 - r)) is
-    at most epsilon.  ResourceLimitError, before any walk, when N would
-    exceed MAX_TERMS, or when the walk counts of 1 - lambda QQ* outgrow
-    support_cap (see ring.walk_counts).
+    It needs a coefficient c of Q, at g0, with 2|c| > l1(Q); without that
+    certificate (e.g. 1 + x + y) it raises DomainError.  With it,
+    Q = c g0 (1 - P) for P = -(1/c) g0^-1 (Q - c g0), whose l1-norm
+    k = (l1(Q) - |c|)/|c| is below 1, and the determinant being
+    multiplicative gives m(Q) = log|c| - Re sum_n [P^n]_0 / n.  The sum is
+    cut at the smallest depth N whose rigorous tail k^(N+1)/((N+1)(1 - k))
+    is at most epsilon.  ResourceLimitError, before any walk, when N would
+    exceed MAX_TERMS, or when the walk counts of P outgrow support_cap
+    (see ring.walk_counts).
     """
     Q = rg.transfer(Q, g)
-    QQs = rg.mul(Q, rg.star(Q))
-    hi = rg.l1_norm(QQs)
-    if hi == 0.0:
-        raise SingularMatrixError("QQ* = 0: the measure is undefined")
+    if Q.is_zero():
+        raise SingularMatrixError("Q = 0: the measure is undefined")
     l1 = rg.l1_norm(Q)
-    c = max(float(abs(v)) for _, v in Q.terms)
-    if 2 * c <= l1:
+    g0, c = max(Q.terms, key=lambda t: abs(t[1]))
+    c = complex(c)
+    mul, inv = gr.multiplier(g), g.invert(g0)
+    P = rg.ring_element(g, {mul(inv, e): -complex(v) / c for e, v in Q.terms if e != g0})
+    rate = rg.l1_norm(P)  # (l1(Q) - |c|)/|c|, below 1 iff 2|c| > l1(Q)
+    if rate >= 1.0:
         raise DomainError(
             f"no spectral gap certificate for the series fallback: twice the largest "
-            f"coefficient, {2 * c:g}, must exceed l1(Q) = {l1:g}"
+            f"coefficient, {2 * abs(c):g}, must exceed l1(Q) = {l1:g}"
         )
-    lo = (2 * c - l1) ** 2
-    lam = 2.0 / (lo + hi)
-    rate = (hi - lo) / (hi + lo)
-    # the terms carry 1/(2n), so the tail is half the lambda routes' one
-    if _tail_bound(rate, MAX_TERMS) > 2 * epsilon:
+    if _tail_bound(rate, MAX_TERMS) > epsilon:
         raise ResourceLimitError(
             f"series fallback needs more than max_terms={MAX_TERMS} terms to reach "
             f"epsilon={epsilon:g} at decay rate {rate:.6g}"
         )
-    N = _series_depth(rate, 2 * epsilon, _tail_bound)
-    counts = rg.walk_counts(rg.add(rg.one(g), rg.scale(-lam, QQs)), support_cap)
+    N = _series_depth(rate, epsilon, _tail_bound)
+    counts = rg.walk_counts(P, support_cap)
     next(counts)  # a_0 = 1 is not part of the sum
-    total = math.fsum(complex(next(counts)).real / (2 * n) for n in range(1, N + 1))
-    value = -math.log(lam) / 2.0 - total
-    return MeasureResult(value, "series", _tail_bound(rate, N) / 2, group_order=g.order())
+    total = math.fsum(complex(next(counts)).real / n for n in range(1, N + 1))
+    return MeasureResult(math.log(abs(c)) - total, "series", _tail_bound(rate, N),
+                         group_order=g.order())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ kernel that computes it, for every series route downstream.  It pairs two
 half powers, a_(j+k) = sum_g [P^j]_g [P^k]_(g^-1), so a_0..a_N store no
 power past P^ceil(N/2), and it walks a Cayley graph it builds as it goes:
 each element met gets an int id, and its products with the elements of P
-and its inverse are computed once per walk, however often it recurs.
+and, once the graph holds it, its inverse are computed once per walk,
+however often it recurs.
 """
 from __future__ import annotations
 
@@ -194,7 +195,7 @@ def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
     forms = [group.identity()]  # id -> normal form
     ids = {forms[0]: 0}  # normal form -> id
     rows = {}  # id -> ids of form * e for the e of P, in term order
-    inverses = {}  # id -> id of the inverse
+    inverses = {}  # id -> id of the inverse, for inverses the graph holds
 
     def count(high: dict, low: dict):
         size = len(high) * len(low)
@@ -207,10 +208,11 @@ def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
         for i, c in low.items():  # the smaller half drives the loop
             j = inverses.get(i)
             if j is None:
-                f = invert(forms[i])
-                j = inverses[i] = ids.setdefault(f, len(forms))
-                if j == len(forms):
-                    forms.append(f)
+                # an inverse the graph has not met is in no power: no id
+                j = ids.get(invert(forms[i]))
+                if j is None:
+                    continue
+                inverses[i] = j
             d = high.get(j)
             if d is not None:
                 total += c * d

@@ -154,12 +154,8 @@ def _det_exact(rows) -> cf.GaussianRational:
 
 
 def det_hermitian(A: CayleyAdjacency):
-    """det(A); exact (int or Fraction) for exact P, float otherwise."""
-    if A.is_exact():
-        return cf.exact_real(_det_exact(A.rows()))
-    import numpy as np
-
-    return complex(np.linalg.det(A.to_numpy())).real
+    """Exact det(A) (int or Fraction); needs exact P."""
+    return cf.exact_real(_det_exact(A.rows()))
 
 
 def det_i_minus_lambda_exact(A: CayleyAdjacency, lam):

@@ -99,35 +99,37 @@ def test_golden_is_valid_json():
         ]
 
 
-# the one golden whose walk counts are floats: the series fallback powers
-# R = 1 - lambda QQ* over Dinf with a float lambda, so any reordering of the
-# sums in group-ring multiplication or in the pairing of two half powers
-# changes its last bits; the value lies within its bound of the D32 and D64
-# determinants, 1.03051796939366
+# the one golden whose walk counts are floats: the lambda-free series walks
+# P = -(x + y)/3 over Dinf, so any reordering of the sums in group-ring
+# multiplication or in the pairing of two half powers changes its last
+# bits; the value lies within its bound of the D64 determinant
 FLOAT_WALK_ARGV = ("measure", "--group", "Dinf", "--poly", "3+x+y", "--epsilon", "1e-06")
 FLOAT_WALK_GOLDEN = (
     '{"command": "measure", "group": "Dinf", "poly": "3+x+y", "lambda": null, '
-    '"method": "series", "value": 1.03051799820863, '
-    '"error_bound": 9.76551706228931e-07, '
+    '"method": "series", "value": 1.03051799050239, '
+    '"error_bound": 8.09238887200327e-07, '
     '"extra": {"group_order": "infinite"}}\n'
 )
+D64_3XY = 1.03051796939366  # m_D64(3+x+y) by the exact determinant
 
 
 def test_float_walk_golden_byte_for_byte():
     rc, out, err = run_cli(FLOAT_WALK_ARGV)
     assert rc == 0 and err == ""
     assert out == FLOAT_WALK_GOLDEN
+    res = strict_json(out)
+    assert abs(res["value"] - D64_3XY) <= res["error_bound"]
 
 
-# the same fallback over Z^2, where the supports of the half powers overlap
-# the most (each power holds all of the previous one): a walk that revisits
-# an element must add its terms in the order a fresh product would; the
-# value is log 3 within its bound
+# the same series over Z^2, where P = -(x + y)/3 walks no closed path: every
+# a_n past a_0 is 0 and the value is log 3 to the last printed digit (the
+# float sums of overlapping supports are pinned by the ring tests' walks on
+# forms)
 Z2_FLOAT_WALK_ARGV = ("measure", "--group", "Z^2", "--poly", "3+x+y", "--epsilon", "1e-06")
 Z2_FLOAT_WALK_GOLDEN = (
     '{"command": "measure", "group": "Z^2", "poly": "3+x+y", "lambda": null, '
-    '"method": "series", "value": 1.09861229197801, '
-    '"error_bound": 9.76551706228931e-07, '
+    '"method": "series", "value": 1.09861228866811, '
+    '"error_bound": 8.09238887200327e-07, '
     '"extra": {"group_order": "infinite"}}\n'
 )
 
@@ -136,6 +138,21 @@ def test_z2_float_walk_golden_byte_for_byte():
     rc, out, err = run_cli(Z2_FLOAT_WALK_ARGV)
     assert rc == 0 and err == ""
     assert out == Z2_FLOAT_WALK_GOLDEN
+    res = strict_json(out)
+    assert abs(res["value"] - math.log(3)) <= res["error_bound"]
+
+
+# the lambda-free series at the default epsilon, against log 3 and log 4
+@pytest.mark.parametrize("group, poly, want, seconds",
+                         [("Z^2", "3+x+y", math.log(3), 2.0),
+                          ("Z^3", "4+x1+x2+x3", math.log(4), 10.0)], ids=["Z^2", "Z^3"])
+def test_lambda_free_series_answers_in_time(group, poly, want, seconds):
+    start = time.perf_counter()
+    rc, out, err = run_cli(["measure", "--group", group, "--poly", poly])
+    assert time.perf_counter() - start < seconds
+    assert rc == 0 and err == ""
+    res = strict_json(out)
+    assert abs(res["value"] - want) <= res["error_bound"] <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +389,7 @@ def test_negative_size_is_a_parse_error(argv):
 # uncapped depth search and walk on finite groups)
 BIG = "9" * 400  # an integer past float range (about 1e400)
 BIG_POLY = f"{BIG}*x+{BIG}*x^-1"
-HALF_BIG = "9" * 200  # its square is past float range
+HALF_BIG = "9" * 200  # its square is past float range, itself not
 
 
 CLI_GROUPS = (("Z^2", "ZxZ/4", "Z/3xZ/2", "D3", "Dic2", "Dinf", "F2", "C2*C3"),
@@ -499,7 +516,7 @@ def test_overflowing_exact_determinant_gives_a_value(group, poly, c):
         (("coeffs", "--group", "Z", "--poly", BIG_POLY), "the l1 norm of P"),
         (("compare", "--group", "Z", "--group-b", "Z/3", "--poly", BIG_POLY, "--lambda", "0.1"),
          "the l1 norm of P"),
-        (("measure", "--group", "Dinf", "--poly", HALF_BIG + "+x+y"), "the l1 norm of P"),
+        (("measure", "--group", "Dinf", "--poly", BIG + "+x+y"), "the l1 norm of P"),
         (("measure", "--group", "Z", "--poly", f"{HALF_BIG}*x+{HALF_BIG}*x^-1",
           "--lambda", "1e-201"), "walk count a_2"),
     ],
@@ -509,6 +526,28 @@ def test_a_value_past_float_range_is_a_domain_error(argv, name):
     assert (rc, out) == (3, "")
     error = strict_json(err)["error"]
     assert error == {"type": "DomainError", "message": f"{name} is out of float range"}
+
+
+def test_the_lambda_free_series_needs_only_l1_of_q_in_float_range():
+    # the series walks P = -(x + y)/c, c = 10^200 - 1: no coefficient is
+    # squared, so the value is log c within its bound (and the 15 digits
+    # the CLI prints)
+    rc, out, err = run_cli(["measure", "--group", "Dinf", "--poly", HALF_BIG + "+x+y"])
+    assert rc == 0 and err == ""
+    res, log_c = strict_json(out), math.log(int(HALF_BIG))
+    assert abs(res["value"] - log_c) <= res["error_bound"] + 1e-14 * log_c
+
+
+def test_a_walk_refuses_a_free_word_past_the_cap_at_once():
+    # P^2 = x^2000000 passes the one-million-letter cap at the walk's first
+    # product past it
+    start = time.perf_counter()
+    rc, out, err = run_cli(["coeffs", "--group", "F2", "--poly", "x^1000000", "--n", "40"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (4, "")
+    error = strict_json(err)["error"]
+    assert error == {"type": "ResourceLimitError",
+                     "message": "2000000 letters pass the free-word cap 1000000"}
 
 
 def test_the_exact_finite_route_answers_past_float_range():
@@ -542,7 +581,7 @@ F4 = "x+x^-1+y+y^-1"
     "argv",
     [
         ("u", "--group", "F2", "--poly", F4, "--lambda", "0.1", "--epsilon", "1e-3"),
-        ("measure", "--group", "F2", "--poly", "3+x"),
+        ("measure", "--group", "F2", "--poly", "3+x+y"),
         ("compare", "--group", "F2", "--group-b", "Z^2", "--poly", F4,
          "--lambda", "0.1", "--epsilon", "1e-3"),
         ("converge", "--chain", "abelian", "--group", "Z^2", "--poly", F4,

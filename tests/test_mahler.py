@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -226,6 +228,16 @@ def test_general_float_coefficients_match_exact(g):
         assert abs(floating.value - exact.value) <= 1e-12 * abs(exact.value)
 
 
+def test_float_determinant_past_float_range_gives_a_value():
+    # det B ~ e^824 over D200 overflows a float; the sum of the logs of its
+    # eigenvalues does not, and D200 agrees with D64 far below 1e-12 here
+    D200 = gr.Dihedral(200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = mh.mahler_determinant(D200, _float_twin(parse_poly_over("3+x+y", D200)))
+    assert abs(res.value - _d64_measure("3+x+y")) <= 1e-12
+
+
 def test_determinant_refuses_an_infinite_group():
     g = gr.Dihedral(0)
     with pytest.raises(InfiniteGroupError):
@@ -241,9 +253,10 @@ def test_general_singular_is_an_error():
 
 @pytest.mark.parametrize("g", [Z32, D3, gr.Dicyclic(3)], ids=["Z/3xZ/2", "D3", "Dic3"])
 def test_general_series_fallback_matches_determinant(g):
-    # spec(QQ*) is the same over a finite group, so the certified series
-    # agrees with the determinant route within its own rigorous bound
-    for poly in ("3+x+y", "5 + i*x - i*x^-1 + y"):
+    # over a finite group the series sums the same log det, so it agrees
+    # with the determinant route within its own rigorous bound; the last two
+    # have their dominant coefficient off the identity and Gaussian
+    for poly in ("3+x+y", "5 + i*x - i*x^-1 + y", "x+5*y+x^2", "(3+1i)+x+i*y"):
         Q = parse_poly_over(poly, g)
         v_det = mh.mahler_determinant(g, Q).value
         res = mh.mahler_general(g, Q, epsilon=1e-10)
@@ -252,8 +265,8 @@ def test_general_series_fallback_matches_determinant(g):
 
 
 def test_general_series_fallback_infinite_group():
-    # m_Z(3 + x) is the classical one-variable measure log 3; the spectrum
-    # of QQ* stays away from 0 here, so the fallback converges geometrically
+    # m_Z(3 + x) is the classical one-variable measure log 3; 3 dominates
+    # x, so the series at c = 3 converges geometrically
     g = gr.AbelianProduct((0,))
     Q = parse_poly_over("3+x", g)
     res = mh.mahler_general(g, Q, epsilon=1e-13)
@@ -273,8 +286,11 @@ def _d64_measure(poly):
         (gr.Dihedral(0), "4+x^-1+y", lambda: _d64_measure("4+x^-1+y")),
         (gr.AbelianProduct((0,)), "3+x", lambda: math.log(3)),
         (Z2, "4+x+y", lambda: math.log(4)),
+        (gr.AbelianProduct((0, 0, 0)), "4+x1+x2+x3", lambda: math.log(4)),
+        (gr.Dihedral(0), "4+x+y+y^-1", lambda: _d64_measure("4+x+y+y^-1")),
     ],
-    ids=["Dinf 3+x+y", "Dinf 4+x^-1+y", "Z 3+x", "Z^2 4+x+y"],
+    ids=["Dinf 3+x+y", "Dinf 4+x^-1+y", "Z 3+x", "Z^2 4+x+y", "Z^3 4+x1+x2+x3",
+         "Dinf 4+x+y+y^-1"],
 )
 def test_general_series_fallback_bound_is_rigorous(group, poly, reference):
     # D64 stands in for Dinf: the two agree far below 1e-10 for these Q
@@ -286,8 +302,19 @@ def test_general_series_fallback_bound_is_rigorous(group, poly, reference):
         assert abs(res.value - want) <= res.error_bound
 
 
+def test_general_series_fallback_over_a_free_group():
+    # P = -(x + y)/3 walks no closed path, so the value is log 3; its powers
+    # hold 2^n words, 2^14 at the deepest half power
+    g = gr.Free(2)
+    start = time.perf_counter()
+    res = mh.mahler_general(g, parse_poly_over("3+x+y", g), epsilon=1e-6)
+    assert time.perf_counter() - start < 2.0
+    assert res.error_bound <= 1e-6
+    assert abs(res.value - math.log(3)) <= res.error_bound
+
+
 def test_general_series_fallback_honours_support_cap():
-    # P^n of QQ* = 11 + 3x + 3x^-1 + 3y + 3y^-1 + ... fills F2 exponentially
+    # P^n for P = -(x + y)/3 fills F2 exponentially
     g = gr.Free(2)
     Q = parse_poly_over("3+x+y", g)
     with pytest.raises(ResourceLimitError, match="cap"):
@@ -296,7 +323,7 @@ def test_general_series_fallback_honours_support_cap():
 
 def test_general_series_fallback_refuses_an_unconverged_sum():
     # m_Dinf(1+x+y) = 0, but no coefficient of 1+x+y dominates the others,
-    # so nothing bounds spec(QQ*) away from 0 and no tail bound exists
+    # so Q is no c g0 (1 - P) with l1(P) < 1 and no tail bound exists
     g = gr.Dihedral(0)
     Q = parse_poly_over("1+x+y", g)
     with pytest.raises(DomainError, match="certificate"):

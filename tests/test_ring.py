@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import time
 import tracemalloc
 import typing
 from fractions import Fraction
@@ -309,6 +310,17 @@ def test_walk_computes_each_product_and_inverse_once(monkeypatch, g, poly, N):
     assert calls["invert"] <= len(paired)
     monkeypatch.undo()
     assert list(values) == _walk_counts_on_forms(P, N)
+
+
+def test_a_walk_does_not_intern_inverses_no_power_holds():
+    # the powers of x + y hold only positive words: looking up each one's
+    # inverse must not add the negative words to the graph (their tuples
+    # collide in CPython's hash, so a dict of them goes quadratic)
+    g = gr.Free(2)
+    start = time.perf_counter()
+    values = list(islice(rg.walk_counts(parse_poly_over("x+y", g)), 29))
+    assert time.perf_counter() - start < 3.0
+    assert values == [1] + [0] * 28
 
 
 def test_interleaved_walks_do_not_share_state():
