@@ -42,8 +42,8 @@ MAX_ORDER_DIGITS = 4300  # sys.int_info.default_max_str_digits
 MAX_WORD_LETTERS = 10**6  # the longest free word a product or a power builds
 
 
-def _int_key(x: int):
-    return (abs(x), 0 if x >= 0 else 1)
+def _int_key(x: int) -> int:
+    return 2 * x if x >= 0 else 1 - 2 * x  # the order 0, 1, -1, 2, -2, ...
 
 
 def _count(digits: str) -> int:
@@ -348,8 +348,7 @@ class Free(_Family):
         return tuple([-letter for letter in reversed(a)])
 
     def element_sort_key(self, a):
-        # shortlex, the letters in the order 1, -1, 2, -2, ...
-        return (len(a), tuple(2 * x if x > 0 else 1 - 2 * x for x in a))
+        return (len(a), tuple(_int_key(x) for x in a))
 
     def validate_element(self, a) -> None:
         # reduced: no adjacent letter/inverse pair

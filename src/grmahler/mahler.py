@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import groups as gr
 from . import ring as rg
 from . import spectra as sp
-from .coeffs import exact_real, to_complex
+from .coeffs import conj, exact_real, to_complex
 from .errors import (
     DomainError,
     InfiniteGroupError,
@@ -287,8 +287,7 @@ def mahler_general(
     support_cap: int = rg.DEFAULT_SUPPORT_CAP,
 ) -> MeasureResult:
     """The lambda-free measure of Q by a series at its dominant coefficient,
-    over any group (on a finite one it is the cross-check of
-    mahler_determinant).
+    over any group (on a finite one it cross-checks mahler_determinant).
 
     It needs a coefficient c of Q, at g0, with 2|c| > l1(Q); without that
     certificate (e.g. 1 + x + y) it raises DomainError.  With it,
@@ -305,14 +304,18 @@ def mahler_general(
         raise SingularMatrixError("Q = 0: the measure is undefined")
     l1 = rg.l1_norm(Q)
     g0, c = max(Q.terms, key=lambda t: abs(t[1]))
-    c = complex(c)
+    if Q.is_exact():  # -v/c and |c|^2 exactly, rounded only then: |c| may be below float range
+        s = Fraction(-1) / exact_real(c * conj(c))  # -1/|c|^2
+        ratios, log_c = {e: complex(v * conj(c) * s) for e, v in Q.terms}, -_log(-s) / 2
+    else:
+        ratios, log_c = {e: -v / c for e, v in Q.terms}, math.log(abs(c))
     mul, inv = gr.multiplier(g), g.invert(g0)
-    P = rg.ring_element(g, {mul(inv, e): -complex(v) / c for e, v in Q.terms if e != g0})
+    P = rg.ring_element(g, {mul(inv, e): r for e, r in ratios.items() if e != g0})
     rate = rg.l1_norm(P)  # (l1(Q) - |c|)/|c|, below 1 iff 2|c| > l1(Q)
     if rate >= 1.0:
         raise DomainError(
             f"no spectral gap certificate for the series fallback: twice the largest "
-            f"coefficient, {2 * abs(c):g}, must exceed l1(Q) = {l1:g}"
+            f"coefficient, {2 * float(abs(c)):g}, must exceed l1(Q) = {l1:g}"
         )
     if _tail_bound(rate, MAX_TERMS) > epsilon:
         raise ResourceLimitError(
@@ -323,8 +326,7 @@ def mahler_general(
     counts = rg.walk_counts(P, support_cap)
     next(counts)  # a_0 = 1 is not part of the sum
     total = math.fsum(complex(next(counts)).real / n for n in range(1, N + 1))
-    return MeasureResult(math.log(abs(c)) - total, "series", _tail_bound(rate, N),
-                         group_order=g.order())
+    return MeasureResult(log_c - total, "series", _tail_bound(rate, N), group_order=g.order())
 
 
 # ---------------------------------------------------------------------------

@@ -121,15 +121,16 @@ def test_float_walk_golden_byte_for_byte():
     assert abs(res["value"] - D64_3XY) <= res["error_bound"]
 
 
-# the same series over Z^2, where P = -(x + y)/3 walks no closed path: every
-# a_n past a_0 is 0 and the value is log 3 to the last printed digit (the
-# float sums of overlapping supports are pinned by the ring tests' walks on
-# forms)
-Z2_FLOAT_WALK_ARGV = ("measure", "--group", "Z^2", "--poly", "3+x+y", "--epsilon", "1e-06")
+# the same series over Z^2, where many paths of P = -(x + x^-1 + y)/5 meet
+# at one element (x x^-1 = x^-1 x = 1): a walk that revisits an element
+# must add its terms in the order a fresh product would; the value lies
+# within its bound of m(5 + x + x^-1 + y) = log((5 + sqrt 21)/2), by
+# Jensen's formula in y
+Z2_FLOAT_WALK_ARGV = ("measure", "--group", "Z^2", "--poly", "5+x+x^-1+y", "--epsilon", "1e-06")
 Z2_FLOAT_WALK_GOLDEN = (
-    '{"command": "measure", "group": "Z^2", "poly": "3+x+y", "lambda": null, '
-    '"method": "series", "value": 1.09861228866811, '
-    '"error_bound": 8.09238887200327e-07, '
+    '{"command": "measure", "group": "Z^2", "poly": "5+x+x^-1+y", "lambda": null, '
+    '"method": "series", "value": 1.56679923697461, '
+    '"error_bound": 8.58402416362615e-07, '
     '"extra": {"group_order": "infinite"}}\n'
 )
 
@@ -139,7 +140,7 @@ def test_z2_float_walk_golden_byte_for_byte():
     assert rc == 0 and err == ""
     assert out == Z2_FLOAT_WALK_GOLDEN
     res = strict_json(out)
-    assert abs(res["value"] - math.log(3)) <= res["error_bound"]
+    assert abs(res["value"] - math.log((5 + math.sqrt(21)) / 2)) <= res["error_bound"]
 
 
 # the lambda-free series at the default epsilon, against log 3 and log 4
@@ -536,6 +537,29 @@ def test_the_lambda_free_series_needs_only_l1_of_q_in_float_range():
     assert rc == 0 and err == ""
     res, log_c = strict_json(out), math.log(int(HALF_BIG))
     assert abs(res["value"] - log_c) <= res["error_bound"] + 1e-14 * log_c
+
+
+def _tiny(digit: str, zeros: int) -> str:
+    """digit * 10^-(zeros + 1) as a decimal literal, which parses exactly."""
+    return "0." + "0" * zeros + digit
+
+
+# |c| = 3e-320 is subnormal as a float and 3e-330 is below float range, yet
+# -v/c and log|c| are taken exactly: Q is 10^-(zeros + 1) (3 + x + y), so the
+# value is m(3 + x + y) - (zeros + 1) log 10
+@pytest.mark.parametrize("zeros", [319, 329], ids=["subnormal", "underflow"])
+def test_the_lambda_free_series_needs_no_coefficient_of_q_in_float_range(zeros):
+    poly = f"{_tiny('3', zeros)}+{_tiny('1', zeros)}*x+{_tiny('1', zeros)}*y"
+    rc, out, err = run_cli(["measure", "--group", "Dinf", "--poly", poly])
+    assert rc == 0 and err == ""
+    res = strict_json(out)
+    want = D64_3XY - (zeros + 1) * math.log(10)
+    assert abs(res["value"] - want) <= res["error_bound"] + 1e-14 * abs(want)
+    rc, out, err = run_cli(["measure", "--group", "Dinf", "--poly", _tiny("3", zeros) + "*x"])
+    assert rc == 0 and err == ""
+    res = strict_json(out)
+    want = math.log(3) - (zeros + 1) * math.log(10)
+    assert res["error_bound"] == 0 and abs(res["value"] - want) <= 1e-14 * abs(want)
 
 
 def test_a_walk_refuses_a_free_word_past_the_cap_at_once():
