@@ -7,9 +7,9 @@ Four computation routes share one result type:
                   the lambda-free measure of Q = c g0 (1 - P), c its
                   dominant coefficient (mahler_general), is
                   log|c| - Re sum [P^n]_0 / n with the same tail;
-* finite-determinant -- log det(I - lambda A) / |G| over finite groups, and
-                  the lambda-free log det(B) / (2|G|), B the adjacency of
-                  QQ* (mahler_determinant), exact whenever the inputs are;
+* finite-determinant -- log det(I - lambda A) / |G|, I - lambda A the adjacency
+                  of 1 - lambda P, and the lambda-free log det(B) / (2|G|), B
+                  that of QQ* (mahler_determinant), exact whenever the inputs are;
 * quadrature   -- uniform torus grids for free abelian groups (the grid
                   average *is* the finite-group measure at the grid size);
 * closed-form  -- the Z x Z/m family for the standard 4-term element.
@@ -18,9 +18,9 @@ measure holds the one rule that picks a route from the method, lambda and
 the group; it only dispatches, and no route calls another.
 
 lambda is kept real for measure routes; only the walk generating function
-u accepts complex lambda.  Every series route takes its walk counts
-a_n = [P^n]_0 from ring.walk_counts; all three share one depth search
-(_series_depth) and differ only in the decay rate and the tail formula.
+u accepts complex lambda.  Every series route walks through _walk_to_depth,
+which picks the depth, refuses one past MAX_TERMS before walking and takes
+a_n = [P^n]_0 from ring.power_constant_coeffs; each route keeps its own sum.
 """
 from __future__ import annotations
 
@@ -45,8 +45,9 @@ class MeasureResult:
     """One measure value, the route that produced it and what that route
     computed, None where it computes nothing: group_order (math.inf when
     infinite), det(B) for B the adjacency of QQ* on the lambda-free finite
-    route (exact for exact input), the imaginary part the lambda series
-    drops (0 on finite-determinant) and the torus grid size per dimension."""
+    route (exact for exact input; None for float input past float range),
+    the imaginary part the lambda series drops (0 on finite-determinant)
+    and the torus grid size per dimension."""
 
     value: float
     method: str  # series | finite-determinant | quadrature | closed-form
@@ -141,15 +142,17 @@ def _log(x) -> float:
 # ---------------------------------------------------------------------------
 # series route
 
-MAX_TERMS = 400  # the deepest lambda-free series mahler_general walks
+MAX_TERMS = 400  # the deepest series any series route walks
 
 
 def _tail_bound(klam: float, N: int) -> float:
     return klam ** (N + 1) / ((N + 1) * (1.0 - klam))
 
 
-def _series_depth(rate: float, epsilon: float, tail) -> int:
-    """The smallest depth N >= 1 whose tail(rate, N) is at most epsilon.
+def _walk_to_depth(P: rg.RingElement, rate: float, epsilon: float, tail, support_cap: int):
+    """a_0..a_N of P for the smallest N >= 1 whose tail(rate, N) is at most
+    epsilon, and that tail; ResourceLimitError, before any walk, when N
+    would exceed MAX_TERMS, or when the walk outgrows support_cap.
 
     rate bounds the decay of the summed terms, |term_n| <= rate^n, and must
     be below 1 strictly: for the lambda routes it is k|lambda|, k = l1(P).
@@ -158,10 +161,15 @@ def _series_depth(rate: float, epsilon: float, tail) -> int:
         raise DomainError(f"|lambda|*l1_norm = {rate} >= 1: outside the series disc")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if tail(rate, MAX_TERMS) > epsilon:
+        raise ResourceLimitError(
+            f"series needs more than max_terms={MAX_TERMS} terms to reach "
+            f"epsilon={epsilon:g} at decay rate {rate:.6g}"
+        )
     N = 1
     while tail(rate, N) > epsilon:
         N += 1
-    return N
+    return rg.power_constant_coeffs(P, N, support_cap=support_cap).values, tail(rate, N)
 
 
 def mahler_series(
@@ -178,16 +186,14 @@ def mahler_series(
     if not rg.is_reciprocal(P):
         raise ValueError("P must be reciprocal")
     lam = float(lam)
-    if lam == 0.0:
-        return MeasureResult(0.0, "series", 0.0, imaginary_discard=0.0)
-    klam = rg.l1_norm(P) * abs(lam)
-    N = _series_depth(klam, epsilon, _tail_bound)
-    coeffs = rg.power_constant_coeffs(P, N, support_cap=support_cap)
+    counts, bound = _walk_to_depth(P, rg.l1_norm(P) * abs(lam), epsilon, _tail_bound, support_cap)
     total = 0 + 0j
-    for n in range(1, N + 1):
-        total += to_complex(coeffs.values[n], f"walk count a_{n}") * lam**n / n
-    value = -total.real
-    return MeasureResult(value, "series", _tail_bound(klam, N), imaginary_discard=abs(total.imag))
+    for n, a in enumerate(counts[1:], 1):
+        try:
+            total += complex(a) * lam**n / n
+        except OverflowError:  # exact a_n or lambda^n past float range: scale, then round
+            total += complex(a * (Fraction(lam) ** n / n))
+    return MeasureResult(-total.real, "series", bound, imaginary_discard=abs(total.imag))
 
 
 def u_series(
@@ -197,16 +203,14 @@ def u_series(
     epsilon: float = 1e-10,
     support_cap: int = rg.DEFAULT_SUPPORT_CAP,
 ) -> complex:
-    """Truncation of u(P, lambda) = sum a_n lambda^n with geometric tail <= epsilon."""
+    """Truncation of u(P, lambda) = sum a_n lambda^n with geometric tail <= epsilon;
+    DomainError when an a_n, as large as a Horner partial sum, is past float range."""
     P = rg.transfer(P, g)
-    if lam == 0:
-        return 1 + 0j
-    klam = rg.l1_norm(P) * abs(lam)
-    N = _series_depth(klam, epsilon, lambda klam, N: klam ** (N + 1) / (1.0 - klam))
-    coeffs = rg.power_constant_coeffs(P, N, support_cap=support_cap)
+    counts, _ = _walk_to_depth(P, rg.l1_norm(P) * abs(lam), epsilon,
+                               lambda klam, N: klam ** (N + 1) / (1.0 - klam), support_cap)
     total = 0 + 0j
-    for n in range(N, -1, -1):
-        total = total * complex(lam) + to_complex(coeffs.values[n], f"walk count a_{n}")
+    for n in range(len(counts) - 1, -1, -1):
+        total = total * complex(lam) + to_complex(counts[n], f"walk count a_{n}")
     return total
 
 
@@ -227,8 +231,9 @@ def mahler_finite(
     allow_continuation, any lambda with a nonzero determinant is admitted
     and log|det| is used (the analytic continuation across eigenvalues).
 
-    Takes the exact-determinant path when P is exact and lambda rational;
-    otherwise sums log|1 - lambda*s| over the eigenvalues s of A.
+    Takes det_hermitian of the adjacency of 1 - lambda P when P is exact
+    and lambda rational; otherwise sums log|1 - lambda*s| over the
+    eigenvalues s of A.
     """
     if not g.is_finite():
         raise InfiniteGroupError("mahler_finite needs a finite group")
@@ -243,7 +248,8 @@ def mahler_finite(
             "pass allow_continuation to evaluate log|det| anyway"
         )
     if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool) and A.is_exact():
-        det = sp.det_i_minus_lambda_exact(A, lam)
+        shifted = rg.add(rg.one(g), rg.scale(-lam, rg.transfer(P, g)))  # 1 - lambda P
+        det = sp.det_hermitian(sp.cayley_adjacency(g, shifted))
         if det == 0:
             raise SingularMatrixError("1/lambda is an eigenvalue of A")
         if not allow_continuation and det < 0:
@@ -273,6 +279,7 @@ def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
     else:
         eigenvalues = sp.hermitian_eigenvalues(B).eigenvalues
         det = math.prod(eigenvalues)
+        det = det if math.isfinite(det) else None
         log_det = math.fsum(map(math.log, eigenvalues)) if eigenvalues[0] > 0 else None
     if log_det is None:
         raise SingularMatrixError("B is singular: the measure is undefined")
@@ -295,9 +302,8 @@ def mahler_general(
     k = (l1(Q) - |c|)/|c| is below 1, and the determinant being
     multiplicative gives m(Q) = log|c| - Re sum_n [P^n]_0 / n.  The sum is
     cut at the smallest depth N whose rigorous tail k^(N+1)/((N+1)(1 - k))
-    is at most epsilon.  ResourceLimitError, before any walk, when N would
-    exceed MAX_TERMS, or when the walk counts of P outgrow support_cap
-    (see ring.walk_counts).
+    is at most epsilon; _walk_to_depth refuses a depth past MAX_TERMS, and
+    a walk past support_cap, with ResourceLimitError.
     """
     Q = rg.transfer(Q, g)
     if Q.is_zero():
@@ -317,16 +323,9 @@ def mahler_general(
             f"no spectral gap certificate for the series fallback: twice the largest "
             f"coefficient, {2 * float(abs(c)):g}, must exceed l1(Q) = {l1:g}"
         )
-    if _tail_bound(rate, MAX_TERMS) > epsilon:
-        raise ResourceLimitError(
-            f"series fallback needs more than max_terms={MAX_TERMS} terms to reach "
-            f"epsilon={epsilon:g} at decay rate {rate:.6g}"
-        )
-    N = _series_depth(rate, epsilon, _tail_bound)
-    counts = rg.walk_counts(P, support_cap)
-    next(counts)  # a_0 = 1 is not part of the sum
-    total = math.fsum(complex(next(counts)).real / n for n in range(1, N + 1))
-    return MeasureResult(log_c - total, "series", _tail_bound(rate, N), group_order=g.order())
+    counts, bound = _walk_to_depth(P, rate, epsilon, _tail_bound, support_cap)
+    total = math.fsum(complex(a).real / n for n, a in enumerate(counts[1:], 1))
+    return MeasureResult(log_c - total, "series", bound, group_order=g.order())
 
 
 # ---------------------------------------------------------------------------

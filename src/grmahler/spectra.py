@@ -9,9 +9,10 @@ group-law calls.  Reciprocity of P, checked once, makes A Hermitian.
 Floating spectra come from LAPACK's Hermitian eigensolver (eigvalsh)
 through hermitian_eigenvalues, the one eigenvalue entry point.  numpy is
 imported on first use, so the series and exact routes never load it.
-Exact determinants take the dense rows of A or I - lambda A, clear
-denominators once and run fraction-free Bareiss elimination on pairs of
-ints (Gaussian integers), so that integer constants come out exactly.
+The exact determinant takes the dense rows of A (I - lambda A is the
+adjacency of 1 - lambda P), clears denominators once and runs fraction-free
+Bareiss elimination on pairs of ints (Gaussian integers), so that integer
+constants come out exactly.
 """
 from __future__ import annotations
 
@@ -42,13 +43,12 @@ class CayleyAdjacency:
     def is_exact(self) -> bool:
         return all(cf.is_exact(c) for c in self.coeffs)
 
-    def rows(self, lam=None) -> list:
-        """Dense rows of A, or of I - lam*A when lam is given."""
-        out = [[0] * self.n if lam is None else [int(i == j) for j in range(self.n)]
-               for i in range(self.n)]
+    def rows(self) -> list:
+        """Dense rows of A."""
+        out = [[0] * self.n for _ in range(self.n)]
         for dense, row in zip(out, self.cols):
             for j, c in zip(row, self.coeffs):
-                dense[j] += c if lam is None else -lam * c
+                dense[j] += c
         return out
 
     def times(self, v) -> list:
@@ -154,13 +154,9 @@ def _det_exact(rows) -> cf.GaussianRational:
 
 
 def det_hermitian(A: CayleyAdjacency):
-    """Exact det(A) (int or Fraction); needs exact P."""
+    """Exact det(A) (int or Fraction); needs exact P.  det(I - lambda A) is
+    det_hermitian of the adjacency of 1 - lambda P."""
     return cf.exact_real(_det_exact(A.rows()))
-
-
-def det_i_minus_lambda_exact(A: CayleyAdjacency, lam):
-    """Exact det(I - lam*A); requires exact P and rational lam."""
-    return cf.exact_real(_det_exact(A.rows(Fraction(lam))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from grmahler import groups as gr
 from grmahler import ring as rg
+from grmahler import spectra as sp
 from grmahler.coeffs import GaussianRational
 
 hypothesis.settings.register_profile(
@@ -82,6 +83,11 @@ def random_reciprocal(group, rnd, n_terms=2, max_l1=8.0):
         if not P.is_zero() and rg.l1_norm(P) <= max_l1:
             assert rg.is_reciprocal(P)
             return P
+
+
+def one_minus_lambda_adjacency(group, P, lam):
+    """The Cayley adjacency of 1 - lam*P, which is I - lam*A for A that of P."""
+    return sp.cayley_adjacency(group, rg.add(rg.one(group), rg.scale(-lam, P)))
 
 
 def from_alpha_beta(group, alpha, beta):

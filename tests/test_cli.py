@@ -384,10 +384,9 @@ def test_negative_size_is_a_parse_error(argv):
     assert error["type"] == "ParseError" and "non-negative" in error["message"]
 
 
-# pieces of command lines as (valid, invalid) choices; tiny epsilon is only
-# drawn without --lambda, where the series fallback refuses a depth past
-# its term budget before walking (a tiny epsilon with --lambda runs an
-# uncapped depth search and walk on finite groups)
+# pieces of command lines as (valid, invalid) choices; a tiny epsilon is
+# drawn with and without --lambda, since every series route refuses a depth
+# past its term cap before walking
 BIG = "9" * 400  # an integer past float range (about 1e400)
 BIG_POLY = f"{BIG}*x+{BIG}*x^-1"
 HALF_BIG = "9" * 200  # its square is past float range, itself not
@@ -444,7 +443,7 @@ def command_lines(draw):
         argv += ["--lambda", lam]
     if "--epsilon" in takes:
         valid_eps, invalid_eps = CLI_EPSILONS
-        epsilon = draw(_piece((valid_eps + (() if lam else ("1e-12", "1e-300")), invalid_eps)))
+        epsilon = draw(_piece((valid_eps + ("1e-12", "1e-300"), invalid_eps)))
         if epsilon is not None:
             argv += ["--epsilon", epsilon]
     for option, pieces in required.items():
@@ -518,8 +517,9 @@ def test_overflowing_exact_determinant_gives_a_value(group, poly, c):
         (("compare", "--group", "Z", "--group-b", "Z/3", "--poly", BIG_POLY, "--lambda", "0.1"),
          "the l1 norm of P"),
         (("measure", "--group", "Dinf", "--poly", BIG + "+x+y"), "the l1 norm of P"),
-        (("measure", "--group", "Z", "--poly", f"{HALF_BIG}*x+{HALF_BIG}*x^-1",
-          "--lambda", "1e-201"), "walk count a_2"),
+        # u's Horner partial sums are as large as a_n (measure scales a_n first)
+        (("u", "--group", "Z", "--poly", f"{HALF_BIG}*x+{HALF_BIG}*x^-1",
+          "--lambda", "1e-201"), "walk count a_14"),
     ],
 )
 def test_a_value_past_float_range_is_a_domain_error(argv, name):
@@ -527,6 +527,25 @@ def test_a_value_past_float_range_is_a_domain_error(argv, name):
     assert (rc, out) == (3, "")
     error = strict_json(err)["error"]
     assert error == {"type": "DomainError", "message": f"{name} is out of float range"}
+
+
+def _tiny(digit: str, zeros: int) -> str:
+    """digit * 10^-(zeros + 1) as a decimal literal, which parses exactly."""
+    return "0." + "0" * zeros + digit
+
+
+# a_2 = 2 c^2 is past float range for c = 10^200 - 1, and lambda^2 for
+# lambda = 10^299, but every term a_n lambda^n / n is below 0.02
+@pytest.mark.parametrize("c, lam", [(HALF_BIG, "1e-201"), (_tiny("1", 299), "1e299")],
+                         ids=["big counts", "big lambda"])
+def test_the_lambda_series_scales_a_term_past_float_range_before_rounding(c, lam):
+    # Jensen's formula: m(1 - t(x + x^-1)) = log((1 + sqrt(1 - 4t^2)) / 2), t = lambda c
+    rc, out, err = run_cli(["measure", "--group", "Z", "--poly", f"{c}*x+{c}*x^-1",
+                            "--lambda", lam])
+    assert rc == 0 and err == ""
+    res, t = strict_json(out), float(lam) * float(Fraction(c))
+    want = math.log((1 + math.sqrt(1 - 4 * t * t)) / 2)
+    assert abs(res["value"] - want) <= res["error_bound"] + 1e-15
 
 
 def test_the_lambda_free_series_needs_only_l1_of_q_in_float_range():
@@ -537,11 +556,6 @@ def test_the_lambda_free_series_needs_only_l1_of_q_in_float_range():
     assert rc == 0 and err == ""
     res, log_c = strict_json(out), math.log(int(HALF_BIG))
     assert abs(res["value"] - log_c) <= res["error_bound"] + 1e-14 * log_c
-
-
-def _tiny(digit: str, zeros: int) -> str:
-    """digit * 10^-(zeros + 1) as a decimal literal, which parses exactly."""
-    return "0." + "0" * zeros + digit
 
 
 # |c| = 3e-320 is subnormal as a float and 3e-330 is below float range, yet
@@ -634,15 +648,17 @@ def test_uncertified_general_series_is_a_domain_error(group, poly):
 
 
 def test_general_series_too_deep_is_refused_at_once():
-    start = time.perf_counter()
-    rc, out, err = run_cli(
-        ["measure", "--group", "Z^2", "--poly", "3+x+y", "--epsilon", "1e-300"]
-    )
-    assert time.perf_counter() - start < 1.0
-    assert rc == 4 and out == ""
-    error = strict_json(err)["error"]
-    assert error["type"] == "ResourceLimitError"
-    assert "max_terms=400" in error["message"]
+    # every series route shares the term cap, with or without lambda
+    lam = ["--poly", F4, "--lambda", "0.1"]
+    for argv in (["measure", "--group", "Z^2", "--poly", "3+x+y"],
+                 ["measure", "--group", "Z^2", *lam], ["u", "--group", "Z^2", *lam]):
+        start = time.perf_counter()
+        rc, out, err = run_cli(argv + ["--epsilon", "1e-300"])
+        assert time.perf_counter() - start < 1.0, argv
+        assert rc == 4 and out == ""
+        error = strict_json(err)["error"]
+        assert error["type"] == "ResourceLimitError"
+        assert "max_terms=400" in error["message"]
 
 
 # ---------------------------------------------------------------------------

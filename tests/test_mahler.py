@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from grmahler import genfun as gf
 from grmahler import groups as gr
 from grmahler import mahler as mh
 from grmahler import ring as rg
@@ -16,13 +17,14 @@ from grmahler.errors import (
     ResourceLimitError,
     SingularMatrixError,
 )
-from grmahler.parsing import parse_poly_over
+from grmahler.parsing import parse_group, parse_poly_over
 
 from conftest import (
     FINITE_CATALOGUE,
     dicyclic_theorem_instance,
     dihedral_theorem_instance,
     from_alpha_beta,
+    one_minus_lambda_adjacency,
     random_reciprocal,
 )
 
@@ -155,10 +157,9 @@ def test_exp_order_times_measure_is_polynomial():
     # degree <= |G|, so |G|+1 exact samples pin it down everywhere
     g = gr.Dihedral(3)
     P = parse_poly_over("x + x^-1 + 2*y", g)
-    A = sp.cayley_adjacency(g, P)
     n = g.order()
     nodes = [Fraction(i, 97) for i in range(n + 1)]
-    samples = [sp.det_i_minus_lambda_exact(A, t) for t in nodes]
+    samples = [sp.det_hermitian(one_minus_lambda_adjacency(g, P, t)) for t in nodes]
 
     def lagrange_eval(x):
         total = Fraction(0)
@@ -171,7 +172,7 @@ def test_exp_order_times_measure_is_polynomial():
         return total
 
     for probe in (Fraction(1, 13), Fraction(-3, 11), Fraction(2, 7)):
-        assert lagrange_eval(probe) == sp.det_i_minus_lambda_exact(A, probe)
+        assert lagrange_eval(probe) == sp.det_hermitian(one_minus_lambda_adjacency(g, P, probe))
     # and exp(|G| m) equals that polynomial at an interior lambda
     lam = Fraction(1, 20)
     m_val = mh.mahler_finite(g, P, lam).value
@@ -230,12 +231,14 @@ def test_general_float_coefficients_match_exact(g):
 
 def test_float_determinant_past_float_range_gives_a_value():
     # det B ~ e^824 over D200 overflows a float; the sum of the logs of its
-    # eigenvalues does not, and D200 agrees with D64 far below 1e-12 here
+    # eigenvalues does not, and D200 agrees with D64 far below 1e-12 here.
+    # The product of the eigenvalues is inf, so no determinant is reported
     D200 = gr.Dihedral(200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = mh.mahler_determinant(D200, _float_twin(parse_poly_over("3+x+y", D200)))
     assert abs(res.value - _d64_measure("3+x+y")) <= 1e-12
+    assert res.determinant is None
 
 
 def test_determinant_refuses_an_infinite_group():
@@ -360,6 +363,27 @@ def test_u_series_zxz2_coefficients():
     got = mh.u_series(ZxZ2, P, lam, 1e-12)
     want = sum(math.comb(4 * l, 2 * l) * lam ** (2 * l) for l in range(40))
     assert abs(got - want) < 1e-11
+
+
+# circuits in regular trees and PSL2(Z): u over free groups and free products
+U_CLOSED_FORMS = [
+    ("F2", "x+x^-1+y+y^-1", gf.u_free(2)),
+    ("C2*C3", "x+y+y^-1", gf.u_psl2("x+y+y^-1")),
+    ("C2*C3", "2*x+y+y^-1", gf.u_psl2("2x+y+y^-1")),
+    ("C2*C2*C2", "x1+x2+x3", gf.tree_walk_series(3)),
+]
+
+
+@pytest.mark.parametrize("lam", [0.03, 0.08, -0.08])
+@pytest.mark.parametrize(
+    "group, poly, closed", U_CLOSED_FORMS, ids=[f"{g} {p}" for g, p, _ in U_CLOSED_FORMS]
+)
+def test_u_series_matches_closed_forms_on_free_families(group, poly, closed, lam):
+    # epsilon 1e-9 keeps F2 at |lambda| = 0.08 to 18 terms (22 at 1e-12,
+    # whose half power holds about 2e5 words)
+    g, eps = parse_group(group), 1e-9
+    u = mh.u_series(g, parse_poly_over(poly, g), lam, eps)
+    assert abs(u - closed.evaluate(lam)) <= eps + 1e-12
 
 
 def test_u_rational_z2_example():

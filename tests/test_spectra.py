@@ -15,7 +15,12 @@ from grmahler.coeffs import GaussianRational, conj
 from grmahler.errors import InfiniteGroupError
 from grmahler.parsing import parse_poly_over
 
-from conftest import FINITE_CATALOGUE, assert_multisets_close, random_reciprocal
+from conftest import (
+    FINITE_CATALOGUE,
+    assert_multisets_close,
+    one_minus_lambda_adjacency,
+    random_reciprocal,
+)
 
 Z32 = gr.AbelianProduct((3, 2))
 D3 = gr.Dihedral(3)
@@ -227,9 +232,9 @@ def test_det_b_is_729_exactly():
 def test_det_exact_matches_float(rng):
     for g in (Z32, D3, gr.Dicyclic(2)):
         P = random_reciprocal(g, rng)
-        A = sp.cayley_adjacency(g, P)
-        exact = sp.det_i_minus_lambda_exact(A, Fraction(1, 10))
-        approx = math.prod(1 - 0.1 * s for s in sp.hermitian_eigenvalues(A).eigenvalues)
+        exact = sp.det_hermitian(one_minus_lambda_adjacency(g, P, Fraction(1, 10)))
+        eigenvalues = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, P)).eigenvalues
+        approx = math.prod(1 - 0.1 * s for s in eigenvalues)
         assert abs(float(exact) - approx) < 1e-9 * max(1.0, abs(approx))
 
 
@@ -285,11 +290,12 @@ def test_exact_determinants_match_permutation_expansion(M, lam):
 
 def test_adjacency_determinants_match_permutation_expansion(rng):
     for g in (g for g in FINITE_CATALOGUE if g.order() <= 6):
-        A = sp.cayley_adjacency(g, random_reciprocal(g, rng, n_terms=3))
+        P = random_reciprocal(g, rng, n_terms=3)
+        A = sp.cayley_adjacency(g, P)
         lam = Fraction(rng.randint(-10, 10), rng.randint(1, 5))
         for det, rows in (
             (sp.det_hermitian(A), A.rows()),
-            (sp.det_i_minus_lambda_exact(A, lam), _shifted(A.rows(), lam)),
+            (sp.det_hermitian(one_minus_lambda_adjacency(g, P, lam)), _shifted(A.rows(), lam)),
         ):
             expected = _det_by_permutations(rows)
             assert det == expected
