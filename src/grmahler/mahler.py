@@ -142,7 +142,7 @@ def _log(x) -> float:
 # ---------------------------------------------------------------------------
 # series route
 
-MAX_TERMS = 400  # the deepest series any series route walks
+MAX_TERMS = 400  # the deepest series any series route walks: a term count, not a work budget
 
 
 def _tail_bound(klam: float, N: int) -> float:

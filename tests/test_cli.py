@@ -648,12 +648,15 @@ def test_uncertified_general_series_is_a_domain_error(group, poly):
 
 
 def test_general_series_too_deep_is_refused_at_once():
-    # every series route shares the term cap, with or without lambda
-    lam = ["--poly", F4, "--lambda", "0.1"]
-    for argv in (["measure", "--group", "Z^2", "--poly", "3+x+y"],
-                 ["measure", "--group", "Z^2", *lam], ["u", "--group", "Z^2", *lam]):
+    # every series route shares the term cap, with or without lambda; the
+    # cap counts terms, not work, so a cheap walk on a finite group at decay
+    # rate 0.96 (about 640 terms at the default epsilon) is refused too
+    lam = ["--poly", F4, "--lambda", "0.1", "--epsilon", "1e-300"]
+    for argv in (["measure", "--group", "Z^2", "--poly", "3+x+y", "--epsilon", "1e-300"],
+                 ["measure", "--group", "Z^2", *lam], ["u", "--group", "Z^2", *lam],
+                 ["u", "--group", "D3", "--poly", "x+x^-1+y", "--lambda", "0.32"]):
         start = time.perf_counter()
-        rc, out, err = run_cli(argv + ["--epsilon", "1e-300"])
+        rc, out, err = run_cli(argv)
         assert time.perf_counter() - start < 1.0, argv
         assert rc == 4 and out == ""
         error = strict_json(err)["error"]
