@@ -26,7 +26,8 @@ class SingularMatrixError(GrmahlerError):
 
 
 class ResourceLimitError(GrmahlerError):
-    """A configurable resource cap (ring-element support size) was exceeded."""
+    """A resource cap was exceeded: the walk's support cap, the series term
+    cap, the free-word letter cap or the torus point cap."""
 
 
 class NonConvergenceError(GrmahlerError):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import groups as gr
 from . import ring as rg
 from . import spectra as sp
-from .coeffs import conj, exact_real, to_complex
+from .coeffs import GaussianRational, conj, exact_real
 from .errors import (
     DomainError,
     InfiniteGroupError,
@@ -84,41 +84,6 @@ def measure(g: gr.GroupSpec, P: rg.RingElement, lam=None, method: str = "auto",
     if method == "series":
         return mahler_series(g, P, lam, epsilon, support_cap)
     return mahler_torus(rg.transfer(P, g), lam, grid)
-
-
-@dataclass(frozen=True)
-class RationalU:
-    """u(P, lambda) = (1/|G|) sum_i 1/(1 - lambda s_i) over the spectrum, with
-    the adjacency that gives exact Taylor coefficients for exact P."""
-
-    eigenvalues: sp.Spectrum
-    adjacency: sp.CayleyAdjacency
-
-    def evaluate(self, lam) -> complex:
-        total = 0 + 0j
-        for s in self.eigenvalues.eigenvalues:
-            d = 1.0 - lam * s
-            if abs(d) < 1e-14:
-                raise DomainError(f"lambda = {lam!r} hits eigenvalue 1/{s!r}")
-            total += 1.0 / d
-        return total / self.eigenvalues.n
-
-    def taylor_coefficients(self, N: int) -> list:
-        """Coefficients of the expansion around 0: (1/|G|) trace(A^n).
-
-        Exact (int/Fraction) when the adjacency is exact; floats otherwise.
-        The exact ones are (A^n)_00, row 0 of the identity pushed through A
-        one sparse step at a time: a Cayley graph is vertex-transitive
-        (A[i][j] depends only on g_i^-1 g_j), so every diagonal entry of A^n
-        equals trace(A^n)/|G|.
-        """
-        n = self.eigenvalues.n
-        if self.adjacency.is_exact():
-            rows = [[1] + [0] * (n - 1)]
-            for _ in range(N):
-                rows.append(self.adjacency.times(rows[-1]))
-            return [exact_real(row[0]) for row in rows]
-        return [sum(s**k for s in self.eigenvalues.eigenvalues) / n for k in range(N + 1)]
 
 
 def _log(x) -> float:
@@ -203,15 +168,28 @@ def u_series(
     epsilon: float = 1e-10,
     support_cap: int = rg.DEFAULT_SUPPORT_CAP,
 ) -> complex:
-    """Truncation of u(P, lambda) = sum a_n lambda^n with geometric tail <= epsilon;
-    DomainError when an a_n, as large as a Horner partial sum, is past float range."""
+    """Truncation of u(P, lambda) = sum a_n lambda^n with geometric tail <= epsilon.
+
+    Horner runs on floats unless an exact a_n rounds to 0 or past float
+    range; then it runs exactly, on the rational value of lambda (Gaussian
+    for complex lambda), and rounds once.  |a_n lambda^n| <= (k|lambda|)^n,
+    so the sum itself is in float range.
+    """
     P = rg.transfer(P, g)
     counts, _ = _walk_to_depth(P, rg.l1_norm(P) * abs(lam), epsilon,
                                lambda klam, N: klam ** (N + 1) / (1.0 - klam), support_cap)
-    total = 0 + 0j
-    for n in range(len(counts) - 1, -1, -1):
-        total = total * complex(lam) + to_complex(counts[n], f"walk count a_{n}")
-    return total
+    x = complex(lam)
+    try:
+        values = [complex(a) for a in counts]
+    except OverflowError:
+        values = None
+    if values is None or not all(f or not a for f, a in zip(values, counts)):
+        values = counts
+        x = GaussianRational(Fraction(x.real), Fraction(x.imag)) if x.imag else Fraction(x.real)
+    total = 0
+    for a in reversed(values):
+        total = total * x + a
+    return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +304,6 @@ def mahler_general(
     counts, bound = _walk_to_depth(P, rate, epsilon, _tail_bound, support_cap)
     total = math.fsum(complex(a).real / n for n, a in enumerate(counts[1:], 1))
     return MeasureResult(log_c - total, "series", bound, group_order=g.order())
-
-
-# ---------------------------------------------------------------------------
-# rational form of u on finite groups
-
-
-def u_rational(g: gr.GroupSpec, P: rg.RingElement) -> RationalU:
-    A = sp.cayley_adjacency(g, P)  # InfiniteGroupError unless g is finite
-    return RationalU(sp.hermitian_eigenvalues(A), A)
 
 
 # ---------------------------------------------------------------------------

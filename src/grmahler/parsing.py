@@ -136,20 +136,18 @@ def _parse_coeff(sc: _Scanner):
 
 
 def _parse_word(sc: _Scanner):
+    """The (gen, exp) factors of a word, those with exp 0 left out, or None
+    when no generator starts here: x^0 is the identity word."""
     factors = []
-    while True:
-        gen = sc.match_generator()
-        if gen is None:
-            break
+    while (gen := sc.match_generator()) is not None:
         exp = 1
         if sc.peek() == "^":
             sc.pos += 1
             exp = sc.match_int()
             if exp is None:
                 raise ParseError("expected an integer exponent after '^'", sc.pos)
-        if exp != 0:
-            factors.append((gen, exp))
-    return tuple(factors)
+        factors.append((gen, exp))
+    return tuple(f for f in factors if f[1]) if factors else None
 
 
 def _parse_term(sc: _Scanner) -> Term:
@@ -159,12 +157,12 @@ def _parse_term(sc: _Scanner) -> Term:
         if sc.peek() == "*":
             sc.pos += 1
             word = _parse_word(sc)
-            if not word:
+            if word is None:
                 raise ParseError("expected a word after '*'", sc.pos)
             return Term(coeff, word)
         return Term(coeff, ())
     word = _parse_word(sc)
-    if not word:
+    if word is None:
         raise ParseError("expected a term", pos)
     return Term(1, word)
 

@@ -158,16 +158,6 @@ def l1_norm(a: RingElement) -> float:
         raise DomainError("the l1 norm of P is out of float range") from None
 
 
-def ring_power(a: RingElement, n: int) -> RingElement:
-    """a**n by repeated multiplication (n >= 0)."""
-    if n < 0:
-        raise ValueError("negative powers are not defined in the group ring")
-    acc = one(a.group)
-    for _ in range(n):
-        acc = mul(acc, a)
-    return acc
-
-
 def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
     """Yield a_0 = 1, a_1, a_2, ... (a_n = [P^n]_0) from two half powers.
 

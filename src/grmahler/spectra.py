@@ -51,14 +51,6 @@ class CayleyAdjacency:
                 dense[j] += c
         return out
 
-    def times(self, v) -> list:
-        """The row vector v*A, in |G|*|supp P| steps."""
-        out = [0] * self.n
-        for x, row in zip(v, self.cols):
-            for j, c in zip(row, self.coeffs):
-                out[j] += x * c
-        return out
-
     def to_numpy(self) -> np.ndarray:
         import numpy as np
 
@@ -160,19 +152,6 @@ def det_hermitian(A: CayleyAdjacency):
 
 
 # ---------------------------------------------------------------------------
-# traces
-
-
-def trace_power(A: CayleyAdjacency, n: int) -> float:
-    """trace(A^n) by repeated squaring of the dense matrix."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    import numpy as np
-
-    return float(np.trace(np.linalg.matrix_power(A.to_numpy(), n)).real)
-
-
-# ---------------------------------------------------------------------------
 # character-based spectra
 
 
@@ -229,7 +208,11 @@ def dihedral_trace_via_characters(m: int, P: rg.RingElement, n: int) -> float:
     P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
         raise ValueError("P must be reciprocal in D_m")
-    Pn = rg.ring_power(P, n)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    Pn = rg.one(g)
+    for _ in range(n):
+        Pn = rg.mul(Pn, P)
     total = 0 + 0j
     for j in range(1, m + 1):
         xi = cmath.exp(2j * math.pi * j / m)

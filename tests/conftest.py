@@ -90,6 +90,16 @@ def one_minus_lambda_adjacency(group, P, lam):
     return sp.cayley_adjacency(group, rg.add(rg.one(group), rg.scale(-lam, P)))
 
 
+def float_twin(P):
+    """P with every coefficient made floating (the ring degrades it to complex)."""
+    return rg.ring_element(P.group, {e: complex(c) for e, c in P.terms})
+
+
+def eigen_trace(A, n):
+    """trace(A^n) as the power sum of the spectrum of A."""
+    return sum(s**n for s in sp.hermitian_eigenvalues(A).eigenvalues)
+
+
 def from_alpha_beta(group, alpha, beta):
     """P = sum alpha_k x^k + sum beta_k y x^k built through words, so the
     same coefficient arrays can be interpreted over D_m, Dic_m, or their

@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 import warnings
@@ -23,6 +24,7 @@ from conftest import (
     FINITE_CATALOGUE,
     dicyclic_theorem_instance,
     dihedral_theorem_instance,
+    float_twin,
     from_alpha_beta,
     one_minus_lambda_adjacency,
     random_reciprocal,
@@ -212,18 +214,13 @@ def test_exact_determinant_logs_past_float_range_and_near_one():
     assert abs(value - math.log1p(1e-5) / 5) <= 1e-15 * value
 
 
-def _float_twin(P):
-    """P with every coefficient made floating (the ring degrades it to complex)."""
-    return rg.ring_element(P.group, {e: complex(c) for e, c in P.terms})
-
-
 @pytest.mark.parametrize("g", [Z32, D3], ids=["Z/3xZ/2", "D3"])
 def test_general_float_coefficients_match_exact(g):
     # the float determinant (numpy) against the exact one (Bareiss)
     for q in ("x+2*y", "3 + i*x - i*x^-1 + y"):
         Q = parse_poly_over(q, g)
         exact = mh.mahler_determinant(g, Q)
-        floating = mh.mahler_determinant(g, _float_twin(Q))
+        floating = mh.mahler_determinant(g, float_twin(Q))
         assert isinstance(floating.determinant, float)
         assert abs(floating.determinant - exact.determinant) <= 1e-12 * exact.determinant
         assert abs(floating.value - exact.value) <= 1e-12 * abs(exact.value)
@@ -236,7 +233,7 @@ def test_float_determinant_past_float_range_gives_a_value():
     D200 = gr.Dihedral(200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = mh.mahler_determinant(D200, _float_twin(parse_poly_over("3+x+y", D200)))
+        res = mh.mahler_determinant(D200, float_twin(parse_poly_over("3+x+y", D200)))
     assert abs(res.value - _d64_measure("3+x+y")) <= 1e-12
     assert res.determinant is None
 
@@ -387,36 +384,34 @@ def test_u_series_matches_closed_forms_on_free_families(group, poly, closed, lam
 
 
 def test_u_rational_z2_example():
+    # A = ((0, 2), (2, 0)) has eigenvalues +-2: u = 1/(1 - 4 lambda^2)
     g = gr.AbelianProduct((2,))
     P = rg.ring_element(g, {(1,): 2})
-    u = mh.u_rational(g, P)
     lam = 0.1
     want = 1.0 / (1.0 - 4 * lam * lam)
-    assert abs(u.evaluate(lam).real - want) < 1e-12
-    assert u.evaluate(0.0) == 1.0
-    assert u.taylor_coefficients(6) == [1, 0, 4, 0, 16, 0, 64]
+    assert abs(mh.u_series(g, P, lam, 1e-12).real - want) < 1e-12
+    assert mh.u_series(g, P, 0.0) == 1.0
+    assert list(rg.power_constant_coeffs(P, 6).values) == [1, 0, 4, 0, 16, 0, 64]
 
 
-def test_u_rational_taylor_matches_powering(rng):
-    for g in FINITE_CATALOGUE[:8]:
+def test_u_series_keeps_walk_counts_below_float_range_at_complex_lambda():
+    # a_2n = binom(2n, n) c^(2n) rounds to 0 for c = 10^-300, yet with
+    # t = lambda c, u = 1 / sqrt(1 - 4t^2) is near 1; test_cli covers real lambda
+    g, c, lam = gr.AbelianProduct((0,)), Fraction(1, 10**300), 1e299j
+    P = rg.ring_element(g, {(1,): c, (-1,): c})
+    t = lam * float(c)
+    assert abs(mh.u_series(g, P, lam) - 1 / cmath.sqrt(1 - 4 * t * t)) <= 1e-10 + 1e-15
+
+
+def test_u_series_matches_the_spectrum(rng):
+    # u = (1/|G|) sum_s 1/(1 - lambda s) over the eigenvalues s of A
+    for g in FINITE_CATALOGUE:
         P = random_reciprocal(g, rng)
-        u = mh.u_rational(g, P)
-        taylor = u.taylor_coefficients(8)
-        walks = rg.power_constant_coeffs(P, 8).values
-        for t, w in zip(taylor, walks):
-            assert t == w  # exact equality of exact rationals
-
-
-@pytest.mark.parametrize("g", [Z32, D3], ids=["Z/3xZ/2", "D3"])
-def test_u_rational_float_taylor_matches_exact(g):
-    # trace(A^n)/|G| from the float spectrum against the exact (A^n)_00
-    P = parse_poly_over("x + x^-1 + 2*y + i*x - i*x^-1", g)
-    exact = mh.u_rational(g, P).taylor_coefficients(8)
-    floating = mh.u_rational(g, _float_twin(P)).taylor_coefficients(8)
-    assert all(isinstance(t, (int, Fraction)) for t in exact)
-    assert all(isinstance(t, float) for t in floating)
-    for t, f in zip(exact, floating):
-        assert abs(f - t) <= 1e-12 * max(1, abs(t))
+        A = sp.cayley_adjacency(g, P)
+        spec = sp.hermitian_eigenvalues(A).eigenvalues
+        for lam in (0.3 / rg.l1_norm(P), -0.3 / rg.l1_norm(P)):
+            want = sum(1.0 / (1.0 - lam * s) for s in spec) / g.order()
+            assert abs(mh.u_series(g, P, lam, 1e-12) - want) <= 1e-12
 
 
 def test_u_and_measure_differential_relation(rng):

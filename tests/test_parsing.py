@@ -174,11 +174,11 @@ def unsigned_terms(draw):
     """(text, Term) of one term without its sign: coefficient, word or both;
     words are several generators with optional (negative) exponents."""
     coeff = draw(st.none() | decimals() | st.just(("i", GaussianRational(0, 1))) | gaussians())
-    exponents = st.none() | st.integers(-9, 9).filter(bool)
+    exponents = st.none() | st.integers(-9, 9)
     word = draw(st.lists(st.tuples(st.sampled_from(GENERATORS), exponents), max_size=3))
     assume(coeff is not None or word)
     word_text = "".join(g if e is None else f"{g}^{e}" for g, e in word)
-    expected_word = tuple((g, 1 if e is None else e) for g, e in word)
+    expected_word = tuple((g, 1 if e is None else e) for g, e in word if e != 0)
     if coeff is None:
         return word_text, Term(1, expected_word)
     text, value = coeff
@@ -288,6 +288,9 @@ def test_to_ring_element_folds_exponents():
     assert dict(P.terms) == {(2,): 1}
     P2 = parse_poly_over("x + x", gr.AbelianProduct((3,)))
     assert dict(P2.terms) == {(1,): 2}
+    # a word whose every exponent is 0 is the identity
+    assert dict(parse_poly_over("x^0+y", Z2).terms) == {(0, 0): 1, (0, 1): 1}
+    assert dict(parse_poly_over("2*x^0y^0", Z2).terms) == {(0, 0): 2}
 
 
 def test_to_ring_element_dihedral_words():

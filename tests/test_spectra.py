@@ -8,16 +8,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grmahler import groups as gr
-from grmahler import mahler as mh
 from grmahler import ring as rg
 from grmahler import spectra as sp
-from grmahler.coeffs import GaussianRational, conj
+from grmahler.coeffs import GaussianRational, conj, exact_real
 from grmahler.errors import InfiniteGroupError
 from grmahler.parsing import parse_poly_over
 
 from conftest import (
     FINITE_CATALOGUE,
     assert_multisets_close,
+    eigen_trace,
+    float_twin,
     one_minus_lambda_adjacency,
     random_reciprocal,
 )
@@ -197,14 +198,14 @@ def test_eigenvalues_real_sorted_and_trace_invariants(rng):
 
 
 def test_eigen_sums_match_traces(rng):
+    # exact traces from P: tr A = |G| [P]_e, tr A^2 = |G| sum |c|^2
     for g in FINITE_CATALOGUE[:6]:
         P = random_reciprocal(g, rng)
         A = sp.cayley_adjacency(g, P)
-        spec = sp.hermitian_eigenvalues(A)
-        tr1 = sp.trace_power(A, 1)
-        tr2 = sp.trace_power(A, 2)
-        assert abs(sum(spec.eigenvalues) - tr1) <= 1e-9 * max(1, abs(tr1))
-        assert abs(sum(v * v for v in spec.eigenvalues) - tr2) <= 1e-9 * max(1, abs(tr2))
+        tr1 = float(g.order() * complex(P.coeff(g.identity())).real)
+        tr2 = float(g.order() * complex(sum(c * conj(c) for _, c in P.terms)).real)
+        assert abs(eigen_trace(A, 1) - tr1) <= 1e-9 * max(1, abs(tr1))
+        assert abs(eigen_trace(A, 2) - tr2) <= 1e-9 * max(1, abs(tr2))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +351,7 @@ def test_dihedral_trace_examples():
     P = parse_poly_over("x + x^-1 + y", D3)
     A = sp.cayley_adjacency(D3, P)
     assert abs(sp.dihedral_trace_via_characters(3, P, 2) - 18.0) < 1e-9
-    assert abs(sp.trace_power(A, 2) - 18.0) < 1e-12
+    assert abs(eigen_trace(A, 2) - 18.0) < 1e-12
     assert sp.dihedral_trace_via_characters(3, rg.zero(D3), 4) == 0.0
     P2 = parse_poly_over("3 + i*x - i*x^-1 + y", D3)
     assert abs(sp.dihedral_trace_via_characters(3, P2, 1) - 18.0) < 1e-9
@@ -363,45 +364,24 @@ def test_dihedral_trace_matches_matrix_trace(m, rng):
         P = random_reciprocal(g, rng)
         A = sp.cayley_adjacency(g, P)
         for n in range(1, 7):
-            want = sp.trace_power(A, n)
+            want = eigen_trace(A, n)
             got = sp.dihedral_trace_via_characters(m, P, n)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_trace_power_examples():
-    g = gr.AbelianProduct((2,))
-    A = sp.cayley_adjacency(g, parse_poly_over("2*x", g))  # ((0, 2), (2, 0))
-    assert sp.trace_power(A, 2) == 8.0
-    assert sp.trace_power(A, 1) == 0.0
-    Q = parse_poly_over("1+x+y", Z32)
-    B = sp.cayley_adjacency(Z32, rg.mul(Q, rg.star(Q)))
-    assert sp.trace_power(B, 1) == 18.0
-
-
 def test_walk_counts_equal_normalized_traces(rng):
-    # vertex transitivity: a_n = trace(A^n) / |G|
+    # vertex transitivity: a_n = trace(A^n) / |G|, for exact P and its float twin
     for g in FINITE_CATALOGUE:
-        if g.order() > 24:
-            continue
         P = random_reciprocal(g, rng)
         A = sp.cayley_adjacency(g, P)
-        coeffs = rg.power_constant_coeffs(P, 8).values
+        exact = [exact_real(a) for a in rg.power_constant_coeffs(P, 8).values]
+        floating = rg.power_constant_coeffs(float_twin(P), 8).values
+        assert all(isinstance(a, (int, Fraction)) for a in exact)
         for n in range(9):
-            lhs = sp.trace_power(A, n) / g.order()
-            assert abs(lhs - complex(coeffs[n]).real) <= 1e-10 * max(1.0, abs(lhs))
-
-
-def test_exact_taylor_coefficients_match_float_traces(rng):
-    # vertex transitivity: |G| (A^n)_00 = trace(A^n) on every family
-    for g in FINITE_CATALOGUE:
-        P = random_reciprocal(g, rng)
-        A = sp.cayley_adjacency(g, P)
-        coeffs = mh.u_rational(g, P).taylor_coefficients(6)
-        assert len(coeffs) == 7
-        for n, c in enumerate(coeffs):
-            assert isinstance(c, (int, Fraction))
-            exact = g.order() * c
-            assert abs(float(exact) - sp.trace_power(A, n)) < 1e-9 * max(1.0, abs(float(exact)))
+            want = eigen_trace(A, n) / g.order()
+            for a in (exact[n], floating[n]):
+                assert abs(complex(a).real - want) <= 1e-10 * max(1.0, abs(want))
+            assert abs(floating[n] - exact[n]) <= 1e-12 * max(1, abs(exact[n]))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +424,7 @@ def test_character_tuple_sums_for_d3(rng):
         recovered = sum(
             deg * sums[name] for name, (deg, _) in D3_CHARACTERS.items()
         )
-        assert abs(recovered - sp.trace_power(A, t)) < 1e-9
+        assert abs(recovered - eigen_trace(A, t)) < 1e-9
 
     # 1-dim eigenvalue power sums are direct; the 2-dim pair comes from
     # (s1 + s2, s1^2 + s2^2) and must sit inside the spectrum with mult. 2
