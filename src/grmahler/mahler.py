@@ -1,6 +1,6 @@
 """Mahler measures of group-ring elements.
 
-Four computation routes share one result type:
+Four computation routes; the first three return one result type, MeasureResult:
 
 * series       -- m(P, lambda) = -sum a_n lambda^n / n with the rigorous
                   geometric tail bound from |a_n| <= k^n, k the l1-norm;
@@ -18,12 +18,13 @@ measure holds the one rule that picks a route from the method, lambda and
 the group; it only dispatches, and no route calls another.
 
 lambda is kept real for measure routes; only the walk generating function
-u accepts complex lambda.  Every series route walks through _walk_to_depth,
-which picks the depth, refuses one past MAX_TERMS before walking and takes
-a_n = [P^n]_0 from ring.power_constant_coeffs; each route keeps its own sum.
+u accepts complex lambda.  Every series route takes its terms a_n s^n
+(s = lambda, or 1 for mahler_general) from _walk_to_depth, which picks the
+depth and refuses one past MAX_TERMS before walking, and sums them by _sum.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +51,7 @@ class MeasureResult:
     and the torus grid size per dimension."""
 
     value: float
-    method: str  # series | finite-determinant | quadrature | closed-form
+    method: str  # series | finite-determinant | quadrature
     error_bound: float
     group_order: int | float | None = None
     determinant: int | Fraction | float | None = None
@@ -114,27 +115,48 @@ def _tail_bound(klam: float, N: int) -> float:
     return klam ** (N + 1) / ((N + 1) * (1.0 - klam))
 
 
-def _walk_to_depth(P: rg.RingElement, rate: float, epsilon: float, tail, support_cap: int):
-    """a_0..a_N of P for the smallest N >= 1 whose tail(rate, N) is at most
-    epsilon, and that tail; ResourceLimitError, before any walk, when N
-    would exceed MAX_TERMS, or when the walk outgrows support_cap.
+def _rational(x) -> GaussianRational:
+    """x exactly, as a Gaussian rational: a float gives the dyadic value it holds."""
+    return GaussianRational(Fraction(x.real), Fraction(x.imag))
 
-    rate bounds the decay of the summed terms, |term_n| <= rate^n, and must
-    be below 1 strictly: for the lambda routes it is k|lambda|, k = l1(P).
+
+def _walk_to_depth(P: rg.RingElement, s, epsilon: float, tail, support_cap: int):
+    """The terms a_n s^n (n = 1..N) of the walk counts a_n = [P^n]_0 for the
+    smallest N >= 1 whose tail(k|s|, N) is at most epsilon, k = l1(P) and
+    k|s| < 1, and that tail; ResourceLimitError, before any walk, when N
+    would exceed MAX_TERMS, or when the walk outgrows support_cap.  A term
+    is formed in floats unless a_n or s^n leaves float range (an
+    OverflowError, a non-finite term or a nonzero a_n whose term rounds to 0);
+    then it is formed on the rational values of a_n and s, and rounded once.
     """
+    rate = rg.l1_norm(P) * abs(s)
     if rate >= 1.0:
         raise DomainError(f"|lambda|*l1_norm = {rate} >= 1: outside the series disc")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if tail(rate, MAX_TERMS) > epsilon:
+    N = next((N for N in range(1, MAX_TERMS + 1) if tail(rate, N) <= epsilon), None)
+    if N is None:
         raise ResourceLimitError(
             f"series needs more than max_terms={MAX_TERMS} terms to reach "
             f"epsilon={epsilon:g} at decay rate {rate:.6g}"
         )
-    N = 1
-    while tail(rate, N) > epsilon:
-        N += 1
-    return rg.power_constant_coeffs(P, N, support_cap=support_cap).values, tail(rate, N)
+    counts = rg.power_constant_coeffs(P, N, support_cap=support_cap).values
+    terms, power, m = [], 1, 0  # power = s^m exactly, grown as the terms need it
+    for n, a in enumerate(counts[1:], 1):
+        try:
+            t = a * s**n
+        except OverflowError:
+            t = None
+        if t is None or not cmath.isfinite(t) or (a and not t):
+            power, m = power * math.prod((n - m) * [_rational(s)]), n
+            t = complex(_rational(a) * power)
+        terms.append(t)
+    return terms, tail(rate, N)
+
+
+def _sum(terms) -> complex:
+    """math.fsum of the real and of the imaginary parts of complex terms."""
+    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
 def mahler_series(
@@ -146,18 +168,13 @@ def mahler_series(
 ) -> MeasureResult:
     """-sum_{n=1}^N a_n lambda^n / n, truncated so the geometric tail bound
     from |a_n| <= k^n is at most epsilon.  Requires |lambda| < 1/k strictly.
+    The imaginary part of the sum is reported as imaginary_discard.
     """
     P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
         raise ValueError("P must be reciprocal")
-    lam = float(lam)
-    counts, bound = _walk_to_depth(P, rg.l1_norm(P) * abs(lam), epsilon, _tail_bound, support_cap)
-    total = 0 + 0j
-    for n, a in enumerate(counts[1:], 1):
-        try:
-            total += complex(a) * lam**n / n
-        except OverflowError:  # exact a_n or lambda^n past float range: scale, then round
-            total += complex(a * (Fraction(lam) ** n / n))
+    terms, bound = _walk_to_depth(P, float(lam), epsilon, _tail_bound, support_cap)
+    total = _sum([t / n for n, t in enumerate(terms, 1)])
     return MeasureResult(-total.real, "series", bound, imaginary_discard=abs(total.imag))
 
 
@@ -168,28 +185,12 @@ def u_series(
     epsilon: float = 1e-10,
     support_cap: int = rg.DEFAULT_SUPPORT_CAP,
 ) -> complex:
-    """Truncation of u(P, lambda) = sum a_n lambda^n with geometric tail <= epsilon.
-
-    Horner runs on floats unless an exact a_n rounds to 0 or past float
-    range; then it runs exactly, on the rational value of lambda (Gaussian
-    for complex lambda), and rounds once.  |a_n lambda^n| <= (k|lambda|)^n,
-    so the sum itself is in float range.
-    """
+    """Truncation of u(P, lambda) = 1 + sum a_n lambda^n with geometric tail
+    <= epsilon; |a_n lambda^n| <= (k|lambda|)^n keeps each term in float range."""
     P = rg.transfer(P, g)
-    counts, _ = _walk_to_depth(P, rg.l1_norm(P) * abs(lam), epsilon,
-                               lambda klam, N: klam ** (N + 1) / (1.0 - klam), support_cap)
-    x = complex(lam)
-    try:
-        values = [complex(a) for a in counts]
-    except OverflowError:
-        values = None
-    if values is None or not all(f or not a for f, a in zip(values, counts)):
-        values = counts
-        x = GaussianRational(Fraction(x.real), Fraction(x.imag)) if x.imag else Fraction(x.real)
-    total = 0
-    for a in reversed(values):
-        total = total * x + a
-    return complex(total)
+    terms, _ = _walk_to_depth(P, lam, epsilon,
+                              lambda klam, N: klam ** (N + 1) / (1.0 - klam), support_cap)
+    return 1 + _sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +279,8 @@ def mahler_general(
     certificate (e.g. 1 + x + y) it raises DomainError.  With it,
     Q = c g0 (1 - P) for P = -(1/c) g0^-1 (Q - c g0), whose l1-norm
     k = (l1(Q) - |c|)/|c| is below 1, and the determinant being
-    multiplicative gives m(Q) = log|c| - Re sum_n [P^n]_0 / n.  The sum is
-    cut at the smallest depth N whose rigorous tail k^(N+1)/((N+1)(1 - k))
-    is at most epsilon; _walk_to_depth refuses a depth past MAX_TERMS, and
-    a walk past support_cap, with ResourceLimitError.
+    multiplicative gives m(Q) = log|c| - Re sum_n [P^n]_0 / n, cut where
+    the rigorous tail k^(N+1)/((N+1)(1 - k)) is at most epsilon.
     """
     Q = rg.transfer(Q, g)
     if Q.is_zero():
@@ -301,9 +300,9 @@ def mahler_general(
             f"no spectral gap certificate for the series fallback: twice the largest "
             f"coefficient, {2 * float(abs(c)):g}, must exceed l1(Q) = {l1:g}"
         )
-    counts, bound = _walk_to_depth(P, rate, epsilon, _tail_bound, support_cap)
-    total = math.fsum(complex(a).real / n for n, a in enumerate(counts[1:], 1))
-    return MeasureResult(log_c - total, "series", bound, group_order=g.order())
+    terms, bound = _walk_to_depth(P, 1, epsilon, _tail_bound, support_cap)
+    total = _sum([t / n for n, t in enumerate(terms, 1)])
+    return MeasureResult(log_c - total.real, "series", bound, group_order=g.order())
 
 
 # ---------------------------------------------------------------------------

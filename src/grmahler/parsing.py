@@ -136,8 +136,8 @@ def _parse_coeff(sc: _Scanner):
 
 
 def _parse_word(sc: _Scanner):
-    """The (gen, exp) factors of a word, those with exp 0 left out, or None
-    when no generator starts here: x^0 is the identity word."""
+    """The (gen, exp) factors of a word, or None when no generator starts
+    here; a factor with exp 0 stays, so that its name is still checked."""
     factors = []
     while (gen := sc.match_generator()) is not None:
         exp = 1
@@ -147,7 +147,7 @@ def _parse_word(sc: _Scanner):
             if exp is None:
                 raise ParseError("expected an integer exponent after '^'", sc.pos)
         factors.append((gen, exp))
-    return tuple(f for f in factors if f[1]) if factors else None
+    return tuple(factors) if factors else None
 
 
 def _parse_term(sc: _Scanner) -> Term:

@@ -11,6 +11,11 @@ from grmahler.coeffs import GaussianRational
 hypothesis.settings.register_profile(
     "ci", deadline=None, max_examples=50, derandomize=True
 )
+# for a held-out run: derandomize would override --hypothesis-seed, and an
+# example database would replay what earlier runs drew
+hypothesis.settings.register_profile(
+    "heldout", deadline=None, max_examples=50, derandomize=False, database=None
+)
 hypothesis.settings.load_profile("ci")
 
 SEED = 20250809

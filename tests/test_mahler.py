@@ -339,6 +339,36 @@ def test_general_series_fallback_refuses_depth_before_walking():
 
 
 # ---------------------------------------------------------------------------
+# the paper's definition m(P, lambda) = m(1 - lambda P), across routes
+
+
+def test_finite_measure_at_lambda_is_the_measure_of_one_minus_lambda_p(rng):
+    # det(B) for B the adjacency of QQ*, Q = 1 - lambda P, is det(I - lambda A)^2
+    # (I - lambda A is Hermitian), and both routes take log|det(I - lambda A)| / |G|
+    for g in FINITE_CATALOGUE:
+        P = random_reciprocal(g, rng)
+        k = math.ceil(rg.l1_norm(P))  # |lambda| * spectral radius <= 0.3
+        for lam in (Fraction(3, 10 * k), Fraction(-1, 5 * k)):
+            Q = rg.add(rg.one(g), rg.scale(-lam, P))
+            res = mh.mahler_determinant(g, Q)
+            assert res.determinant == sp.det_hermitian(one_minus_lambda_adjacency(g, P, lam)) ** 2
+            assert abs(res.value - mh.mahler_finite(g, P, lam).value) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", ["Z^2", "Dinf", "F2", "C2*C3"])
+def test_series_measure_at_lambda_is_the_measure_of_one_minus_lambda_p(spec, rng):
+    # mahler_series walks P and scales by lambda^n, mahler_general walks the
+    # float -lambda P / c of Q = 1 - lambda P at its dominant coefficient c
+    g = parse_group(spec)
+    for _ in range(3):
+        P = random_reciprocal(g, rng)
+        lam = Fraction(3, 20 * math.ceil(rg.l1_norm(P)))
+        res = mh.mahler_series(g, P, lam)
+        general = mh.mahler_general(g, rg.add(rg.one(g), rg.scale(-lam, P)), epsilon=1e-10)
+        assert abs(res.value - general.value) <= res.error_bound + general.error_bound
+
+
+# ---------------------------------------------------------------------------
 # u: series and rational forms
 
 

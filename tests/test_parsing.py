@@ -178,7 +178,7 @@ def unsigned_terms(draw):
     word = draw(st.lists(st.tuples(st.sampled_from(GENERATORS), exponents), max_size=3))
     assume(coeff is not None or word)
     word_text = "".join(g if e is None else f"{g}^{e}" for g, e in word)
-    expected_word = tuple((g, 1 if e is None else e) for g, e in word if e != 0)
+    expected_word = tuple((g, 1 if e is None else e) for g, e in word)
     if coeff is None:
         return word_text, Term(1, expected_word)
     text, value = coeff
@@ -281,6 +281,11 @@ def test_to_ring_element_unknown_generator():
         parse_poly_over("x + z", Z2)  # z is a syntax error already
     with pytest.raises(ParseError):
         parse_poly_over("x1 + x3", gr.AbelianProduct((0, 0)))
+    # a factor with exponent 0 names a generator too
+    Z = gr.AbelianProduct((0,))
+    for src in ("y^0", "xy^0", "x2^0"):
+        with pytest.raises(ParseError, match="unknown generator"):
+            parse_poly_over(src, Z)
 
 
 def test_to_ring_element_folds_exponents():
