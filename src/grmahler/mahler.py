@@ -249,7 +249,14 @@ def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
     if not g.is_finite():
         raise InfiniteGroupError("mahler_determinant needs a finite group")
     Q = rg.transfer(Q, g)
-    B = sp.cayley_adjacency(g, rg.mul(Q, rg.star(Q)))
+    R = rg.mul(Q, rg.star(Q))
+    if not R.is_exact():
+        # float QQ* sums its coefficients at h and h^-1 in different orders, so
+        # they need not be conjugate to the last bit; its Hermitian part
+        # R/2 + (R/2)* is, as float addition commutes
+        half = rg.scale(0.5, R)
+        R = rg.add(half, rg.star(half))
+    B = sp.cayley_adjacency(g, R)
     n = g.order()
     # B is positive semidefinite, so it is singular unless det(B) > 0
     if B.is_exact():
@@ -297,7 +304,7 @@ def mahler_general(
     rate = rg.l1_norm(P)  # (l1(Q) - |c|)/|c|, below 1 iff 2|c| > l1(Q)
     if rate >= 1.0:
         raise DomainError(
-            f"no spectral gap certificate for the series fallback: twice the largest "
+            f"no dominance certificate for the lambda-free series: twice the largest "
             f"coefficient, {2 * float(abs(c)):g}, must exceed l1(Q) = {l1:g}"
         )
     terms, bound = _walk_to_depth(P, 1, epsilon, _tail_bound, support_cap)

@@ -225,19 +225,3 @@ def test_compare_infinite_pair_via_series():
     P = parse_poly_over(P_STANDARD, g_ab)
     res = ex.compare_groups(g_ab, gr.Dihedral(0), P, 0.1, epsilon=1e-12)
     assert res.verdict == "equal"
-
-
-# ---------------------------------------------------------------------------
-# the grid-average identity
-
-
-def test_torus_grid_is_finite_group_measure():
-    P = parse_poly_over(P_STANDARD, Z2)
-    lam = 0.1
-    for G in (4, 8):
-        torus = mh.mahler_torus(P, lam, grid=G).value
-        gq = gr.AbelianProduct((G, G))
-        chars = mh.abelian_measure_via_characters(gq, rg.transfer(P, gq), lam)
-        assert abs(torus - chars) <= 1e-12
-        finite = mh.mahler_finite(gq, rg.transfer(P, gq), lam).value
-        assert abs(torus - finite) <= 1e-10

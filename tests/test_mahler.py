@@ -30,6 +30,7 @@ from conftest import (
     one_minus_lambda_adjacency,
     random_reciprocal,
 )
+from test_routes import EPS, ROUTES, at_lambda, lambda_free
 
 Z2 = gr.AbelianProduct((0, 0))
 Z32 = gr.AbelianProduct((3, 2))
@@ -60,20 +61,6 @@ def test_series_requires_contraction():
 def test_series_rejects_non_reciprocal():
     with pytest.raises(ValueError):
         mh.mahler_series(Z32, parse_poly_over("1+x+y", Z32), 0.05)
-
-
-def test_series_matches_finite_determinant(rng):
-    # the two measure routes must agree on random catalogue instances
-    eps = 1e-9
-    for g in FINITE_CATALOGUE:
-        P = random_reciprocal(g, rng)
-        k = rg.l1_norm(P)
-        for lam in (0.05, -0.05, 0.1 / k, -0.1 / k):
-            if abs(lam) * k >= 1:
-                continue
-            v1 = mh.mahler_series(g, P, lam, eps).value
-            v2 = mh.mahler_finite(g, P, lam).value
-            assert abs(v1 - v2) <= eps + 1e-10
 
 
 def test_series_matches_zxz2_closed_form():
@@ -133,13 +120,6 @@ def test_finite_matches_printed_formula(rng):
         want = (math.log(t1) + math.log(t2) + math.log(t3) + math.log(t4)) / 6
         got = mh.mahler_finite(Z32, P, lam).value
         assert abs(got - want) < 1e-12
-
-
-def test_finite_exact_lambda_path_matches_float():
-    P = parse_poly_over("x + x^-1 + y", gr.Dihedral(4))
-    v_exact = mh.mahler_finite(gr.Dihedral(4), P, Fraction(1, 10)).value
-    v_float = mh.mahler_finite(gr.Dihedral(4), P, 0.1).value
-    assert abs(v_exact - v_float) < 1e-13
 
 
 def test_finite_domain_and_continuation():
@@ -487,15 +467,6 @@ def test_torus_at_zero():
     assert mh.mahler_torus(P, 0.0).value == 0.0
 
 
-def test_torus_matches_series():
-    P = parse_poly_over(P_STANDARD, Z2)
-    t = mh.mahler_torus(P, 0.1, grid=128)
-    s = mh.mahler_series(Z2, P, 0.1, 1e-10)
-    assert abs(t.value - s.value) < 1e-8
-    finer = mh.mahler_torus(P, 0.1, grid=64)
-    assert abs(finer.value - t.value) < 1e-8
-
-
 def test_torus_one_variable_closed_form():
     g = gr.AbelianProduct((0,))
     P = parse_poly_over("x + x^-1", g)
@@ -545,29 +516,22 @@ def test_torus_refuses_a_grid_past_its_point_cap(monkeypatch):
 # the route choice
 
 
-ROUTES = {
-    "determinant": lambda g, P, lam: mh.mahler_determinant(g, P),
-    "general": lambda g, P, lam: mh.mahler_general(g, P, epsilon=1e-8),
-    "finite": lambda g, P, lam: mh.mahler_finite(g, P, lam),
-    "series": lambda g, P, lam: mh.mahler_series(g, P, lam, 1e-8),
-}
-
-
 @pytest.mark.parametrize(
-    "g, poly, lam, route, method",
+    "case, route, method",
     [
-        (D3, "3+x+y", None, "determinant", "finite-determinant"),
-        (D3, "x+x^-1+y", 0.1, "finite", "finite-determinant"),
-        (gr.Dihedral(0), "3+x+y", None, "general", "series"),
-        (gr.Dihedral(0), "x+x^-1+y", 0.1, "series", "series"),
+        (lambda_free(D3, "3+x+y"), "determinant exact", "finite-determinant"),
+        (at_lambda(D3, "x+x^-1+y", 0.1), "finite float", "finite-determinant"),
+        (lambda_free(gr.Dihedral(0), "3+x+y"), "general", "series"),
+        (at_lambda(gr.Dihedral(0), "x+x^-1+y", 0.1), "series", "series"),
     ],
     ids=["finite-free", "finite-lambda", "infinite-free", "infinite-lambda"],
 )
-def test_measure_picks_the_route_it_names(g, poly, lam, route, method):
-    P = parse_poly_over(poly, g)
-    res = mh.measure(g, P, lam, epsilon=1e-8)
+def test_measure_picks_the_route_it_names(case, route, method):
+    # measure runs the route of the agreement table it names, as the table runs it
+    P = case.Q if case.lam is None else case.P
+    res = mh.measure(case.g, P, case.lam, epsilon=EPS)
     assert res.method == method
-    assert res == ROUTES[route](g, P, lam)
+    assert res == ROUTES[route].call(case)
 
 
 def test_measure_refuses_a_lambda_its_method_cannot_use():
