@@ -8,7 +8,6 @@ Walk-count identities and the integer determinants rely on the exact mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -16,16 +15,21 @@ from .errors import DomainError
 _EXACT_REAL = (int, Fraction)
 
 
-@dataclass(frozen=True)
 class GaussianRational:
     """a + b*i with rational a, b; exact ring arithmetic (+, -, *)."""
 
+    __slots__ = ("re", "im")
     re: Fraction
     im: Fraction
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     # -- ring operations --------------------------------------------------
 

@@ -9,8 +9,8 @@ abelianized counterpart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import groups as gr
 from . import mahler as mh
@@ -21,8 +21,7 @@ EQUAL_TOL = 1e-10
 UNEQUAL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One sweep entry: finite-model parameter, its measure, gap to the limit.
 
     q is the Boyd-Lawton relation height where it applies (abelian sweeps):
@@ -37,8 +36,7 @@ class ConvergenceRow:
     q: int | float | str | None = None
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Walk-count comparison a_n^(finite) vs a_n^(infinite) up to n_max."""
 
     group_finite: gr.GroupSpec
@@ -48,8 +46,7 @@ class AgreementReport:
     n_max: int
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     value_a: float
     value_b: float
     verdict: str  # equal | unequal | inconclusive

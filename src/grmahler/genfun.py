@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import groups as gr
 from . import ring as rg
@@ -69,16 +68,15 @@ def _series_div(num, den, n: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class AlgebraicSeries:
+class AlgebraicSeries(NamedTuple):
     """A closed-form evaluator paired with its exact Taylor coefficients."""
 
     evaluate: Callable[[complex], complex]
-    _coeff_fn: Callable[[int], list]
+    coeff_fn: Callable[[int], list]
 
     def coeffs(self, n: int) -> list:
         """Taylor coefficients 0..n as exact ints (or Fractions)."""
-        return [exact_real(c) for c in self._coeff_fn(n)]
+        return [exact_real(c) for c in self.coeff_fn(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Group families, canonical normal forms, and exact group arithmetic.
 
-A family is one frozen dataclass that carries its operations as methods
-and its specifier pattern as the classmethod `parse`.  The families and
-their element encodings:
+A family is one immutable class that carries its operations as methods
+and its specifier pattern as the classmethod `parse`.  Two groups are
+equal when their family and parameter are.  The families and their
+element encodings:
 
 * AbelianProduct(moduli) -- exponent vectors, one entry per factor; an entry
   is reduced mod its modulus when the modulus is positive, and ranges over
@@ -32,7 +33,6 @@ multiplier(g), multiply(g, a, b) and elements(g) call the methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby, product
 
 from .errors import GroupMismatchError, InfiniteGroupError, ParseError, ResourceLimitError
@@ -75,7 +75,26 @@ def _build(family, arg, src: str):
 
 
 class _Family:
-    """What the families share; a family with finite groups defines _elements."""
+    """What the families share; a family with finite groups defines _elements.
+    A family's one parameter is its one read-only attribute; equality checks
+    the family too, since Dihedral(0) and Dicyclic(0) share a law."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def is_finite(self) -> bool:
         return self.order() is not math.inf
@@ -103,7 +122,6 @@ class _Family:
             raise GroupMismatchError(f"{a!r} is not a normal form for {self!r}")
 
 
-@dataclass(frozen=True)
 class AbelianProduct(_Family):
     """Z/m1 x ... x Z/ml; a modulus of 0 stands for an infinite cyclic factor."""
 
@@ -115,7 +133,7 @@ class AbelianProduct(_Family):
             raise ValueError("AbelianProduct needs at least one factor")
         if any(m < 0 for m in moduli):
             raise ValueError("moduli must be non-negative")
-        object.__setattr__(self, "moduli", moduli)
+        self.__dict__["moduli"] = moduli
 
     @classmethod
     def parse(cls, s: str, src: str):
@@ -184,16 +202,16 @@ class AbelianProduct(_Family):
         return tuple((i, x) for i, x in enumerate(a) if x)
 
 
-@dataclass(frozen=True)
 class _RotationReflection(_Family):
     """Dihedral and Dicyclic: pairs (eps, k) for y^eps x^k, where x has
     `rotations` powers (0: infinitely many)."""
 
     m: int
 
-    def __post_init__(self):
-        if self.m < 0:
+    def __init__(self, m):
+        if m < 0:
             raise ValueError("m must be non-negative")
+        self.__dict__["m"] = m
 
     @classmethod
     def parse(cls, s: str, src: str):
@@ -241,7 +259,6 @@ class _RotationReflection(_Family):
         return (((1, 1),) if e else ()) + (((0, k),) if k else ())
 
 
-@dataclass(frozen=True)
 class Dihedral(_RotationReflection):
     """Dihedral group of order 2m; m = 0 is the infinite dihedral group."""
 
@@ -265,7 +282,6 @@ class Dihedral(_RotationReflection):
         return (0, (-k) % self.m if self.m else -k)
 
 
-@dataclass(frozen=True)
 class Dicyclic(_RotationReflection):
     """Dicyclic group of order 4m; m = 0 follows the printed infinite presentation."""
 
@@ -299,15 +315,15 @@ class Dicyclic(_RotationReflection):
         return (1, (k + m) % mod)  # (y x^k)^-1 = y x^(k+m)
 
 
-@dataclass(frozen=True)
 class Free(_Family):
     """Free group on `rank` generators."""
 
     rank: int
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank):
+        if rank < 1:
             raise ValueError("rank must be positive")
+        self.__dict__["rank"] = rank
 
     @classmethod
     def parse(cls, s: str, src: str):
@@ -368,7 +384,6 @@ class Free(_Family):
         return tuple((abs(x) - 1, n if x > 0 else -n) for x, n in runs)
 
 
-@dataclass(frozen=True)
 class FreeProductCyclic(_Family):
     """Free product Z/n1 * Z/n2 * ... of at least two finite cyclic factors."""
 
@@ -380,7 +395,7 @@ class FreeProductCyclic(_Family):
             raise ValueError("need at least two factors")
         if any(n < 2 for n in orders):
             raise ValueError("factor orders must be >= 2")
-        object.__setattr__(self, "orders", orders)
+        self.__dict__["orders"] = orders
 
     @classmethod
     def parse(cls, s: str, src: str):

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import groups as gr
 from . import ring as rg
@@ -41,8 +41,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(NamedTuple):
     """One measure value, the route that produced it and what that route
     computed, None where it computes nothing: group_order (math.inf when
     infinite), det(B) for B the adjacency of QQ* on the lambda-free finite

@@ -19,8 +19,8 @@ with at most 9 generators; each family's `parse` holds its pattern.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import groups as gr
 from . import ring as rg
@@ -32,14 +32,12 @@ NUMBER_RE = re.compile(r"\d+(\.\d+)?")
 DIGITS_RE = re.compile(r"\d+")
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: object  # int | Fraction | GaussianRational (or float-kind if built by hand)
     word: tuple  # ((generator_name, exponent), ...)
 
 
-@dataclass(frozen=True)
-class PolyExpr:
+class PolyExpr(NamedTuple):
     terms: tuple[Term, ...]
 
 

@@ -17,9 +17,8 @@ however often it recurs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
+from typing import NamedTuple
 
 from . import coeffs as cf
 from . import groups as gr
@@ -30,20 +29,36 @@ from .errors import DomainError, GroupMismatchError, ResourceLimitError
 DEFAULT_SUPPORT_CAP = 5_000_000**2
 
 
-@dataclass(frozen=True)
 class RingElement:
     """Element of C[group]; `terms` is sorted in the canonical element order."""
 
+    __slots__ = ("group", "terms")
     group: gr.GroupSpec
     terms: tuple
 
-    @cached_property
-    def _by_element(self) -> dict:
-        return dict(self.terms)
+    def __init__(self, group, terms):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.terms) == (other.group, other.terms)
+
+    def __hash__(self):
+        return hash((self.group, self.terms))
+
+    def __repr__(self):
+        return f"RingElement(group={self.group!r}, terms={self.terms!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def coeff(self, elem):
         """Coefficient of `elem`; 0 off the support."""
-        return self._by_element.get(elem, 0)
+        return dict(self.terms).get(elem, 0)
 
     def is_exact(self) -> bool:
         return all(cf.is_exact(c) for _, c in self.terms)
@@ -52,8 +67,7 @@ class RingElement:
         return not self.terms
 
 
-@dataclass(frozen=True)
-class SeriesCoeffs:
+class SeriesCoeffs(NamedTuple):
     """Constant coefficients a_0..a_N of P^n, with the l1 bound |a_n| <= k^n."""
 
     values: tuple

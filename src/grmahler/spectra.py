@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import coeffs as cf
 from . import groups as gr
@@ -31,8 +30,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class CayleyAdjacency:
+class CayleyAdjacency(NamedTuple):
     """A[i][cols[i][t]] = coeffs[t] and 0 elsewhere: cols[i][t] is the index
     of g_i e_t for the t-th term c_t e_t of P, coeffs P's coefficients."""
 
@@ -61,8 +59,7 @@ class CayleyAdjacency:
         return a
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Real eigenvalues sorted ascending, with multiplicity."""
 
     eigenvalues: tuple[float, ...]

@@ -996,17 +996,18 @@ def test_readme_examples_answer():
         assert elapsed < 10.0, (argv, elapsed)
 
 
-# Run in a fresh interpreter, so numpy can only be in sys.modules if the
-# calls made here imported it.  Every call but the last stays off the float
-# spectral and character routes.
+# Run in a fresh interpreter, so numpy or dataclasses can only be in
+# sys.modules if the calls made here imported it.  Every call but the last
+# stays off the float spectral and character routes; no call, numpy's
+# import included, needs dataclasses.
 IMPORT_BOUNDARY_SCRIPT = """
 import contextlib, io, json, sys
 import grmahler.cli
-steps = [("import", 0, "numpy" in sys.modules)]
+steps = [("import", 0, "numpy" in sys.modules, "dataclasses" in sys.modules)]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = grmahler.cli.main(argv)
-    steps.append((argv[0], rc, "numpy" in sys.modules))
+    steps.append((argv[0], rc, "numpy" in sys.modules, "dataclasses" in sys.modules))
 print(json.dumps(steps))
 """
 
@@ -1026,5 +1027,6 @@ def test_only_float_spectral_routes_import_numpy():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     steps = json.loads(done.stdout)
-    assert [rc for _, rc, _ in steps] == [0] * 6
-    assert [loaded for _, _, loaded in steps] == [False] * 5 + [True]
+    assert [rc for _, rc, _, _ in steps] == [0] * 6
+    assert [numpy for _, _, numpy, _ in steps] == [False] * 5 + [True]
+    assert [dataclasses for _, _, _, dataclasses in steps] == [False] * 6

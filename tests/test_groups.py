@@ -6,8 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grmahler import groups as gr
+from grmahler import mahler as mh
 from grmahler import ring as rg
+from grmahler.coeffs import GaussianRational
 from grmahler.errors import GroupMismatchError, InfiniteGroupError, ResourceLimitError
+from grmahler.parsing import parse_group
 
 from conftest import FINITE_CATALOGUE, random_element
 
@@ -328,6 +331,69 @@ def test_group_spec_validation():
         gr.FreeProductCyclic((2,))
     with pytest.raises(ValueError):
         gr.FreeProductCyclic((1, 2))
+
+
+# ---------------------------------------------------------------------------
+# groups and ring elements as values: equality, hashing, immutability, repr
+
+
+def _specs():
+    return [gr.AbelianProduct((3, 2)), gr.AbelianProduct((2, 3)), gr.AbelianProduct((0,)),
+            gr.Dihedral(0), gr.Dihedral(3), gr.Dicyclic(0), gr.Dicyclic(3),
+            gr.Free(2), gr.Free(3), gr.FreeProductCyclic((2, 3)), gr.FreeProductCyclic((3, 2))]
+
+
+def test_groups_are_equal_exactly_when_family_and_parameter_match():
+    for (i, a), (j, b) in product(enumerate(_specs()), enumerate(_specs())):
+        assert (a == b, a != b) == (i == j, i != j), (a, b)
+        if i == j:
+            assert hash(a) == hash(b)
+    # one law, two families: the family decides
+    assert gr.Dihedral(0) != gr.Dicyclic(0)
+    assert parse_group("Z/3xZ/2") == gr.AbelianProduct((3, 2))
+    assert parse_group("D3") == gr.Dihedral(3) and parse_group("Dic3") != gr.Dihedral(3)
+    assert len({parse_group("F2"), gr.Free(2), parse_group("C2*C3"), gr.FreeProductCyclic((2, 3))}) == 2
+
+
+def test_equal_ring_elements_and_coefficients_hash_equal():
+    z3z2 = parse_group("Z/3xZ/2")
+    P = rg.from_word_terms(z3z2, [(1, ()), (2, ((0, 1),)), (GaussianRational(0, 1), ((1, 1),))])
+    Q = rg.ring_element(gr.AbelianProduct((3, 2)), dict(reversed(P.terms)))
+    assert P == Q and hash(P) == hash(Q)
+    assert P != rg.RingElement(gr.Dihedral(3), P.terms)
+    assert GaussianRational(2, 0) == 2 and hash(GaussianRational(2, 0)) == hash(2)
+    assert hash(GaussianRational(1, 3)) == hash(GaussianRational(1, 3))
+
+
+@pytest.mark.parametrize("value, field", [
+    (gr.AbelianProduct((3, 2)), "moduli"), (gr.Dihedral(3), "m"), (gr.Dicyclic(0), "m"),
+    (gr.Free(2), "rank"), (gr.FreeProductCyclic((2, 3)), "orders"),
+    (rg.one(gr.Dihedral(3)), "terms"), (GaussianRational(1, 2), "re"),
+    (mh.MeasureResult(0.5, "series", 1e-12), "value"),
+])
+def test_values_refuse_assignment(value, field):
+    before = repr(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, 1)
+    with pytest.raises(AttributeError):
+        setattr(value, "other", 1)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert repr(value) == before
+
+
+def test_error_messages_embed_the_same_reprs():
+    assert [repr(g) for g in (gr.Dihedral(3), gr.AbelianProduct((3, 2)), gr.Free(2),
+                              gr.FreeProductCyclic((2, 3)))] == [
+        "Dihedral(m=3)", "AbelianProduct(moduli=(3, 2))", "Free(rank=2)",
+        "FreeProductCyclic(orders=(2, 3))"]
+    P = rg.one(gr.Dihedral(3))
+    assert repr(P) == "RingElement(group=Dihedral(m=3), terms=(((0, 0), 1),))"
+    with pytest.raises(GroupMismatchError, match=r"^group mismatch: Dihedral\(m=3\) vs "
+                       r"AbelianProduct\(moduli=\(3, 2\)\)$"):
+        rg.add(P, rg.one(gr.AbelianProduct((3, 2))))
+    with pytest.raises(GroupMismatchError, match=r"^\(2, 0\) is not a normal form for Free\(rank=2\)$"):
+        gr.Free(2).validate_element((2, 0))
 
 
 # ---------------------------------------------------------------------------
