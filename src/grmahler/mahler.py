@@ -314,7 +314,7 @@ def mahler_general(
 # ---------------------------------------------------------------------------
 # torus quadrature for free abelian groups
 
-TORUS_MAX_POINTS = 2**20  # most grid points per call; about 80 MB of numpy arrays
+TORUS_MAX_POINTS = 2**20  # most characters per call; numpy arrays peak near 48 MB there
 
 
 def abelian_measure_via_characters(
@@ -324,9 +324,16 @@ def abelian_measure_via_characters(
 
     By the product formula this IS the finite-group Mahler measure, and it is
     the arithmetic path shared with the torus quadrature grid.
+    ResourceLimitError, before any array is built, when |G| exceeds
+    TORUS_MAX_POINTS.
     """
     import numpy as np
 
+    points = g.order()
+    if points > TORUS_MAX_POINTS and g.is_finite():
+        raise ResourceLimitError(
+            f"{points} characters of {g!r} exceed max_points={TORUS_MAX_POINTS}"
+        )
     vals = sp.abelian_character_values(g, P)
     integrand = 1.0 - lam * vals
     mags = np.abs(integrand)
@@ -345,7 +352,8 @@ def mahler_torus(
     The G-point grid average equals the Z/G x ... x Z/G measure exactly, so
     refining G converges to the free-abelian measure; the error estimate is
     the difference between the G and G//2 grids.  ResourceLimitError, before
-    any array is built, when grid**l exceeds TORUS_MAX_POINTS.
+    any array is built, when grid**l exceeds TORUS_MAX_POINTS (checked by
+    abelian_measure_via_characters).
     """
     g = P.group
     if not isinstance(g, gr.AbelianProduct) or any(m != 0 for m in g.moduli):
@@ -360,8 +368,6 @@ def mahler_torus(
         grid = 256 if l <= 2 else 64
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if grid**l > TORUS_MAX_POINTS:
-        raise ResourceLimitError(f"{grid}^{l} torus points exceed max_points={TORUS_MAX_POINTS}")
 
     def grid_value(G: int) -> float:
         gq = gr.AbelianProduct((G,) * l)

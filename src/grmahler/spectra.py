@@ -156,7 +156,13 @@ def abelian_character_values(g: gr.AbelianProduct, P: rg.RingElement) -> np.ndar
     """P evaluated at every character of a finite abelian group.
 
     Entry order is lexicographic over the character index tuples
-    (j_1, ..., j_l), matching the canonical element order.
+    (j_1, ..., j_l), matching the canonical element order.  Each term c x^e
+    is evaluated only on the open grid of the axes it moves (e_k != 0) and
+    broadcast into the full grid, so a one-axis term costs m_k exponentials,
+    not |G|.  The bits are those of the dense sum over every axis: that sum
+    also starts at +0.0, an unmoved axis adds 0.0 * j = +0.0, which changes
+    no float (the partial sum is never -0.0), and every other operation is
+    the same elementwise one in the same order.
     """
     if not isinstance(g, gr.AbelianProduct):
         raise ValueError("character evaluation needs an abelian product group")
@@ -166,12 +172,13 @@ def abelian_character_values(g: gr.AbelianProduct, P: rg.RingElement) -> np.ndar
 
     P = rg.transfer(P, g)
     moduli = g.moduli
-    grids = np.meshgrid(*(np.arange(m) for m in moduli), indexing="ij")
-    vals = np.zeros(grids[0].shape if grids else (), dtype=complex)
+    axes = np.meshgrid(*(np.arange(m) for m in moduli), indexing="ij", sparse=True)
+    vals = np.zeros(moduli, dtype=complex)
     for e, c in P.terms:
-        phase = np.zeros(grids[0].shape, dtype=float)
-        for exp, m, j in zip(e, moduli, grids):
-            phase += (2.0 * math.pi * exp / m) * j
+        phase = 0.0
+        for exp, m, j in zip(e, moduli, axes):
+            if exp:
+                phase = phase + (2.0 * math.pi * exp / m) * j
         vals += complex(c) * np.exp(1j * phase)
     return vals.reshape(-1)
 

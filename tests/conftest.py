@@ -1,3 +1,4 @@
+import math
 import random
 
 import hypothesis
@@ -153,6 +154,24 @@ def dicyclic_theorem_instance(m, rnd):
     for k in range(m):
         beta[m + k] = beta[k].conjugate() if isinstance(beta[k], GaussianRational) else beta[k]
     return alpha, beta
+
+
+def dense_character_values(g, P):
+    """P at every character of finite abelian g by the dense formula: for
+    each term a phase over the full index grid, summed over every axis.
+    The bit-for-bit reference for spectra.abelian_character_values."""
+    import numpy as np
+
+    P = rg.transfer(P, g)
+    moduli = g.moduli
+    grids = np.meshgrid(*(np.arange(m) for m in moduli), indexing="ij")
+    vals = np.zeros(grids[0].shape, dtype=complex)
+    for e, c in P.terms:
+        phase = np.zeros(grids[0].shape, dtype=float)
+        for exp, m, j in zip(e, moduli, grids):
+            phase += (2.0 * math.pi * exp / m) * j
+        vals += complex(c) * np.exp(1j * phase)
+    return vals.reshape(-1)
 
 
 def assert_multisets_close(xs, ys, tol=1e-9):

@@ -869,6 +869,18 @@ def test_huge_torus_grid_is_a_resource_error():
     assert error["type"] == "ResourceLimitError" and "max_points" in error["message"]
 
 
+def test_huge_abelian_converge_sweep_is_a_resource_error():
+    start = time.perf_counter()
+    rc, out, err = run_cli(
+        ["converge", "--chain", "abelian", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1",
+         "--lambda", "0.1", "--params", "2048"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ResourceLimitError" and "max_points=" in error["message"]
+
+
 def test_measure_allow_continuation():
     rc, out, _ = run_cli(
         ["measure", "--group", "Z/2", "--poly", "2*x", "--lambda", "1",

@@ -7,16 +7,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from grmahler import experiments as ex
 from grmahler import groups as gr
+from grmahler import mahler as mh
 from grmahler import ring as rg
 from grmahler import spectra as sp
 from grmahler.coeffs import GaussianRational, conj, exact_real
-from grmahler.errors import InfiniteGroupError
+from grmahler.errors import InfiniteGroupError, ResourceLimitError
 from grmahler.parsing import parse_poly_over
 
 from conftest import (
     FINITE_CATALOGUE,
     assert_multisets_close,
+    dense_character_values,
     eigen_trace,
     float_twin,
     one_minus_lambda_adjacency,
@@ -319,6 +322,63 @@ def test_abelian_character_values_all_ones_first():
     P = parse_poly_over("1+x+y", Z32)
     vals = sp.abelian_character_values(Z32, P)
     assert abs(vals[0] - 3) < 1e-12  # (j1, j2) = (0, 0) is the first tuple
+
+
+CHARACTER_COEFFS = (
+    lambda r: r.randint(-3, 3),
+    lambda r: Fraction(r.randint(-5, 5), r.randint(1, 7)),
+    lambda r: GaussianRational(Fraction(r.randint(-3, 3), r.randint(1, 4)), r.randint(-3, 3)),
+    lambda r: r.uniform(-3.0, 3.0),
+    lambda r: complex(r.uniform(-2.0, 2.0), r.uniform(-2.0, 2.0)),
+    lambda r: -0.0,
+    lambda r: complex(-0.0, r.choice((-0.0, 1.5))),
+    lambda r: complex(r.uniform(-1.0, 1.0), -0.0),
+)
+
+
+def test_abelian_character_values_match_the_dense_formula_bit_for_bit(rng):
+    # P is built as a raw RingElement so that mixed exact and float terms and
+    # -0.0 coefficients reach the kernel; a draw may leave P empty, constant,
+    # one-axis or multi-axis
+    for _ in range(400):
+        moduli = tuple(rng.randint(1, 16) for _ in range(rng.randint(1, 3)))
+        g = gr.AbelianProduct(moduli)
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            e = tuple(rng.randrange(m) if rng.random() < 0.6 else 0 for m in moduli)
+            terms[e] = rng.choice(CHARACTER_COEFFS)(rng)
+        P = rg.RingElement(g, tuple(sorted(terms.items())))
+        got = sp.abelian_character_values(g, P)
+        assert got.tobytes() == dense_character_values(g, P).tobytes(), (moduli, P.terms)
+
+
+def test_one_axis_terms_exponentiate_only_their_axis(monkeypatch):
+    sizes = []
+    exp = np.exp
+
+    def recording_exp(z, *args, **kwargs):
+        sizes.append(np.size(z))
+        return exp(z, *args, **kwargs)
+
+    g = gr.AbelianProduct((128, 128))
+    P = parse_poly_over("x+x^-1+y+y^-1", g)
+    monkeypatch.setattr(np, "exp", recording_exp)
+    vals = sp.abelian_character_values(g, P)
+    monkeypatch.undo()
+    assert len(sizes) == 4 and max(sizes) <= 128
+    assert vals.tobytes() == dense_character_values(g, P).tobytes()
+
+
+def test_converge_abelian_refuses_a_grid_past_the_point_cap(monkeypatch):
+    def no_arrays(*args):
+        pytest.fail("the point cap must be checked before any array is built")
+
+    monkeypatch.setattr(sp, "abelian_character_values", no_arrays)
+    Z2 = gr.AbelianProduct((0, 0))
+    P = parse_poly_over("x+x^-1+y+y^-1", Z2)
+    cap = f"max_points={mh.TORUS_MAX_POINTS}"
+    with pytest.raises(ResourceLimitError, match=f"{2048 * 2048} characters .*{cap}"):
+        ex.converge_abelian(P, 0.1, [(2048, 2048)])
 
 
 def test_abelian_spectrum_circulant():
