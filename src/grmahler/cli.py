@@ -176,9 +176,16 @@ def run_measure(args):
     return obj, ["method", "value", "error_bound"], [[res.method, res.value, res.error_bound]]
 
 
+def _depth(n: int, option: str) -> int:
+    """n, once it is checked against the term cap every series route keeps."""
+    if n > mh.MAX_TERMS:
+        raise ResourceLimitError(f"{option} {n} exceeds max_terms={mh.MAX_TERMS}")
+    return n
+
+
 def run_coeffs(args):
     group, poly = _bind(args)
-    series = rg.power_constant_coeffs(poly, args.n, support_cap=args.support_cap)
+    series = rg.power_constant_coeffs(poly, _depth(args.n, "--n"), support_cap=args.support_cap)
     obj = _result_object(
         args,
         "group-ring-powering",
@@ -194,13 +201,7 @@ def run_spectrum(args):
     group, poly = _bind(args)
     A = sp.cayley_adjacency(group, poly)
     spec = sp.hermitian_eigenvalues(A)
-    obj = _result_object(
-        args,
-        "eigvalsh",
-        None,
-        0,
-        {"eigenvalues": list(spec.eigenvalues), "n": spec.n},
-    )
+    obj = _result_object(args, "eigvalsh", None, 0, spec._asdict())
     rows = [[i, v] for i, v in enumerate(spec.eigenvalues)]
     return obj, ["index", "eigenvalue"], rows
 
@@ -210,9 +211,7 @@ def run_u(args):
     if args.lam is None:
         raise DomainError("u needs an explicit --lambda")
     val = mh.u_series(group, poly, args.lam, args.epsilon, support_cap=args.support_cap)
-    obj = _result_object(
-        args, "series", val.real, args.epsilon, {"imag": val.imag}
-    )
+    obj = _result_object(args, "series", val.real, args.epsilon, {"imag": val.imag})
     return obj, ["value", "imag"], [[val.real, val.imag]]
 
 
@@ -221,20 +220,9 @@ def run_compare(args):
     g_b = parse_group(args.group_b)
     poly = to_ring_element(parse_poly(args.poly), g_a)
     res = ex.compare_groups(g_a, g_b, poly, args.lam, args.epsilon, support_cap=args.support_cap)
-    obj = _result_object(
-        args,
-        "compare",
-        None,
-        0,
-        {
-            "group_b": args.group_b,
-            "value_a": res.value_a,
-            "value_b": res.value_b,
-            "verdict": res.verdict,
-        },
-    )
-    rows = [[args.group, args.group_b, res.value_a, res.value_b, res.verdict]]
-    return obj, ["group_a", "group_b", "value_a", "value_b", "verdict"], rows
+    obj = _result_object(args, "compare", None, 0, {"group_b": args.group_b, **res._asdict()})
+    rows = [[args.group, args.group_b, *res]]
+    return obj, ["group_a", "group_b", *ex.ComparisonResult._fields], rows
 
 
 def _parse_params(text: str) -> list[int]:
@@ -262,38 +250,16 @@ def run_converge(args):
         rows = ex.converge_abelian(poly, args.lam, [(m,) * l for m in params], support_cap=args.support_cap)
     else:
         rows = ex.converge_quotients(args.chain, poly, args.lam, params, support_cap=args.support_cap)
-    data = [
-        {
-            "parameter": r.parameter,
-            "value": r.value,
-            "gap": r.gap,
-            "limit_method": r.limit_method,
-            "q": r.q,
-        }
-        for r in rows
-    ]
-    obj = _result_object(args, "converge-" + args.chain, None, 0, {"rows": data})
-    csv_rows = [[r.parameter, r.value, r.gap, r.limit_method, r.q] for r in rows]
-    return obj, ["parameter", "value", "gap", "limit_method", "q"], csv_rows
+    obj = _result_object(args, "converge-" + args.chain, None, 0, {"rows": [r._asdict() for r in rows]})
+    return obj, list(ex.ConvergenceRow._fields), [list(r) for r in rows]
 
 
 def run_agree_depth(args):
     g_a = parse_group(args.group)
     g_b = parse_group(args.group_b)
     poly = to_ring_element(parse_poly(args.poly), g_b if not g_b.is_finite() else g_a)
-    rep = ex.agreement_depth(g_a, g_b, poly, args.n_max, support_cap=args.support_cap)
-    obj = _result_object(
-        args,
-        "agree-depth",
-        None,
-        0,
-        {
-            "group_b": args.group_b,
-            "first_disagreement": rep.first_disagreement,
-            "n_max": rep.n_max,
-            "coeff_pairs": rep.coeff_pairs,
-        },
-    )
+    rep = ex.agreement_depth(g_a, g_b, poly, _depth(args.n_max, "--n-max"), support_cap=args.support_cap)
+    obj = _result_object(args, "agree-depth", None, 0, {"group_b": args.group_b, **rep._asdict()})
     rows = [
         [n, a, b, "yes" if a == b else "no"]
         for n, (a, b) in enumerate(rep.coeff_pairs)
@@ -322,7 +288,7 @@ def run_genfun(args):
         raise DomainError(f"{series} series needs --degree{degree_meaning}")
     else:
         name = f"{series}-{degree}"
-    coeffs = coeffs_of(degree, args.n)
+    coeffs = coeffs_of(degree, _depth(args.n, "--n"))
     obj = _result_object(args, "closed-form", None, 0, {"series": name, "coeffs": coeffs})
     return obj, ["n", "coeff"], [[i, c] for i, c in enumerate(coeffs)]
 

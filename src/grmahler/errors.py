@@ -27,7 +27,8 @@ class SingularMatrixError(GrmahlerError):
 
 class ResourceLimitError(GrmahlerError):
     """A resource cap was exceeded: the walk's support cap, the series term
-    cap, the free-word letter cap or the torus point cap."""
+    cap (which also bounds --n and --n-max), the free-word letter cap, the
+    torus point cap or the Cayley adjacency's group-order cap."""
 
 
 class NonConvergenceError(GrmahlerError):

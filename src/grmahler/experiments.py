@@ -39,11 +39,9 @@ class ConvergenceRow(NamedTuple):
 class AgreementReport(NamedTuple):
     """Walk-count comparison a_n^(finite) vs a_n^(infinite) up to n_max."""
 
-    group_finite: gr.GroupSpec
-    group_infinite: gr.GroupSpec
-    coeff_pairs: tuple
     first_disagreement: int | None  # None: agree everywhere up to n_max
     n_max: int
+    coeff_pairs: tuple
 
 
 class ComparisonResult(NamedTuple):
@@ -128,9 +126,7 @@ def agreement_depth(
         if not _coeffs_equal(x, y):
             first = n
             break
-    return AgreementReport(
-        g_fin, g_inf, tuple(zip(a_fin, a_inf)), first, n_max
-    )
+    return AgreementReport(first, n_max, tuple(zip(a_fin, a_inf)))
 
 
 def _coeffs_equal(x, y) -> bool:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import coeffs as cf
 from . import groups as gr
 from . import ring as rg
-from .errors import InfiniteGroupError, NonConvergenceError
+from .errors import InfiniteGroupError, NonConvergenceError, ResourceLimitError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,10 +73,17 @@ class Spectrum(NamedTuple):
 # adjacency
 
 
+MAX_ORDER = 2**12  # the largest group given a Cayley adjacency: its dense complex matrix is 268 MB
+
+
 def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> CayleyAdjacency:
-    """Weighted Cayley adjacency of a finite group for reciprocal P."""
+    """Weighted Cayley adjacency of a finite group for reciprocal P;
+    ResourceLimitError, before any group-law call, when |G| exceeds
+    MAX_ORDER.  A cap on memory, not on work."""
     if not g.is_finite():
         raise InfiniteGroupError("Cayley adjacency needs a finite group")
+    if g.order() > MAX_ORDER:
+        raise ResourceLimitError(f"a group of order {g.order()} exceeds max_order={MAX_ORDER}")
     P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
         raise ValueError("P must be reciprocal (P == P*)")

@@ -680,6 +680,48 @@ def test_general_series_too_deep_is_refused_at_once():
         assert "max_terms=400" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("measure", "--group", "D100000", "--poly", "x+x^-1+y", "--lambda", "0.1"),
+    ("spectrum", "--group", "Z/300xZ/300", "--poly", F4),
+    ("converge", "--chain", "dihedral", "--group", "Dinf", "--poly", "x+x^-1+y",
+     "--lambda", "0.1", "--params", "100000"),
+])
+def test_a_finite_group_past_the_order_cap_exits_4(argv, monkeypatch):
+    # binding P and walking the infinite limit call the group law; only the
+    # Cayley adjacency enumerates the group
+    def no_elements(g):
+        pytest.fail("the order cap must be checked before the group is enumerated")
+
+    monkeypatch.setattr(sp.gr, "elements", no_elements)
+    rc, out, err = run_cli(argv)
+    assert rc == 4 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "ResourceLimitError"
+    assert "max_order=4096" in error["message"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("coeffs", "--group", "Z", "--poly", "x+x^-1", "--n"), "--n"),
+    (("agree-depth", "--group", "Z/4", "--group-b", "Z", "--poly", "x+x^-1", "--n-max"), "--n-max"),
+    (("genfun", "--series", "z2", "--n"), "--n"),
+])
+def test_a_depth_past_the_term_cap_exits_4(argv, option):
+    if "--poly" in argv:  # a malformed polynomial is reported before the cap
+        bad = list(argv)
+        bad[bad.index("--poly") + 1] = "x+"
+        rc, _, err = run_cli(bad + ["401"])
+        assert rc == 2 and strict_json(err)["error"]["type"] == "ParseError"
+    start = time.perf_counter()
+    rc, out, err = run_cli(argv + ("401",))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4 and out == ""
+    assert strict_json(err)["error"] == {
+        "type": "ResourceLimitError", "message": f"{option} 401 exceeds max_terms=400"}
+    rc, out, err = run_cli(argv + ("400",))
+    assert rc == 0 and err == ""
+    assert len(strict_json(out)["extra"]["coeffs" if option == "--n" else "coeff_pairs"]) == 401
+
+
 # ---------------------------------------------------------------------------
 # the other subcommands
 

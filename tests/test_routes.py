@@ -2,8 +2,9 @@
 
 Each route reaches the Fuglede-Kadison measure from its own base: walk
 counts (the lambda series, and the lambda-free series at the dominant
-coefficient), finite-group determinants (float and exact, of I - lambda A
-and of QQ*), characters, the torus grid and the Z x Z/m closed form.  A
+coefficient of an exact or a float Q), finite-group determinants (float
+and exact, of I - lambda A and of QQ*), characters, the torus grid and the
+Z x Z/m closed form.  A
 case is a group g with either a reciprocal P and a lambda, whose lambda-free
 routes then run on Q = 1 - lambda P (m(P, lambda) = m(1 - lambda P)), or a
 lambda-free Q alone.  A route states, from the case alone, whether it
@@ -129,6 +130,10 @@ ROUTES = {
         "mahler_general",
         lambda c: _dominance_rate(c.Q) <= RATE_CAP,
         lambda c: mh.mahler_general(c.g, c.Q, EPS)),
+    "general float": Route(
+        "mahler_general",
+        lambda c: _dominance_rate(c.Q) <= RATE_CAP,
+        lambda c: mh.mahler_general(c.g, float_twin(c.Q), EPS)),
     "finite float": Route(
         "mahler_finite",
         lambda c: _lam(c) and c.g.is_finite(),

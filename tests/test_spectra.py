@@ -14,7 +14,7 @@ from grmahler import ring as rg
 from grmahler import spectra as sp
 from grmahler.coeffs import GaussianRational, conj, exact_real
 from grmahler.errors import InfiniteGroupError, ResourceLimitError
-from grmahler.parsing import parse_poly_over
+from grmahler.parsing import parse_group, parse_poly_over
 
 from conftest import (
     FINITE_CATALOGUE,
@@ -120,6 +120,24 @@ def test_adjacency_makes_one_law_call_per_vertex_and_term(g, rng, monkeypatch):
     monkeypatch.setattr(type(g), "multiplier", counted)
     sp.cayley_adjacency(g, P)
     assert len(calls) == g.order() * len(P.terms)
+
+
+@pytest.mark.parametrize("spec, poly", [("D100000", "x+x^-1+y"), ("Z/300xZ/300", "x+x^-1+y+y^-1")])
+def test_adjacency_refuses_a_group_past_the_order_cap(spec, poly, monkeypatch):
+    g = parse_group(spec)
+    P = parse_poly_over(poly, g)
+
+    def no_law(g):
+        pytest.fail("the order cap must be checked before any group-law call")
+
+    monkeypatch.setattr(gr, "multiplier", no_law)
+    with pytest.raises(ResourceLimitError, match=f"order {g.order()} exceeds max_order=4096"):
+        sp.cayley_adjacency(g, P)
+
+
+def test_adjacency_takes_a_group_at_the_order_cap():
+    g = gr.AbelianProduct((4096,))
+    assert sp.cayley_adjacency(g, parse_poly_over("x+x^-1", g)).n == 4096
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +408,13 @@ def test_abelian_spectrum_circulant():
         assert_multisets_close(spec.eigenvalues, want)
 
 
-def test_abelian_spectrum_matches_jacobi(rng):
+def test_abelian_spectrum_matches_eigvalsh(rng):
     for g in (Z32, gr.AbelianProduct((4, 3)), gr.AbelianProduct((2, 2, 2))):
         for _ in range(5):
             P = random_reciprocal(g, rng)
             chars = sp.abelian_spectrum(g, P)
-            jacobi = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, P))
-            assert_multisets_close(chars.eigenvalues, jacobi.eigenvalues, tol=1e-9)
+            eigvalsh = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, P))
+            assert_multisets_close(chars.eigenvalues, eigvalsh.eigenvalues, tol=1e-9)
 
 
 def test_abelian_spectrum_rejects_other_families():
