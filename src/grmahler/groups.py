@@ -8,13 +8,10 @@ element encodings:
 * AbelianProduct(moduli) -- exponent vectors, one entry per factor; an entry
   is reduced mod its modulus when the modulus is positive, and ranges over
   all integers when the modulus is 0 (an infinite cyclic factor).
-* Dihedral(m) -- pairs (eps, k) encoding the normal form y^eps x^k with
-  relations x^m (m > 0), y^2, and x*y = y*x^-1.  m = 0 is the infinite
-  dihedral group.
-* Dicyclic(m) -- pairs (eps, k) encoding y^eps x^k with x^(2m), y^2 = x^m,
-  y^-1 x y = x^-1 for m >= 1.  Dicyclic(0) follows the presentation
-  <x, y | y^2, (yx)^2> literally, whose multiplication coincides with
-  Dihedral(0); see README for the discussion.
+* Dihedral(m) and Dicyclic(m) -- pairs (eps, k) encoding the normal form
+  y^eps x^k in <x, y | x^r = e, y^2 = x^s, y^-1 x y = x^-1>, with k reduced
+  mod r when r > 0: D_m is (r, s) = (m, 0), Dic_m is (2m, m), and m = 0
+  gives r = s = 0, so Dinf and the printed Dicinf share one law (see README).
 * Free(rank) -- reduced words as tuples of nonzero ints, letter +i / -i for
   generator i and its inverse (1-based).
 * FreeProductCyclic(orders) -- syllable lists ((factor, exp), ...) with
@@ -203,8 +200,9 @@ class AbelianProduct(_Family):
 
 
 class _RotationReflection(_Family):
-    """Dihedral and Dicyclic: pairs (eps, k) for y^eps x^k, where x has
-    `rotations` powers (0: infinitely many)."""
+    """Dihedral and Dicyclic: pairs (eps, k) for y^eps x^k with x^r = e,
+    y^2 = x^s and y^-1 x y = x^-1, where r = `rotations` (0: infinitely many)
+    and s are a family's constants times m; a family sets only those."""
 
     m: int
 
@@ -254,6 +252,26 @@ class _RotationReflection(_Family):
     def _generator(self, i):
         return (0, 1) if i == 0 else (1, 0)
 
+    def multiplier(self):
+        r, s = self.rotations, self._SQUARE_PER_M * self.m
+
+        def mul(a, b):
+            e1, k1 = a
+            e2, k2 = b
+            # x^k1 y = y x^-k1, and y y = x^s
+            k = k1 + k2 if e2 == 0 else k2 - k1 + s * e1
+            return (e1 ^ e2, k % r if r else k)
+
+        return mul
+
+    def invert(self, a):
+        e, k = a
+        m = self.m
+        if not m:
+            return a if e else (0, -k)  # s = 0: reflections are involutions
+        # (y x^k)^-1 = y x^(k+s), (x^k)^-1 = x^-k
+        return (e, (k + self._SQUARE_PER_M * m if e else -k) % (self._ROTATIONS_PER_M * m))
+
     def element_word(self, a) -> tuple:
         e, k = a
         return (((1, 1),) if e else ()) + (((0, k),) if k else ())
@@ -262,57 +280,13 @@ class _RotationReflection(_Family):
 class Dihedral(_RotationReflection):
     """Dihedral group of order 2m; m = 0 is the infinite dihedral group."""
 
-    _PREFIX, _NOUN, _ROTATIONS_PER_M = "D", "dihedral", 1
-
-    def multiplier(self):
-        m = self.m
-
-        def mul(a, b):
-            e1, k1 = a
-            e2, k2 = b
-            k = k1 + k2 if e2 == 0 else k2 - k1
-            return (e1 ^ e2, k % m if m else k)
-
-        return mul
-
-    def invert(self, a):
-        e, k = a
-        if e:
-            return a  # reflections are involutions
-        return (0, (-k) % self.m if self.m else -k)
+    _PREFIX, _NOUN, _ROTATIONS_PER_M, _SQUARE_PER_M = "D", "dihedral", 1, 0
 
 
 class Dicyclic(_RotationReflection):
-    """Dicyclic group of order 4m; m = 0 follows the printed infinite presentation."""
+    """Dicyclic group of order 4m; m = 0 is the printed infinite presentation."""
 
-    _PREFIX, _NOUN, _ROTATIONS_PER_M = "Dic", "dicyclic", 2
-
-    def multiplier(self):
-        m, mod = self.m, 2 * self.m
-
-        def mul(a, b):
-            e1, k1 = a
-            e2, k2 = b
-            if e2 == 0:
-                k = k1 + k2
-            elif e1 == 0:
-                k = k2 - k1
-            else:
-                # y^2 contributes x^m for m >= 1; the printed infinite
-                # presentation has y^2 = e instead.
-                k = k2 - k1 + m
-            return (e1 ^ e2, k % mod if mod else k)
-
-        return mul
-
-    def invert(self, a):
-        e, k = a
-        m, mod = self.m, 2 * self.m
-        if e == 0:
-            return (0, (-k) % mod if mod else -k)
-        if m == 0:
-            return a  # printed presentation: y^2 = e
-        return (1, (k + m) % mod)  # (y x^k)^-1 = y x^(k+m)
+    _PREFIX, _NOUN, _ROTATIONS_PER_M, _SQUARE_PER_M = "Dic", "dicyclic", 2, 1
 
 
 class Free(_Family):

@@ -51,6 +51,10 @@ FINITE_CATALOGUE = [
     gr.Dihedral(6),
     gr.Dicyclic(2),
     gr.Dicyclic(3),
+    # the edge cases: in D2, x = x^-1; in Dic1, y^2 = x
+    gr.Dihedral(1),
+    gr.Dihedral(2),
+    gr.Dicyclic(1),
 ]
 
 

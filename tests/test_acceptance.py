@@ -135,8 +135,8 @@ def test_c04_character_machinery():
         for _ in range(3):
             P = random_reciprocal(g, rnd)
             chars = sp.abelian_spectrum(g, P).eigenvalues
-            jacobi = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, P)).eigenvalues
-            assert_multisets_close(chars, jacobi, tol=1e-9)
+            eigvalsh = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, P)).eigenvalues
+            assert_multisets_close(chars, eigvalsh, tol=1e-9)
 
 
 @criterion(5, "equality theorems on 20+ instances; counterexamples break them")

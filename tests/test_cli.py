@@ -392,7 +392,8 @@ BIG_POLY = f"{BIG}*x+{BIG}*x^-1"
 HALF_BIG = "9" * 200  # its square is past float range, itself not
 
 
-CLI_GROUPS = (("Z^2", "ZxZ/4", "Z/3xZ/2", "D3", "Dic2", "Dinf", "F2", "C2*C3"),
+CLI_GROUPS = (("Z^2", "ZxZ/4", "Z/3xZ/2", "D2", "D3", "Dic1", "Dic2", "Dinf", "Dicinf", "F2",
+               "C2*C3"),
               ("Q8", "Z/0", "Z", "Z^" + "9" * 30, "Z^12"))
 CLI_POLYS = (("x+x^-1+y+y^-1", "3+x+y", "1+x+y", "x+2*y", "x", "2*x+y+y^-1",
               "3 + i*x - i*x^-1 + y", BIG_POLY), ("0", "x+*y", "x^", ""))

@@ -411,50 +411,40 @@ def _close(A, B, tol=1e-9):
     return all(abs(a - b) <= tol for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-@pytest.mark.parametrize("m", [3, 4, 5])
-def test_dihedral_table_matches_rotation_reflection_matrices(m):
+# each rotation-reflection group with its (r, s) in x^r = e, y^2 = x^s, set
+# here and not read from the library
+ROTATION_REFLECTION = [(gr.Dihedral(m), m, 0) for m in range(13)] + [
+    (gr.Dicyclic(m), 2 * m, m) for m in range(13)]
+
+
+@pytest.mark.parametrize("g, r, s", ROTATION_REFLECTION, ids=[repr(c[0]) for c in ROTATION_REFLECTION])
+def test_rotation_reflection_table_matches_faithful_matrices(g, r, s):
     import cmath
 
-    g = gr.Dihedral(m)
-    w = cmath.exp(2j * cmath.pi / m)
-    X = [[w, 0], [0, w.conjugate()]]
-    Y = [[0, 1], [1, 0]]
+    if r:
+        # X = diag(z, 1/z) with z of order r and Y = [[0, 1], [z^s, 0]]:
+        # Y^2 = z^s I = X^s since z^2s = 1, and Y^-1 X Y = X^-1
+        z = cmath.exp(2j * cmath.pi / r)
+        Y = [[0, 1], [z ** s, 0]]
+        els = gr.elements(g)
 
-    def rep(e):
-        eps, k = e
-        M = [[1, 0], [0, 1]]
-        if eps:
-            M = _matmul(M, Y)
-        for _ in range(k):
-            M = _matmul(M, X)
-        return M
+        def rep(a):
+            return _matmul(Y if a[0] else [[1, 0], [0, 1]], [[z ** a[1], 0], [0, z ** -a[1]]])
+    else:
+        # D_inf acting on Z by x: t -> t + 1 and y: t -> -t, as integer
+        # affine matrices; s = 0, so this covers Dicinf too
+        els = [(e, k) for e in (0, 1) for k in range(-6, 7)]
 
-    for a in gr.elements(g):
-        for b in gr.elements(g):
+        def rep(a):
+            sign = -1 if a[0] else 1
+            return [[sign, sign * a[1]], [0, 1]]
+
+    identity = [[1, 0], [0, 1]]
+    for a in els:
+        assert _close(_matmul(rep(g.invert(a)), rep(a)), identity)
+        for b in els:
             assert _close(rep(gr.multiply(g, a, b)), _matmul(rep(a), rep(b)))
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_dicyclic_table_matches_quaternionic_matrices(m):
-    import cmath
-
-    g = gr.Dicyclic(m)
-    w = cmath.exp(1j * cmath.pi / m)  # order 2m
-    X = [[w, 0], [0, w.conjugate()]]
-    Y = [[0, 1], [-1, 0]]  # Y^2 = -I = X^m and Y^-1 X Y = X^-1
-
-    def rep(e):
-        eps, k = e
-        M = [[1, 0], [0, 1]]
-        if eps:
-            M = _matmul(M, Y)
-        for _ in range(k):
-            M = _matmul(M, X)
-        return M
-
-    for a in gr.elements(g):
-        for b in gr.elements(g):
-            assert _close(rep(gr.multiply(g, a, b)), _matmul(rep(a), rep(b)))
+            assert (a == b) == _close(rep(a), rep(b))  # faithful on els
 
 
 def test_free_product_c2_c3_matches_psl2_matrices(rng):

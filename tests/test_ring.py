@@ -210,7 +210,7 @@ def test_walk_counts_match_ring_powers(g, rnd, coeffs):
         terms[e] = terms.get(e, 0) + c
     P = rg.ring_element(g, terms)
     assume(not rg.is_reciprocal(P))
-    powers = [rg.one(g)]  # ring_power(P, n), one multiplication per step
+    powers = [rg.one(g)]  # P^0 .. P^9, one multiplication per step
     for _ in range(9):
         powers.append(rg.mul(powers[-1], P))
     counts = rg.walk_counts(P)
@@ -377,7 +377,7 @@ def test_psl2_walks_match_closed_form_to_30():
 @given(st.randoms(use_true_random=False), st.integers(1, 2000), st.integers(0, 9))
 def test_support_cap_never_refuses_later_than_a_power(g, rnd, cap, n):
     P = random_ring_element(g, rnd, n_terms=4, gaussian=False)
-    powers = [rg.one(g)]  # ring_power(P, m), one multiplication per step
+    powers = [rg.one(g)]  # P^0 .. P^n, one multiplication per step
     for _ in range(n):
         powers.append(rg.mul(powers[-1], P))
     supports = [len(Pm.terms) for Pm in powers]
