@@ -227,6 +227,11 @@ class _RotationReflection(_Family):
     def rotations(self) -> int:
         return self._ROTATIONS_PER_M * self.m
 
+    @property
+    def square(self) -> int:
+        """s in y^2 = x^s."""
+        return self._SQUARE_PER_M * self.m
+
     def order(self):
         return 2 * self.rotations if self.m else math.inf
 
@@ -253,7 +258,7 @@ class _RotationReflection(_Family):
         return (0, 1) if i == 0 else (1, 0)
 
     def multiplier(self):
-        r, s = self.rotations, self._SQUARE_PER_M * self.m
+        r, s = self.rotations, self.square
 
         def mul(a, b):
             e1, k1 = a
@@ -266,11 +271,10 @@ class _RotationReflection(_Family):
 
     def invert(self, a):
         e, k = a
-        m = self.m
-        if not m:
+        if not self.m:
             return a if e else (0, -k)  # s = 0: reflections are involutions
         # (y x^k)^-1 = y x^(k+s), (x^k)^-1 = x^-k
-        return (e, (k + self._SQUARE_PER_M * m if e else -k) % (self._ROTATIONS_PER_M * m))
+        return (e, (k + self.square if e else -k) % self.rotations)
 
     def element_word(self, a) -> tuple:
         e, k = a

@@ -243,8 +243,9 @@ def mahler_finite(
 
 def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
     """The lambda-free m(Q) over finite G: log det(B) / (2|G|), B the adjacency
-    of QQ*.  det(B) is exact for exact Q; otherwise log det(B) is the sum of
-    the logs of the eigenvalues of B, which stays finite where det(B) does not."""
+    of QQ*.  For exact Q, det(B) is spectra.character_determinant of QQ*,
+    exact, and B is never built; otherwise log det(B) is the sum of the logs
+    of the eigenvalues of B, which stays finite where det(B) does not."""
     if not g.is_finite():
         raise InfiniteGroupError("mahler_determinant needs a finite group")
     Q = rg.transfer(Q, g)
@@ -255,14 +256,13 @@ def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
         # R/2 + (R/2)* is, as float addition commutes
         half = rg.scale(0.5, R)
         R = rg.add(half, rg.star(half))
-    B = sp.cayley_adjacency(g, R)
     n = g.order()
     # B is positive semidefinite, so it is singular unless det(B) > 0
-    if B.is_exact():
-        det = sp.det_hermitian(B)
+    if R.is_exact():
+        det = sp.character_determinant(g, R)
         log_det = _log(det) if det > 0 else None
     else:
-        eigenvalues = sp.hermitian_eigenvalues(B).eigenvalues
+        eigenvalues = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, R)).eigenvalues
         det = math.prod(eigenvalues)
         det = det if math.isfinite(det) else None
         log_det = math.fsum(map(math.log, eigenvalues)) if eigenvalues[0] > 0 else None

@@ -9,16 +9,22 @@ group-law calls.  Reciprocity of P, checked once, makes A Hermitian.
 Floating spectra come from LAPACK's Hermitian eigensolver (eigvalsh)
 through hermitian_eigenvalues, the one eigenvalue entry point.  numpy is
 imported on first use, so the series and exact routes never load it.
-The exact determinant takes the dense rows of A (I - lambda A is the
-adjacency of 1 - lambda P), clears denominators once and runs fraction-free
-Bareiss elimination on pairs of ints (Gaussian integers), so that integer
-constants come out exactly.
+Exact determinants come two independent ways, both with denominators
+cleared once so that integer constants come out exactly.  det_hermitian
+takes the dense rows of any adjacency (I - lambda A is the adjacency of
+1 - lambda P) and runs fraction-free Bareiss elimination on pairs of ints
+(Gaussian integers).  character_determinant never builds the adjacency: it
+multiplies det(R) over the characters of an abelian group, or over the 2x2
+representations of a dihedral or dicyclic one, in plain ints modulo
+Phi_L(2^k), a cyclotomic value past twice Hadamard's bound.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
+from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import coeffs as cf
@@ -73,20 +79,31 @@ class Spectrum(NamedTuple):
 # adjacency
 
 
-MAX_ORDER = 2**12  # the largest group given a Cayley adjacency: its dense complex matrix is 268 MB
+# the largest group given a Cayley adjacency or a character determinant: the
+# adjacency's dense complex matrix is 268 MB there, and character_determinant
+# takes seconds (its modulus grows with |G|, and it makes |G| or |G|/2
+# products modulo it)
+MAX_ORDER = 2**12
 
 
-def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> CayleyAdjacency:
-    """Weighted Cayley adjacency of a finite group for reciprocal P;
-    ResourceLimitError, before any group-law call, when |G| exceeds
-    MAX_ORDER.  A cap on memory, not on work."""
+def _finite_reciprocal(g: gr.GroupSpec, P: rg.RingElement, what: str) -> rg.RingElement:
+    """P over g, refused unless g is finite, of order at most MAX_ORDER
+    (ResourceLimitError, before any group-law call) and P reciprocal."""
     if not g.is_finite():
-        raise InfiniteGroupError("Cayley adjacency needs a finite group")
+        raise InfiniteGroupError(f"{what} needs a finite group")
     if g.order() > MAX_ORDER:
         raise ResourceLimitError(f"a group of order {g.order()} exceeds max_order={MAX_ORDER}")
     P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
         raise ValueError("P must be reciprocal (P == P*)")
+    return P
+
+
+def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> CayleyAdjacency:
+    """Weighted Cayley adjacency of a finite group for reciprocal P;
+    ResourceLimitError, before any group-law call, when |G| exceeds
+    MAX_ORDER."""
+    P = _finite_reciprocal(g, P, "Cayley adjacency")
     mul, index = gr.multiplier(g), g.element_index
     cols = tuple(tuple(index(mul(gi, e)) for e, _ in P.terms) for gi in gr.elements(g))
     return CayleyAdjacency(len(cols), cols, tuple(c for _, c in P.terms))
@@ -153,6 +170,108 @@ def det_hermitian(A: CayleyAdjacency):
     """Exact det(A) (int or Fraction); needs exact P.  det(I - lambda A) is
     det_hermitian of the adjacency of 1 - lambda P."""
     return cf.exact_real(_det_exact(A.rows()))
+
+
+def _cyclotomic_modulus(L: int, bits: int) -> tuple[int, int]:
+    """(k, Phi_L(2^k)) for the least k with 2 (k - 1) phi(L) >= bits;
+    Phi_L(t) by Moebius inversion of t^L - 1 = prod_{d | L} Phi_d(t)."""
+    primes, rest, p = [], L, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    primes += [rest] if rest > 1 else []
+    phi = L
+    for p in primes:
+        phi -= phi // p
+    k = 1 + -(-bits // (2 * phi))
+    num = den = 1
+    for mask in range(1 << len(primes)):  # the squarefree divisors of L
+        picked = [p for i, p in enumerate(primes) if mask >> i & 1]
+        term = (1 << k * L // math.prod(picked)) - 1
+        if len(picked) % 2:
+            den *= term
+        else:
+            num *= term
+    return k, num // den
+
+
+def character_determinant(g: gr.GroupSpec, R: rg.RingElement):
+    """Exact det(B) (int or Fraction) for B the Cayley adjacency of exact
+    reciprocal R over a finite abelian, dihedral or dicyclic group, as a
+    product over representations; B is never built.
+
+    B is the matrix of R in the regular representation, so det(B) is the
+    product of det(R) over the summands of any decomposition of it.  Over
+    Z/m_1 x ... x Z/m_l that is prod_chi R(chi), one factor per character.
+    Over the rotation-reflection family (r, s) (D_m is (m, 0), Dic_m is
+    (2m, m)), write R = a(x) + y b(x), as (e, k) is y^e x^k: the regular
+    representation is the sum over j < r of the 2x2 representations
+    x -> diag(z^j, z^-j), y -> [[0, 1], [z^js, 0]] induced from <x>,
+    z = exp(2 pi i / r), so det(B) is the product of
+    a(z^j) a(z^-j) - z^js b(z^j) b(z^-j).
+
+    It is evaluated in plain ints.  With d the lcm of every denominator of
+    R, det(dB) = d^|G| det(B) is that product for dR: an element D of
+    Z[zeta], zeta a primitive L-th root of unity, L the lcm of the moduli
+    (or r) and, when a coefficient has an imaginary part, of 4, with
+    i = zeta^(L/4).  D is also the determinant of a Hermitian matrix over
+    Z[i], so an integer.  As Z[zeta] = Z[X]/Phi_L(X), zeta -> t = 2^k is a
+    ring map onto Z/M for M = Phi_L(t), and it sends the product to D mod M.
+    Every row of dB holds each d c_t once, so by Hadamard's bound
+    |D| <= S^(|G|/2) < 2^(b|G|/2) for S = sum_t |d c_t|^2 of bit length b,
+    while M, the product of |t - w| over the primitive L-th roots w, is at
+    least (t - 1)^phi(L) >= 2^((k-1) phi(L)) >= 2^(b|G|/2 + 1) for the k
+    chosen.  So |D| < M/2, and D is the residue of the product in
+    (-M/2, M/2].  A non-reciprocal R is refused (ValueError): its det(B) is
+    not real, and the map would collapse it.
+    """
+    R = _finite_reciprocal(g, R, "a character determinant")
+    n = g.order()
+    d = math.lcm(*(x.denominator for _, c in R.terms for x in (c.real, c.imag)))
+    terms = [(e, int(c.real * d), int(c.imag * d)) for e, c in R.terms]
+    abelian = isinstance(g, gr.AbelianProduct)
+    L = math.lcm(*g.moduli) if abelian else g.rotations
+    if any(im for _, _, im in terms):
+        L = math.lcm(L, 4)
+    norm = sum(re * re + im * im for _, re, im in terms)
+    k, M = _cyclotomic_modulus(L, n * norm.bit_length() + 2)
+    power = [1]  # power[E] = zeta^E mod M
+    for _ in range(L - 1):
+        power.append((power[-1] << k) % M)
+    quarter = L // 4
+
+    def value(part, j):
+        """sum c zeta^(steps . j) mod M over the (steps, re, im) of part."""
+        total = 0
+        for steps, re, im in part:
+            E = sum(map(operator.mul, steps, j))
+            total += re * power[E % L] + im * power[(E + quarter) % L]
+        return total % M
+
+    det = 1
+    if abelian:  # chi_j(x^e) = zeta^(sum_i j_i e_i L/m_i)
+        part = [([L // m * x for m, x in zip(g.moduli, e)], re, im) for e, re, im in terms]
+        for j in product(*map(range, g.moduli)):
+            det = det * value(part, j) % M
+    else:
+        # z = zeta^(L/r), and z^js = z^-js = +-1 (y commutes with y^2 = x^s, so
+        # x^s = x^-s): the factors at j and r - j are equal
+        r, unit = g.rotations, L // g.rotations
+        a, b = ([((unit * x,), re, im) for (e, x), re, im in terms if e == y] for y in (0, 1))
+        twice = 1  # the product over 0 < j < r/2
+        for j in range(r // 2 + 1):
+            zs = -1 if 2 * j * g.square // r % 2 else 1
+            factor = (value(a, (j,)) * value(a, (-j,)) - zs * value(b, (j,)) * value(b, (-j,))) % M
+            if 0 < 2 * j < r:
+                twice = twice * factor % M
+            else:
+                det = det * factor % M
+        det = det * twice % M * twice % M
+    D = det if det <= M // 2 else det - M
+    return cf.exact_real(Fraction(D, d**n))
 
 
 # ---------------------------------------------------------------------------

@@ -686,6 +686,10 @@ def test_general_series_too_deep_is_refused_at_once():
     ("spectrum", "--group", "Z/300xZ/300", "--poly", F4),
     ("converge", "--chain", "dihedral", "--group", "Dinf", "--poly", "x+x^-1+y",
      "--lambda", "0.1", "--params", "100000"),
+    # the lambda-free exact determinant builds no adjacency: the same cap
+    # refuses these before any character is evaluated
+    ("measure", "--group", "D100000", "--poly", "3+x+y"),
+    ("measure", "--group", "Z/300xZ/300", "--poly", "3+x+y"),
 ])
 def test_a_finite_group_past_the_order_cap_exits_4(argv, monkeypatch):
     # binding P and walking the infinite limit call the group law; only the
@@ -739,17 +743,22 @@ def test_spectrum_command():
 
 def test_lambda_free_finite_measure_computes_one_determinant(monkeypatch):
     calls = []
-    det_hermitian = sp.det_hermitian
+    det_hermitian, character_determinant = sp.det_hermitian, sp.character_determinant
 
-    def counted(M):
-        calls.append(M.n)
-        return det_hermitian(M)
+    def counted(name, det):
+        def wrapped(*args):
+            calls.append(name)
+            return det(*args)
 
-    monkeypatch.setattr(sp, "det_hermitian", counted)
+        return wrapped
+
+    monkeypatch.setattr(sp, "det_hermitian", counted("det_hermitian", det_hermitian))
+    monkeypatch.setattr(sp, "character_determinant",
+                        counted("character_determinant", character_determinant))
     argv = ("measure", "--group", "Z/3xZ/2", "--poly", "1+x+y")
     rc, out, _ = run_cli(argv)
     assert rc == 0 and out == GOLDEN[argv]
-    assert calls == [6]
+    assert calls == ["character_determinant"]
 
 
 def test_u_command():
@@ -1072,7 +1081,7 @@ def test_only_float_spectral_routes_import_numpy():
         ["coeffs", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--n", "6"],
         ["genfun", "--series", "z2", "--n", "4"],
         ["measure", "--group", "Dinf", "--poly", "3+x+y"],  # λ-free series
-        ["measure", "--group", "Z/3xZ/2", "--poly", "1+x+y"],  # exact Bareiss
+        ["measure", "--group", "Z/3xZ/2", "--poly", "1+x+y"],  # exact character determinant
     ]
     float_spectral = ["measure", "--group", "D4", "--poly", "x+x^-1+y", "--lambda", "0.1"]
     src = str(Path(cli.__file__).parents[1])

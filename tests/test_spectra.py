@@ -13,7 +13,7 @@ from grmahler import mahler as mh
 from grmahler import ring as rg
 from grmahler import spectra as sp
 from grmahler.coeffs import GaussianRational, conj, exact_real
-from grmahler.errors import InfiniteGroupError, ResourceLimitError
+from grmahler.errors import InfiniteGroupError, ResourceLimitError, SingularMatrixError
 from grmahler.parsing import parse_group, parse_poly_over
 
 from conftest import (
@@ -323,6 +323,58 @@ def test_adjacency_determinants_match_permutation_expansion(rng):
             assert det == expected
             assert expected.im == 0
             assert type(det) is (int if expected.re.denominator == 1 else Fraction)
+
+
+# the catalogue (abelian and rotation-reflection groups only), and larger
+# ones: Z/6 x Z/6 is not cyclic, Z/4 x Z/5 has unequal moduli of lcm 20,
+# D8 and Dic5 have r = 8 and r = 10 rotations
+CHARACTER_GROUPS = FINITE_CATALOGUE + [
+    gr.AbelianProduct((6, 6)), gr.AbelianProduct((4, 5)), gr.Dihedral(8), gr.Dicyclic(5),
+]
+
+
+@st.composite
+def exact_reciprocal(draw):
+    """(g, R): R = S + S*, often indefinite, or S S*, positive semidefinite,
+    for S of up to three terms with int, Fraction or Gaussian coefficients."""
+    g = draw(st.sampled_from(CHARACTER_GROUPS))
+    S = rg.ring_element(g, draw(st.dictionaries(st.sampled_from(g.elements()), _EXACT, max_size=3)))
+    return g, rg.mul(S, rg.star(S)) if draw(st.booleans()) else rg.add(S, rg.star(S))
+
+
+def _z33_singular():
+    g = gr.AbelianProduct((3, 3))
+    Q = parse_poly_over("1+x+y", g)
+    return g, rg.mul(Q, rg.star(Q))
+
+
+@given(exact_reciprocal())
+@example(_z33_singular())  # det(B) = 0
+@example((gr.Dihedral(8), parse_poly_over("x+x^-1+2*y+0.25", gr.Dihedral(8))))  # det < 0
+# det(B) = -3267; the y-terms need an imaginary part, or the factors with
+# z^js = -1 have b = 0 (a reciprocal b over Dic_m has c_(k+m) = conj c_k)
+@example((gr.Dicyclic(5), parse_poly_over("1+x+x^-1+i*y-i*y^-1", gr.Dicyclic(5))))
+def test_character_determinant_is_the_adjacency_determinant(case):
+    g, R = case
+    det = sp.character_determinant(g, R)
+    assert det == sp.det_hermitian(sp.cayley_adjacency(g, R))
+    assert type(det) is (int if Fraction(det).denominator == 1 else Fraction)
+
+
+def test_character_determinant_signs_and_refusals(monkeypatch):
+    g, R = _z33_singular()
+    assert sp.character_determinant(g, R) == 0
+    with pytest.raises(SingularMatrixError):
+        mh.measure(g, parse_poly_over("1+x+y", g))
+    D8 = gr.Dihedral(8)
+    assert sp.character_determinant(D8, parse_poly_over("x+x^-1+2*y+0.25", D8)) < 0
+    with pytest.raises(ValueError, match="reciprocal"):
+        sp.character_determinant(D3, parse_poly_over("x+2*y", D3))
+    with pytest.raises(InfiniteGroupError):
+        sp.character_determinant(gr.Dihedral(0), rg.one(gr.Dihedral(0)))
+    monkeypatch.setattr(gr, "multiplier", lambda g: pytest.fail("no group law past the cap"))
+    with pytest.raises(ResourceLimitError, match="order 200000 exceeds max_order=4096"):
+        sp.character_determinant(gr.Dihedral(100000), rg.one(gr.Dihedral(100000)))
 
 
 # ---------------------------------------------------------------------------
