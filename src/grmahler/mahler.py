@@ -123,7 +123,10 @@ def _walk_to_depth(P: rg.RingElement, s, epsilon: float, tail, support_cap: int)
     """The terms a_n s^n (n = 1..N) of the walk counts a_n = [P^n]_0 for the
     smallest N >= 1 whose tail(k|s|, N) is at most epsilon, k = l1(P) and
     k|s| < 1, and that tail; ResourceLimitError, before any walk, when N
-    would exceed MAX_TERMS, or when the walk outgrows support_cap.  A term
+    would exceed MAX_TERMS, or when a walk outgrows support_cap.  The counts
+    come from ring.block_walk_counts, so over an abelian group each block of
+    P is walked on its own axes and support_cap bounds each block's walk;
+    this is where a series picks how its counts are computed.  A term
     is formed in floats unless a_n or s^n leaves float range (an
     OverflowError, a non-finite term or a nonzero a_n whose term rounds to 0);
     then it is formed on the rational values of a_n and s, and rounded once.
@@ -139,7 +142,7 @@ def _walk_to_depth(P: rg.RingElement, s, epsilon: float, tail, support_cap: int)
             f"series needs more than max_terms={MAX_TERMS} terms to reach "
             f"epsilon={epsilon:g} at decay rate {rate:.6g}"
         )
-    counts = rg.power_constant_coeffs(P, N, support_cap=support_cap).values
+    counts = rg.block_walk_counts(P, N, support_cap)
     terms, power, m = [], 1, 0  # power = s^m exactly, grown as the terms need it
     for n, a in enumerate(counts[1:], 1):
         try:

@@ -13,11 +13,16 @@ half powers, a_(j+k) = sum_g [P^j]_g [P^k]_(g^-1), so a_0..a_N store no
 power past P^ceil(N/2), and it walks a Cayley graph it builds as it goes:
 each element met gets an int id, and its products with the elements of P
 and, once the graph holds it, its inverse are computed once per walk,
-however often it recurs.
+however often it recurs.  block_walk_counts, which the series routes call,
+splits an abelian P into blocks of terms on disjoint axes, walks each block
+by walk_counts over its own axes and combines them by the binomial theorem,
+so a sum over l axes walks l lines instead of an l-dimensional ball.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import islice
+from math import comb
 from typing import NamedTuple
 
 from . import coeffs as cf
@@ -256,6 +261,72 @@ def power_constant_coeffs(
         raise ValueError("N must be non-negative")
     values = tuple(islice(walk_counts(P, support_cap), N + 1))
     return SeriesCoeffs(values, N, l1_norm(P))
+
+
+def block_walk_counts(P: RingElement, N: int, support_cap: int = DEFAULT_SUPPORT_CAP) -> tuple:
+    """a_0..a_N (a_n = [P^n]_0), over an abelian group by the product rule.
+
+    Over Z/m_1 x ... x Z/m_l, two non-constant terms of P are in one block
+    when they move a common axis, and blocks that share an axis merge.  The
+    blocks' parts P_1..P_k commute with each other and with the constant c
+    of P, so by the binomial theorem a_n is the sum over n_0 + ... + n_k = n
+    of the multinomial coefficient times c^n_0 a_n_1(P_1) ... a_n_k(P_k),
+    taken one part at a time as c_n = sum_j C(n, j) s_j b_(n-j).  Each
+    a_n(P_i) is walk_counts of P_i over the subgroup of its block's axes,
+    which checks support_cap in that block's walk only.  With one block or
+    none, and over any other group, it is walk_counts of P itself.
+
+    Exact P gives the values of walk_counts exactly, though a count's kind
+    (int, Fraction or a GaussianRational with no imaginary part) may differ
+    where one of the two adds a cancelling pair of terms apart and the other
+    together; the series routes read a count only by its value.  A float P
+    sums its counts in another order, so they may differ in the last bits.
+    """
+    if N < 0:
+        raise ValueError("N must be non-negative")
+    group, identity = P.group, P.group.identity()
+
+    def counts(Q):
+        return tuple(islice(walk_counts(Q, support_cap), N + 1))
+
+    blocks = []  # (axes, {element: coeff}) of the non-constant terms
+    if isinstance(group, gr.AbelianProduct):
+        for e, c in P.terms:
+            if e != identity:
+                axes, terms = {i for i, x in enumerate(e) if x}, {e: c}
+                for block in [block for block in blocks if block[0] & axes]:
+                    blocks.remove(block)
+                    axes |= block[0]
+                    terms.update(block[1])
+                blocks.append((axes, terms))
+    if len(blocks) < 2:
+        return counts(P)
+    c = P.coeff(identity)
+    parts = [counts(monomial(group, identity, c))] if c else []  # c^0..c^N
+    for axes, terms in blocks:
+        axes = sorted(axes)
+        sub = gr.AbelianProduct([group.moduli[i] for i in axes])
+        parts.append(counts(ring_element(sub, {tuple(e[i] for i in axes): v
+                                               for e, v in terms.items()})))
+    return tuple(reduce(_binomial_convolution, parts))
+
+
+def _binomial_convolution(s, b) -> list:
+    """c_n = sum_j C(n, j) s_j b_(n-j): the walk counts of a sum of two
+    commuting elements from theirs.  Only nonzero products are added, as in
+    walk_counts, and a zero count is the int 0."""
+    nonzero = [(j, x) for j, x in enumerate(s) if x]
+    out = []
+    for n in range(len(s)):
+        total = 0
+        for j, x in nonzero:
+            if j > n:
+                break
+            y = b[n - j]
+            if y:
+                total += comb(n, j) * (x * y)
+        out.append(total or 0)
+    return out
 
 
 def transfer(a: RingElement, target: gr.GroupSpec) -> RingElement:

@@ -251,17 +251,26 @@ def character_determinant(g: gr.GroupSpec, R: rg.RingElement):
             total += re * power[E % L] + im * power[(E + quarter) % L]
         return total % M
 
-    det = 1
+    det, twice = 1, 1  # twice: the product of the factors that occur twice
     if abelian:  # chi_j(x^e) = zeta^(sum_i j_i e_i L/m_i)
+        # R(chi_-j) is R(chi_j) with each c_e read as c_-e = conj(c_e), so for
+        # real R the factors at j and -j are one, taken twice unless j = -j
+        real = not any(im for _, _, im in terms)
         part = [([L // m * x for m, x in zip(g.moduli, e)], re, im) for e, re, im in terms]
         for j in product(*map(range, g.moduli)):
-            det = det * value(part, j) % M
+            neg = tuple([-x % m for x, m in zip(j, g.moduli)]) if real else j
+            if neg < j:
+                continue
+            factor = value(part, j)
+            if neg == j:
+                det = det * factor % M
+            else:
+                twice = twice * factor % M
     else:
         # z = zeta^(L/r), and z^js = z^-js = +-1 (y commutes with y^2 = x^s, so
         # x^s = x^-s): the factors at j and r - j are equal
         r, unit = g.rotations, L // g.rotations
         a, b = ([((unit * x,), re, im) for (e, x), re, im in terms if e == y] for y in (0, 1))
-        twice = 1  # the product over 0 < j < r/2
         for j in range(r // 2 + 1):
             zs = -1 if 2 * j * g.square // r % 2 else 1
             factor = (value(a, (j,)) * value(a, (-j,)) - zs * value(b, (j,)) * value(b, (-j,))) % M
@@ -269,7 +278,7 @@ def character_determinant(g: gr.GroupSpec, R: rg.RingElement):
                 twice = twice * factor % M
             else:
                 det = det * factor % M
-        det = det * twice % M * twice % M
+    det = det * twice % M * twice % M
     D = det if det <= M // 2 else det - M
     return cf.exact_real(Fraction(D, d**n))
 

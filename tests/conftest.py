@@ -82,6 +82,31 @@ def random_ring_element(group, rnd, n_terms=3, gaussian=True):
     return rg.ring_element(group, terms)
 
 
+# abelian groups of one infinite axis, of several, and of infinite and finite
+# axes mixed, over which a ring element splits into blocks of disjoint axes
+BLOCK_GROUPS = [
+    gr.AbelianProduct((0,)),
+    gr.AbelianProduct((0, 0)),
+    gr.AbelianProduct((0, 0, 0)),
+    gr.AbelianProduct((0, 5)),
+    gr.AbelianProduct((3, 0, 4)),
+]
+
+
+def random_split_element(group, rnd, coeffs):
+    """Exact element of abelian `group` with the given coefficients on terms
+    that mostly move one axis, so that it splits into blocks; a term on no
+    axis adds to the constant, and one on several axes joins their blocks."""
+    terms, moduli = {}, group.moduli
+    for c in coeffs:
+        axes = rnd.sample(range(len(moduli)), 1 if rnd.random() < 0.7 else
+                          rnd.randint(0, len(moduli)))
+        e = [rnd.choice([-2, -1, 1, 2]) if i in axes else 0 for i in range(len(moduli))]
+        e = tuple(x % m if m else x for x, m in zip(e, moduli))
+        terms[e] = terms.get(e, 0) + c
+    return rg.ring_element(group, terms)
+
+
 def random_reciprocal(group, rnd, n_terms=2, max_l1=8.0):
     """Random nonzero reciprocal element P = R + R* (+ small real constant),
     rejected until its l1-norm fits under max_l1."""

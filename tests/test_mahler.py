@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from grmahler import genfun as gf
 from grmahler import groups as gr
@@ -21,6 +23,7 @@ from grmahler.errors import (
 from grmahler.parsing import parse_group, parse_poly_over
 
 from conftest import (
+    BLOCK_GROUPS,
     FINITE_CATALOGUE,
     dicyclic_theorem_instance,
     dihedral_theorem_instance,
@@ -29,7 +32,9 @@ from conftest import (
     from_alpha_beta,
     one_minus_lambda_adjacency,
     random_reciprocal,
+    random_split_element,
 )
+from test_ring import EXACT_COEFFS
 from test_routes import EPS, ROUTES, at_lambda, lambda_free
 
 Z2 = gr.AbelianProduct((0, 0))
@@ -284,6 +289,73 @@ def test_general_series_fallback_refuses_an_unconverged_sum():
     Q = parse_poly_over("1+x+y", g)
     with pytest.raises(DomainError, match="certificate"):
         mh.mahler_general(g, Q)
+
+
+def test_series_on_z3_walks_one_axis_at_a_time(monkeypatch):
+    # x1 + x1^-1 + ... + x3^-1 is three commuting one-axis blocks: the series
+    # walks Z once per block, never the ball of Z^3 (24,534 group-law calls
+    # at depth 30)
+    g = parse_group("Z^3")
+    P = parse_poly_over("x1+x1^-1+x2+x2^-1+x3+x3^-1", g)
+    lam, N = 0.1, 30
+    rate = rg.l1_norm(P) * lam
+    epsilon = rate ** (N + 1) / ((N + 1) * (1 - rate))  # the tail bound at depth N
+    calls = [0]
+    multiplier = gr.AbelianProduct.multiplier
+
+    def counted_multiplier(self):
+        law = multiplier(self)
+
+        def counted_law(a, b):
+            calls[0] += 1
+            return law(a, b)
+
+        return counted_law
+
+    monkeypatch.setattr(gr.AbelianProduct, "multiplier", counted_multiplier)
+    res = mh.mahler_series(g, P, lam, epsilon)
+    monkeypatch.undo()
+    assert res.error_bound == epsilon
+    assert 0 < calls[0] <= len(g.moduli) * (N + 2) * 2
+    counts = rg.power_constant_coeffs(P, N).values  # the Cayley walk of Z^3
+    assert res.value == -math.fsum(a * lam**n / n for n, a in enumerate(counts[1:], 1))
+
+
+def _assert_series_do_not_depend_on_the_walk(P):
+    # a series reads each walk count as a float, or past float range by its
+    # rational value, never by its kind: the product rule's counts and the
+    # Cayley walk's give bit-identical measures and u
+    g, l1 = P.group, rg.l1_norm(P)
+
+    def series():
+        return mh.mahler_series(g, P, 0.25 / l1, 1e-6), mh.u_series(g, P, (0.2 + 0.2j) / l1, 1e-6)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rg, "block_walk_counts",
+                   lambda P, N, cap: rg.power_constant_coeffs(P, N, cap).values)
+        want = series()
+    assert repr(series()) == repr(want)
+
+
+@pytest.mark.parametrize("g", BLOCK_GROUPS, ids=repr)
+@settings(max_examples=10)
+@given(st.randoms(use_true_random=False), st.lists(EXACT_COEFFS, min_size=1, max_size=5))
+def test_series_terms_do_not_depend_on_the_walk(g, rnd, coeffs):
+    R = random_split_element(g, rnd, coeffs)
+    P = rg.add(R, rg.star(R))
+    assume(not P.is_zero())
+    _assert_series_do_not_depend_on_the_walk(P)
+
+
+def test_series_read_no_count_by_its_kind():
+    # i*y - i*y^-1 over Z/3 cancels in its own a_3, so the product rule's a_3
+    # is a Fraction where the walk, adding the pair apart, has a GaussianRational
+    g = gr.AbelianProduct((4, 3))
+    P = rg.ring_element(g, {(0, 1): GaussianRational(0, 1), (0, 2): GaussianRational(0, -1),
+                            (1, 0): 3, (3, 0): 3, (2, 0): Fraction(-5, 3)})
+    split, walked = rg.block_walk_counts(P, 3)[3], rg.power_constant_coeffs(P, 3).values[3]
+    assert split == walked and (type(split), type(walked)) == (Fraction, GaussianRational)
+    _assert_series_do_not_depend_on_the_walk(P)
 
 
 def test_general_series_fallback_refuses_depth_before_walking():

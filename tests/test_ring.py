@@ -15,15 +15,18 @@ from hypothesis import strategies as st
 from grmahler import genfun as gf
 from grmahler import groups as gr
 from grmahler import ring as rg
+from grmahler.cli import format_number
 from grmahler.coeffs import GaussianRational
 from grmahler.errors import GroupMismatchError, InfiniteGroupError, ResourceLimitError
 from grmahler.parsing import parse_poly_over
 
 from conftest import (
+    BLOCK_GROUPS,
     FINITE_CATALOGUE,
     random_element,
     random_reciprocal,
     random_ring_element,
+    random_split_element,
 )
 
 Z32 = gr.AbelianProduct((3, 2))
@@ -274,6 +277,68 @@ def test_float_walk_counts_bit_identical_to_the_walk_on_forms(g, rnd, coeffs, re
     want = _walk_counts_on_forms(P, 9)
     assert got == want
     assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
+
+
+def _assert_block_walk_is_the_walk(P, N):
+    # the product rule against the Cayley walk: equal values, printed alike;
+    # an exact count's kind (int, Fraction or a real GaussianRational) may
+    # differ where the two sum a cancelling pair apart or together, which no
+    # series reads (test_mahler.py::test_series_terms_do_not_depend_on_the_walk)
+    got = rg.block_walk_counts(P, N)
+    want = tuple(islice(rg.walk_counts(P), N + 1))
+    assert got == want
+    assert [format_number(v) for v in got] == [format_number(v) for v in want]
+
+
+@pytest.mark.parametrize("g", BLOCK_GROUPS, ids=repr)
+@settings(max_examples=25)
+@given(st.randoms(use_true_random=False), st.lists(EXACT_COEFFS, max_size=6),
+       st.integers(0, 12))
+def test_block_walk_counts_equal_the_cayley_walk(g, rnd, coeffs, N):
+    _assert_block_walk_is_the_walk(random_split_element(g, rnd, coeffs), N)
+
+
+G = GaussianRational
+Z3ZZ4 = gr.AbelianProduct((3, 0, 4))
+
+
+@pytest.mark.parametrize("g, terms, N, splits", [
+    (Z3ZZ4, {(1, 0, 0): G(0, 1), (2, 0, 0): G(0, -1), (0, 1, 0): 1, (0, -1, 0): 1,
+             (0, 0, 1): 2, (0, 0, 0): 3}, 12, True),
+    (Z2, {(1, 0): Fraction(1, 2), (-1, 0): Fraction(1, 2), (0, 1): 1, (0, -1): 1}, 16, True),
+    (Z2, {(0, 0): G(2, 1), (1, 0): 1, (0, -1): 1}, 9, True),
+    # -y + y^2 cancels in the y-block's a_3, so the product rule's a_3 is the
+    # Fraction -45 where the walk, adding the pair apart, gets G(-45, 0)
+    (gr.AbelianProduct((4, 3)), {(0, 1): -1, (0, 2): G(1, 0), (1, 0): 3, (2, 0): Fraction(-5, 3)},
+     8, True),
+    (Z2, {(1, 0): 1, (0, 0): 0}, 0, False),  # N = 0
+    (Z2, {(0, 0): Fraction(-3, 2)}, 6, False),  # the constant alone
+    (Z2, {(1, 1): 1, (-1, -1): 1, (1, 0): 1, (-1, 0): 1}, 12, False),  # xy joins x and y
+    # x1x2x3 joins the blocks of x1 and x3
+    (gr.AbelianProduct((0, 0, 0)), {(1, 0, 0): 1, (0, 0, 1): 1, (1, 1, 1): 1, (0, 0, 0): 1},
+     10, False),
+], ids=["gaussian-Z/3xZxZ/4", "fraction-Z^2", "gaussian-constant", "cancelling-pair", "N=0",
+        "constant", "xy-one-block", "Z^3-one-block"])
+def test_block_walk_counts_examples(monkeypatch, g, terms, N, splits):
+    # a P of one block, or of none, is walked whole: nothing is convolved
+    if not splits:
+        monkeypatch.setattr(rg, "_binomial_convolution",
+                            lambda s, b: pytest.fail("one block needs no product rule"))
+    _assert_block_walk_is_the_walk(rg.ring_element(g, terms), N)
+
+
+def test_block_walk_counts_keep_the_walk_elsewhere():
+    # any other group is walked whole; the support cap holds in each block
+    P = parse_poly_over("x + x^-1 + y + y^-1", gr.Free(2))
+    assert rg.block_walk_counts(P, 10) == rg.power_constant_coeffs(P, 10).values
+    with pytest.raises(ResourceLimitError):
+        rg.block_walk_counts(P, 8, support_cap=50)
+    P = parse_poly_over("x + x^-1 + y + y^-1", Z2)
+    assert rg.block_walk_counts(P, 8, support_cap=25) == (1, 0, 4, 0, 36, 0, 400, 0, 4900)
+    with pytest.raises(ResourceLimitError, match=re.escape("5*5 = 25 > 24")):
+        rg.block_walk_counts(P, 8, support_cap=24)
+    with pytest.raises(ValueError):
+        rg.block_walk_counts(P, -1)
 
 
 @pytest.mark.parametrize("g, poly, N", [(Z2, "x+x^-1+y+y^-1", 40),

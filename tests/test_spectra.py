@@ -354,6 +354,9 @@ def _z33_singular():
 # det(B) = -3267; the y-terms need an imaginary part, or the factors with
 # z^js = -1 have b = 0 (a reciprocal b over Dic_m has c_(k+m) = conj c_k)
 @example((gr.Dicyclic(5), parse_poly_over("1+x+x^-1+i*y-i*y^-1", gr.Dicyclic(5))))
+# an imaginary part makes the characters j and -j give unequal factors
+@example((gr.AbelianProduct((4, 5)),
+          parse_poly_over("3+i*x-i*x^-1+y+y^-1", gr.AbelianProduct((4, 5)))))
 def test_character_determinant_is_the_adjacency_determinant(case):
     g, R = case
     det = sp.character_determinant(g, R)
