@@ -125,8 +125,9 @@ def _walk_to_depth(P: rg.RingElement, s, epsilon: float, tail, support_cap: int)
     k|s| < 1, and that tail; ResourceLimitError, before any walk, when N
     would exceed MAX_TERMS, or when a walk outgrows support_cap.  The counts
     come from ring.block_walk_counts, so over an abelian group each block of
-    P is walked on its own axes and support_cap bounds each block's walk;
-    this is where a series picks how its counts are computed.  A term
+    P is walked on its own axes and support_cap bounds each block's walk,
+    and a nearest-neighbour P over a free family solves first-passage
+    equations, which build no power and need no cap.  A term
     is formed in floats unless a_n or s^n leaves float range (an
     OverflowError, a non-finite term or a nonzero a_n whose term rounds to 0);
     then it is formed on the rational values of a_n and s, and rounded once.

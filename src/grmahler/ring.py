@@ -7,16 +7,21 @@ to complex as soon as a floating value enters.
 
 The central quantity everywhere downstream is the sequence of constant
 coefficients of powers, a_n = [P^n]_0, which counts weighted closed walks
-at the identity of the weighted Cayley graph; walk_counts is the one
-kernel that computes it, for every series route downstream.  It pairs two
-half powers, a_(j+k) = sum_g [P^j]_g [P^k]_(g^-1), so a_0..a_N store no
+at the identity of the weighted Cayley graph; walk_counts is the kernel
+that computes it for any P.  It pairs two half powers,
+a_(j+k) = sum_g [P^j]_g [P^k]_(g^-1), so a_0..a_N store no
 power past P^ceil(N/2), and it walks a Cayley graph it builds as it goes:
 each element met gets an int id, and its products with the elements of P
 and, once the graph holds it, its inverse are computed once per walk,
 however often it recurs.  block_walk_counts, which the series routes call,
 splits an abelian P into blocks of terms on disjoint axes, walks each block
 by walk_counts over its own axes and combines them by the binomial theorem,
-so a sum over l axes walks l lines instead of an l-dimensional ball.
+so a sum over l axes walks l lines instead of an l-dimensional ball.  It
+sends a nearest-neighbour P over a free group or a free product of cyclic
+groups to first_passage_counts, the second kernel: it solves the
+first-passage equations of the tree-like Cayley graph order by order and
+builds no power.  walk_counts never calls it, and power_constant_coeffs
+(coeffs, agree-depth) keeps the walk, so the two kernels check each other.
 """
 from __future__ import annotations
 
@@ -264,7 +269,8 @@ def power_constant_coeffs(
 
 
 def block_walk_counts(P: RingElement, N: int, support_cap: int = DEFAULT_SUPPORT_CAP) -> tuple:
-    """a_0..a_N (a_n = [P^n]_0), over an abelian group by the product rule.
+    """a_0..a_N (a_n = [P^n]_0), over an abelian group by the product rule,
+    over a free family by first-passage equations.
 
     Over Z/m_1 x ... x Z/m_l, two non-constant terms of P are in one block
     when they move a common axis, and blocks that share an axis merge.  The
@@ -274,7 +280,9 @@ def block_walk_counts(P: RingElement, N: int, support_cap: int = DEFAULT_SUPPORT
     taken one part at a time as c_n = sum_j C(n, j) s_j b_(n-j).  Each
     a_n(P_i) is walk_counts of P_i over the subgroup of its block's axes,
     which checks support_cap in that block's walk only.  With one block or
-    none, and over any other group, it is walk_counts of P itself.
+    none, and over any other group, it is walk_counts of P itself, except
+    for a nearest-neighbour P over a free group or a free product, whose
+    counts come from first_passage_counts and no support cap.
 
     Exact P gives the values of walk_counts exactly, though a count's kind
     (int, Fraction or a GaussianRational with no imaginary part) may differ
@@ -300,7 +308,7 @@ def block_walk_counts(P: RingElement, N: int, support_cap: int = DEFAULT_SUPPORT
                     terms.update(block[1])
                 blocks.append((axes, terms))
     if len(blocks) < 2:
-        return counts(P)
+        return first_passage_counts(P, N) or counts(P)
     c = P.coeff(identity)
     parts = [counts(monomial(group, identity, c))] if c else []  # c^0..c^N
     for axes, terms in blocks:
@@ -309,6 +317,125 @@ def block_walk_counts(P: RingElement, N: int, support_cap: int = DEFAULT_SUPPORT
         parts.append(counts(ring_element(sub, {tuple(e[i] for i in axes): v
                                                for e, v in terms.items()})))
     return tuple(reduce(_binomial_convolution, parts))
+
+
+def first_passage_counts(P: RingElement, N: int):
+    """a_0..a_N (a_n = [P^n]_0) for a nearest-neighbour P over a free group
+    or a free product of finite cyclic groups, from first-passage equations;
+    None for any other P.
+
+    Nearest-neighbour: each term of P is the identity (coefficient c_e), one
+    letter of Free or one syllable (i, a) of FreeProductCyclic.  Factor i is
+    then a copy of Z (letter +-(i+1) is the step +-1) or of Z/m_i, with the
+    steps a of coefficient c_a that P takes in it, and the Cayley graph is
+    tree-like: a closed walk at e is a sequence of loops c_e and excursions,
+    each into one factor's coset of e and back to e.  In factor i, h_b is
+    the series of walks from b back to 0, first reaching 0 at their end;
+    while they stay in the coset they loop by L_i = c_e z + sum_(j != i) E_j,
+    for E_j = z sum_a c_a h_a the excursions into factor j:
+
+        h_b = z sum_a c_a h_(b+a) + L_i h_b,   h_0 = 1,
+
+    and sum a_n z^n = 1 / (1 - c_e z - sum_i E_i).  In a copy of Z, b = +-1
+    and b + a = 2b is two first passages, h_2b = h_b^2: this is
+    F_s = c_s z + z (c_e + sum_(t != s) c_t F_(t^-1)) F_s for F_s = h_(s^-1).
+    In Z/m_i the states are the b within N // 2 steps +-a of 0, since no
+    closed walk of length N leaves them, however large m_i is.
+
+    Coefficient n of each series comes from lower ones only, so a_0..a_N take
+    O(N^2 * states) operations; exact P gives exact counts, equal to
+    walk_counts's, and only nonzero products are added, as in walk_counts.
+    No power is built, so no support cap applies.
+    """
+    group = P.group
+    if isinstance(group, gr.Free):
+        moduli = (0,) * group.rank
+    elif isinstance(group, gr.FreeProductCyclic):
+        moduli = group.orders
+    else:
+        return None
+    c_e, steps = 0, [{} for _ in moduli]  # c_e and {a: c_a} per factor
+    for e, c in P.terms:
+        if len(e) > 1:
+            return None
+        if not e:
+            c_e = c
+        elif moduli[0]:  # a syllable (i, a)
+            steps[e[0][0]][e[0][1]] = c
+        else:  # a letter +-(i+1)
+            steps[abs(e[0]) - 1][1 if e[0] > 0 else -1] = c
+    factor_of, moves, firsts = [], [], []  # per state: its factor and moves (c_a, target)
+    for i, (m, A) in enumerate(zip(moduli, steps)):
+        reached, frontier = {0}, [0]
+        for _ in range(N // 2 if m else 1):  # in Z, b = +-1
+            frontier = {(x + s * a) % m if m else x + s * a
+                        for x in frontier for a in A for s in (1, -1)} - reached
+            reached |= frontier
+        ids = {b: len(factor_of) + k for k, b in enumerate(sorted(reached - {0}))}
+        factor_of += [i] * len(ids)
+        for b, own in ids.items():
+            row = []
+            for a, c in A.items():
+                t = (b + a) % m if m else b + a
+                if t == 0:  # the target 0 is None
+                    row.append((c, None))
+                elif not m:  # t = 2b, as b's own id
+                    row.append((c, own))
+                elif t in ids:
+                    row.append((c, ids[t]))
+            moves.append(row)
+        firsts.append([(c, ids[a]) for a, c in A.items() if a in ids])
+    h = [[0] for _ in factor_of]  # h_b to coefficient n - 1, then n
+    h_nonzero = [[] for _ in factor_of]  # (k, h_b[k]) for each nonzero h_b[k]
+    loops = [[(1, c_e)] if c_e else [] for _ in moduli]  # the same of L_i, to k = n
+    U = [(1, c_e)] if c_e else []  # the same of c_e z + sum_i E_i, to k = n
+    a = [1, c_e or 0]
+    for n in range(1, N):
+        for b, (hb, i) in enumerate(zip(h, factor_of)):
+            total = _convolve(loops[i], hb, n)
+            for c, t in moves[b]:
+                if t is None:  # h_0 = 1
+                    x = 1 if n == 1 else 0
+                elif t == b:  # h_2b = h_b^2
+                    x = _convolve(h_nonzero[b], hb, n - 1)
+                else:
+                    x = h[t][n - 1]
+                if x:
+                    total += c * x
+            hb.append(total or 0)
+            if total:
+                h_nonzero[b].append((n, total))
+        E = [_nonzero_sum(c * h[s][n] for c, s in first) for first in firsts]  # E_i[n + 1]
+        for i, Li in enumerate(loops):
+            loop = _nonzero_sum(Ej for j, Ej in enumerate(E) if j != i)
+            if loop:
+                Li.append((n + 1, loop))
+        excursions = _nonzero_sum(E)
+        if excursions:
+            U.append((n + 1, excursions))
+        a.append(_convolve(U, a, n + 1))
+    return tuple(a[:N + 1])
+
+
+def _nonzero_sum(values):
+    """The sum of the nonzero values, in order; a zero sum is the int 0."""
+    total = 0
+    for v in values:
+        if v:
+            total += v
+    return total or 0
+
+
+def _convolve(nonzero, b, n):
+    """Coefficient n of the product of two series, the first given by its
+    nonzero coefficients (k, s_k) for 1 <= k <= n; only nonzero products
+    are added, and a zero sum is the int 0."""
+    total = 0
+    for k, x in nonzero:
+        y = b[n - k]
+        if y:
+            total += x * y
+    return total or 0
 
 
 def _binomial_convolution(s, b) -> list:

@@ -69,11 +69,20 @@ def random_element(group, rnd, max_len=3):
     return e
 
 
-def random_ring_element(group, rnd, n_terms=3, gaussian=True):
-    """Random exact ring element with small Gaussian-integer coefficients."""
+def random_nearest_neighbour(group, rnd):
+    """The identity or an element one step from it, drawn uniformly: a letter
+    of a free group, or a syllable of a free product of cyclic groups."""
+    if isinstance(group, gr.Free):
+        return rnd.choice([()] + [(s * i,) for i in range(1, group.rank + 1) for s in (1, -1)])
+    return rnd.choice([()] + [((i, a),) for i, m in enumerate(group.orders) for a in range(1, m)])
+
+
+def random_ring_element(group, rnd, n_terms=3, gaussian=True, element=random_element):
+    """Random exact ring element with small Gaussian-integer coefficients on
+    terms drawn by element(group, rnd)."""
     terms = {}
     for _ in range(n_terms):
-        e = random_element(group, rnd)
+        e = element(group, rnd)
         if gaussian and rnd.random() < 0.4:
             c = GaussianRational(rnd.randint(-2, 2), rnd.randint(-2, 2))
         else:
@@ -107,11 +116,12 @@ def random_split_element(group, rnd, coeffs):
     return rg.ring_element(group, terms)
 
 
-def random_reciprocal(group, rnd, n_terms=2, max_l1=8.0):
+def random_reciprocal(group, rnd, n_terms=2, max_l1=8.0, element=random_element):
     """Random nonzero reciprocal element P = R + R* (+ small real constant),
-    rejected until its l1-norm fits under max_l1."""
+    rejected until its l1-norm fits under max_l1; R's terms are drawn by
+    element(group, rnd)."""
     while True:
-        R = random_ring_element(group, rnd, n_terms)
+        R = random_ring_element(group, rnd, n_terms, element=element)
         P = rg.add(R, rg.star(R))
         if rnd.random() < 0.5:
             P = rg.add(P, rg.scale(rnd.randint(-1, 1), rg.one(group)))

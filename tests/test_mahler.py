@@ -275,9 +275,10 @@ def test_general_series_fallback_over_a_free_group():
 
 
 def test_general_series_fallback_honours_support_cap():
-    # P^n for P = -(x + y)/3 fills F2 exponentially
+    # P^n for P = -(x^2 + y)/3 fills F2 exponentially, and a P with a word
+    # of two letters is walked (a nearest-neighbour one builds no power)
     g = gr.Free(2)
-    Q = parse_poly_over("3+x+y", g)
+    Q = parse_poly_over("3+x^2+y", g)
     with pytest.raises(ResourceLimitError, match="cap"):
         mh.mahler_general(g, Q, support_cap=100)
 
@@ -424,9 +425,8 @@ U_CLOSED_FORMS = [
     "group, poly, closed", U_CLOSED_FORMS, ids=[f"{g} {p}" for g, p, _ in U_CLOSED_FORMS]
 )
 def test_u_series_matches_closed_forms_on_free_families(group, poly, closed, lam):
-    # epsilon 1e-9 keeps F2 at |lambda| = 0.08 to 18 terms (22 at 1e-12,
-    # whose half power holds about 2e5 words)
-    g, eps = parse_group(group), 1e-9
+    # F2 at |lambda| = 0.08 takes 22 terms from the first-passage solver
+    g, eps = parse_group(group), 1e-12
     u = mh.u_series(g, parse_poly_over(poly, g), lam, eps)
     assert abs(u - closed.evaluate(lam)) <= eps + 1e-12
 

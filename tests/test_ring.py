@@ -24,6 +24,7 @@ from conftest import (
     BLOCK_GROUPS,
     FINITE_CATALOGUE,
     random_element,
+    random_nearest_neighbour,
     random_reciprocal,
     random_ring_element,
     random_split_element,
@@ -328,8 +329,10 @@ def test_block_walk_counts_examples(monkeypatch, g, terms, N, splits):
 
 
 def test_block_walk_counts_keep_the_walk_elsewhere():
-    # any other group is walked whole; the support cap holds in each block
-    P = parse_poly_over("x + x^-1 + y + y^-1", gr.Free(2))
+    # any other group is walked whole unless P is nearest-neighbour on a free
+    # family, as this one with a word of two letters is not; the support cap
+    # holds in each block
+    P = parse_poly_over("x^2 + x^-2 + y + y^-1", gr.Free(2))
     assert rg.block_walk_counts(P, 10) == rg.power_constant_coeffs(P, 10).values
     with pytest.raises(ResourceLimitError):
         rg.block_walk_counts(P, 8, support_cap=50)
@@ -339,6 +342,80 @@ def test_block_walk_counts_keep_the_walk_elsewhere():
         rg.block_walk_counts(P, 8, support_cap=24)
     with pytest.raises(ValueError):
         rg.block_walk_counts(P, -1)
+
+
+FIRST_PASSAGE_GROUPS = [gr.Free(1), gr.Free(2), gr.Free(3), gr.FreeProductCyclic((2, 3)),
+                        gr.FreeProductCyclic((3, 3)), gr.FreeProductCyclic((2, 2, 2)),
+                        gr.FreeProductCyclic((2, 5))]
+
+
+@pytest.mark.parametrize("g", FIRST_PASSAGE_GROUPS, ids=repr)
+@settings(max_examples=20)
+@given(st.randoms(use_true_random=False), st.lists(EXACT_COEFFS, min_size=1, max_size=6),
+       st.integers(0, 14))
+def test_first_passage_counts_equal_the_cayley_walk(g, rnd, coeffs, N):
+    # any nearest-neighbour P, with or without a constant, reciprocal or not;
+    # the walk stays cheap to depth 14 (10 on F3)
+    N = min(N, 10) if g == gr.Free(3) else N
+    terms = {}
+    for c in coeffs:
+        e = random_nearest_neighbour(g, rnd)
+        terms[e] = terms.get(e, 0) + c
+    P = rg.ring_element(g, terms)
+    got = rg.first_passage_counts(P, N)
+    want = tuple(islice(rg.walk_counts(P), N + 1))
+    assert got == want
+    assert [format_number(v) for v in got] == [format_number(v) for v in want]
+    assert rg.block_walk_counts(P, N) == got
+
+
+@pytest.mark.parametrize("g, poly, closed", [
+    (gr.Free(2), "x+x^-1+y+y^-1", gf.u_free(2)),
+    (gr.FreeProductCyclic((2, 3)), "x+y+y^-1", gf.u_psl2("x+y+y^-1")),
+    (gr.FreeProductCyclic((2, 3)), "2*x+y+y^-1", gf.u_psl2("2x+y+y^-1")),
+    (gr.FreeProductCyclic((2, 2, 2)), "x1+x2+x3", gf.tree_walk_series(3)),
+], ids=["F2", "psl2-xyy", "psl2-2xyy", "C2*C2*C2"])
+def test_first_passage_counts_match_closed_forms_to_100(g, poly, closed):
+    assert list(rg.first_passage_counts(parse_poly_over(poly, g), 100)) == closed.coeffs(100)
+
+
+def test_first_passage_states_stay_near_the_identity():
+    # a factor of order 10^30 holds only the states within N/2 steps of 0
+    g = gr.FreeProductCyclic((2, 10**30))
+    for poly, N in (("3 + y + 2*y^-1 + y^7", 50), ("x + y + y^-1", 50), ("x + y^3 + y^-2", 18)):
+        P = parse_poly_over(poly, g)
+        start = time.perf_counter()
+        got = rg.first_passage_counts(P, N)
+        assert time.perf_counter() - start < 1.0
+        if N < 50 or "x" not in poly:  # x + y + y^-1 at 50 outgrows the default support cap
+            assert got == tuple(islice(rg.walk_counts(P), N + 1))
+        # no closed walk of N steps of at most 7 winds around a factor of order 7N + 1
+        small = gr.FreeProductCyclic((2, 7 * N + 1))
+        assert rg.first_passage_counts(parse_poly_over(poly, small), N) == got
+
+
+@pytest.mark.parametrize("g, poly", [
+    (gr.Free(2), "x^2 + x^-2 + y + y^-1"), (gr.Free(2), "xy + 3"),
+    (gr.FreeProductCyclic((2, 3)), "xy + y^-1x + 1"), (Z2, "x + x^-1 + y + y^-1"),
+    (gr.Dihedral(0), "x + x^-1 + y"),
+], ids=["F2-square", "F2-xy", "C2*C3-xy", "Z^2", "Dinf"])
+def test_other_p_still_walk(g, poly):
+    P = parse_poly_over(poly, g)
+    assert rg.first_passage_counts(P, 8) is None
+    assert rg.block_walk_counts(P, 8) == tuple(islice(rg.walk_counts(P), 9))
+
+
+def test_the_cayley_walk_never_reaches_the_solver(monkeypatch):
+    # walk_counts and power_constant_coeffs (coeffs, agree-depth) stay the
+    # oracle of the series counts, which block_walk_counts takes from the solver
+    P = parse_poly_over("x + x^-1 + y + y^-1", gr.Free(2))
+    want = gf.u_free(2).coeffs(12)
+    monkeypatch.setattr(rg, "first_passage_counts",
+                        lambda P, N: pytest.fail("the walk reached the solver"))
+    assert list(rg.power_constant_coeffs(P, 12).values) == want
+    assert list(islice(rg.walk_counts(P), 13)) == want
+    with pytest.raises(pytest.fail.Exception):
+        rg.block_walk_counts(P, 12)
 
 
 @pytest.mark.parametrize("g, poly, N", [(Z2, "x+x^-1+y+y^-1", 40),

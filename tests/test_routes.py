@@ -39,6 +39,7 @@ from conftest import (
     FINITE_CATALOGUE,
     float_twin,
     random_element,
+    random_nearest_neighbour,
     random_reciprocal,
     random_ring_element,
 )
@@ -51,6 +52,8 @@ ROUNDING = 1e-12
 
 INFINITE = [parse_group(s) for s in
             ("Z", "Z^2", "Z^3", "ZxZ/2", "ZxZ/3", "ZxZ/5", "Dinf", "F2", "C2*C3")]
+# where a nearest-neighbour P takes its walk counts from ring.first_passage_counts
+FIRST_PASSAGE = [parse_group("F2"), parse_group("C2*C3")]
 P_STANDARD = "x + x^-1 + y + y^-1"
 
 
@@ -178,11 +181,14 @@ def cases(draw):
     """Over FINITE_CATALOGUE, a reciprocal P at |lambda| rho <= 0.9 (rho the
     spectral radius of P), or a lambda-free Q = c g0 + R with l1(R) <= 0.9|c|,
     c Gaussian or off the identity as drawn; over the infinite groups, P at
-    l1(P)|lambda| <= 0.3, so that the walks stay shallow."""
+    l1(P)|lambda| <= 0.3, so that the walks stay shallow, but for a
+    nearest-neighbour P over F2 or C2*C3, drawn half the time there, at
+    l1(P)|lambda| <= 0.9: its counts come from first-passage equations."""
     g = draw(st.sampled_from(FINITE_CATALOGUE + INFINITE))
     rnd = random.Random(draw(st.integers(0, 2**32)))
     finite = g.is_finite()
-    j = rnd.randint(-900, 900) if finite else rnd.randint(-300, 300)
+    nearest = g in FIRST_PASSAGE and draw(st.booleans())
+    j = rnd.randint(-900, 900) if finite or nearest else rnd.randint(-300, 300)
     if finite and draw(st.booleans()):
         a, b = rnd.randint(1, 3), rnd.randint(-3, 3)
         c = GaussianRational(rnd.choice([a, -a]), b) if b else a
@@ -192,6 +198,8 @@ def cases(draw):
         return lambda_free(g, rg.add(rg.monomial(g, random_element(g, rnd), c), R))
     if _zxzm(g) and draw(st.booleans()):
         P = parse_poly_over(P_STANDARD, g)
+    elif nearest:
+        P = random_reciprocal(g, rnd, n_terms=3, element=random_nearest_neighbour)
     else:
         P = random_reciprocal(g, rnd)
     scale = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, P)).max_abs() if finite else rg.l1_norm(P)
@@ -209,6 +217,10 @@ EXAMPLES = [
     at_lambda(gr.AbelianProduct((2,)), "1", Fraction(9, 10)),
     at_lambda(parse_group("Z^2"), P_STANDARD, Fraction(1, 10)),
     at_lambda(parse_group("ZxZ/3"), P_STANDARD, Fraction(1, 20)),
+    # nearest-neighbour P near the rate cap: about 160 terms from first-passage
+    # equations, for the series and for mahler_general of 1 - lambda P
+    at_lambda(parse_group("F2"), P_STANDARD, Fraction(11, 50)),
+    at_lambda(parse_group("C2*C3"), "2*x + i*y - i*y^-1", Fraction(11, 50)),
     # the torus at grid G is the character sum on Z/G x Z/G: these hold that
     # sum to the finite routes
     at_lambda(gr.AbelianProduct((4, 4)), P_STANDARD, Fraction(1, 10)),
