@@ -36,7 +36,7 @@ def main():
     ):
         print(f"\n## {label}")
         print("parameter,value,gap,q")
-        for row in ex.converge_abelian(P, args.lam, grids):
+        for row in ex.converge("abelian", P, args.lam, grids):
             print(f"{row.parameter},{row.value:.15g},{row.gap:.3e},{row.q}")
 
 

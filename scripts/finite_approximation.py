@@ -34,7 +34,7 @@ def main():
 
     print("## dihedral chain, P = x + x^-1 + y")
     P = parse_poly_over("x + x^-1 + y", gr.Dihedral(0))
-    print_rows(ex.converge_quotients("dihedral", P, args.lam, ms))
+    print_rows(ex.converge("dihedral", P, args.lam, ms))
 
     print("\n## agreement depth D_m vs D_inf (first disagreement is at n = m)")
     print("m,first_disagreement")
@@ -44,11 +44,11 @@ def main():
 
     print("\n## Z x Z/m closed-form chain, P = x + x^-1 + y + y^-1")
     Pz = parse_poly_over("x + x^-1 + y + y^-1", gr.AbelianProduct((0, 0)))
-    print_rows(ex.converge_quotients("zxzm", Pz, args.lam, ms + [128]))
+    print_rows(ex.converge("zxzm", Pz, args.lam, ms + [128]))
 
     print("\n## dicyclic chain, rotation-only P = x + x^-1 (converges)")
     Pc = parse_poly_over("x + x^-1", gr.Dicyclic(0))
-    print_rows(ex.converge_quotients("dicyclic", Pc, args.lam, ms))
+    print_rows(ex.converge("dicyclic", Pc, args.lam, ms))
 
     print("\n## dicyclic walk counts with y in the support (split at n = 2)")
     Py = parse_poly_over("x + x^-1 + y", gr.Dicyclic(0))

@@ -244,12 +244,7 @@ def run_converge(args):
     params = _parse_params(args.params)
     if args.lam is None:
         raise DomainError("converge needs an explicit --lambda")
-    group, poly = _bind(args)
-    if args.chain == "abelian":
-        l = group.num_generators()
-        rows = ex.converge_abelian(poly, args.lam, [(m,) * l for m in params], support_cap=args.support_cap)
-    else:
-        rows = ex.converge_quotients(args.chain, poly, args.lam, params, support_cap=args.support_cap)
+    rows = ex.converge(args.chain, _bind(args)[1], args.lam, params, support_cap=args.support_cap)
     obj = _result_object(args, "converge-" + args.chain, None, 0, {"rows": [r._asdict() for r in rows]})
     return obj, list(ex.ConvergenceRow._fields), [list(r) for r in rows]
 
@@ -370,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="finite-model convergence sweeps")
     common(p, run_converge, lam=True, support_cap=True)
-    p.add_argument("--chain", choices=("abelian",) + ex.CHAINS, required=True)
+    p.add_argument("--chain", choices=tuple(ex.CHAINS), required=True)
     p.add_argument("--params", required=True, help="comma-separated sizes, e.g. 4,8,16,32")
 
     p = sub.add_parser("agree-depth", help="first index where walk counts disagree")

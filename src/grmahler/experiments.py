@@ -1,20 +1,21 @@
 """Convergence and comparison experiments.
 
-Reproduces the finite-approximation behaviour: finite abelian grids against
-the torus measure, dihedral and dicyclic quotient chains against their
-infinite limits, the Z x Z/m closed-form chain, agreement depth of walk
-counts, and the equality/counterexample comparisons between a group and its
-abelianized counterpart.
+Reproduces the finite-approximation behaviour: `converge` runs any chain of
+`CHAINS` (finite abelian grids against the torus measure, dihedral and
+dicyclic quotients against their infinite limits, the Z x Z/m closed form
+against Z^2); agreement depth of walk counts; and the equality and
+counterexample comparisons between a group and its abelianized counterpart.
 """
 from __future__ import annotations
 
 import math
 from itertools import product
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import groups as gr
 from . import mahler as mh
 from . import ring as rg
+from .errors import DomainError
 
 DEFAULT_H_MAX = 8
 EQUAL_TOL = 1e-10
@@ -80,33 +81,6 @@ def q_of_m(m, h_max: int = DEFAULT_H_MAX):
     return None
 
 
-def converge_abelian(
-    P: rg.RingElement, lam: float, moduli_sequence, support_cap: int = rg.DEFAULT_SUPPORT_CAP
-) -> list[ConvergenceRow]:
-    """Finite-abelian measures (character product formula) against the
-    free-abelian series limit; rows sorted by group order."""
-    g = P.group
-    if not isinstance(g, gr.AbelianProduct) or any(m != 0 for m in g.moduli):
-        raise ValueError("P must live over a free abelian group")
-    limit = mh.measure(g, P, lam, epsilon=1e-9, support_cap=support_cap)
-    rows = []
-    for moduli in moduli_sequence:
-        gq = gr.AbelianProduct(tuple(moduli))
-        value = mh.abelian_measure_via_characters(gq, rg.transfer(P, gq), lam)
-        q = q_of_m(moduli)
-        rows.append(
-            ConvergenceRow(
-                parameter=int(gq.order()),
-                value=value,
-                gap=abs(value - limit.value),
-                limit_method=limit.method,
-                q=q if q is not None else f">{DEFAULT_H_MAX}",
-            )
-        )
-    rows.sort(key=lambda r: r.parameter)
-    return rows
-
-
 def agreement_depth(
     g_fin: gr.GroupSpec,
     g_inf: gr.GroupSpec,
@@ -135,37 +109,63 @@ def _coeffs_equal(x, y) -> bool:
     return x == y
 
 
-CHAINS = ("dihedral", "dicyclic", "zxzm")
+def _abelian_row(g, P, lam, m):
+    moduli = (m,) * len(g.moduli) if isinstance(m, int) else tuple(m)
+    gq = gr.AbelianProduct(moduli)
+    value = mh.abelian_measure_via_characters(gq, rg.transfer(P, gq), lam)
+    q = q_of_m(moduli)
+    return gq.order(), value, f">{DEFAULT_H_MAX}" if q is None else q
 
 
-def converge_quotients(
-    chain: str, P: rg.RingElement, lam: float, m_list, support_cap: int = rg.DEFAULT_SUPPORT_CAP
+def _quotient_row(g, P, lam, m):
+    return m, mh.measure(type(g)(m), P, lam).value, None
+
+
+_Z2 = gr.AbelianProduct((0, 0))
+_ZXZM_P = rg.ring_element(_Z2, {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1})
+
+
+def _zxzm_serves(P) -> bool:
+    if P.group == _Z2 and P != _ZXZM_P:
+        raise DomainError("the zxzm chain is the closed form for x + x^-1 + y + y^-1 only")
+    return P.group == _Z2
+
+
+class Chain(NamedTuple):
+    """One row of CHAINS: a chain of finite quotients and its limit group."""
+
+    serves: Callable[[rg.RingElement], bool]  # P lives over the limit group
+    row: Callable  # (limit group, P, lambda, m) -> (parameter, value, q)
+    epsilon: float  # of the series limit
+
+
+CHAINS = {
+    # Z/m1 x ... x Z/ml -> Z^l by characters; m is (m,) * l or the moduli,
+    # the parameter |G|, q Boyd-Lawton's
+    "abelian": Chain(lambda P: isinstance(P.group, gr.AbelianProduct) and not any(P.group.moduli),
+                     _abelian_row, 1e-9),
+    # D_m -> Dinf and Dic_m -> the printed Dicinf (see README for the
+    # caveat), by determinant
+    "dihedral": Chain(lambda P: P.group == gr.Dihedral(0), _quotient_row, 1e-10),
+    "dicyclic": Chain(lambda P: P.group == gr.Dicyclic(0), _quotient_row, 1e-10),
+    # the Z x Z/m closed form -> Z^2, for x + x^-1 + y + y^-1 only
+    "zxzm": Chain(_zxzm_serves, lambda g, P, lam, m: (m, mh.mahler_zxzm(m, lam), None), 1e-10),
+}
+
+
+def converge(
+    chain: str, P: rg.RingElement, lam: float, params, support_cap: int = rg.DEFAULT_SUPPORT_CAP
 ) -> list[ConvergenceRow]:
-    """Measures of a quotient chain against the infinite-group series value.
-
-    chain="dihedral": D_m -> D_infinity, finite side by determinant.
-    chain="dicyclic": Dic_m against the printed infinite presentation
-    (which coincides with D_infinity; see README for the caveat).
-    chain="zxzm": the Z x Z/m closed form for the standard 4-term element
-    against the Z^2 series.
-    """
-    if chain not in CHAINS:
-        raise ValueError(f"chain must be one of {CHAINS}")
-    family = {"dihedral": gr.Dihedral, "dicyclic": gr.Dicyclic}.get(chain)
-    g_inf = family(0) if family else gr.AbelianProduct((0, 0))
-    standard = {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}
-    if not family and rg.transfer(P, g_inf) != rg.ring_element(g_inf, standard):
-        raise ValueError("the zxzm chain is the closed form for x + x^-1 + y + y^-1 only")
-    limit = mh.measure(g_inf, P, lam, epsilon=1e-10, support_cap=support_cap)
-    rows = []
-    for m in map(int, m_list):
-        if family:
-            value = mh.measure(family(m), P, lam).value
-        else:
-            value = mh.mahler_zxzm(m, lam)
-        rows.append(ConvergenceRow(m, value, abs(value - limit.value), limit.method))
-    rows.sort(key=lambda r: r.parameter)
-    return rows
+    """Measures along a chain of finite quotients against the series value
+    over the limit group, P's group; rows sorted by parameter."""
+    serves, row, epsilon = CHAINS[chain]
+    g = P.group
+    if not serves(P):
+        raise DomainError(f"the {chain} chain does not serve {g!r}: P must live over its limit group")
+    limit = mh.measure(g, P, lam, epsilon=epsilon, support_cap=support_cap)
+    rows = [ConvergenceRow(p, v, abs(v - limit.value), limit.method, q)
+            for p, v, q in (row(g, P, lam, m) for m in params)]
+    return sorted(rows, key=lambda r: r.parameter)
 
 
 def compare_groups(

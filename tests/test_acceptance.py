@@ -203,16 +203,16 @@ def test_c06_closed_forms_vs_brute_force():
 def test_c07_convergence():
     lam = 0.1
     P = parse_poly_over(P_STANDARD, Z2)
-    rows = ex.converge_abelian(P, lam, [(G, G) for G in (4, 8, 16, 32, 64)])
+    rows = ex.converge("abelian", P, lam, [4, 8, 16, 32, 64])
     assert rows[-1].gap <= 1e-6
     assert rows[-1].gap < rows[0].gap
 
     Pd = parse_poly_over("x + x^-1 + y", gr.Dihedral(0))
-    rows_d = ex.converge_quotients("dihedral", Pd, lam, [4, 8, 16, 32, 64])
+    rows_d = ex.converge("dihedral", Pd, lam, [4, 8, 16, 32, 64])
     assert rows_d[-1].gap <= 1e-6
     assert rows_d[-1].gap < rows_d[0].gap
 
-    rows_z = ex.converge_quotients("zxzm", P, lam, [2, 4, 8, 16, 32, 64, 128])
+    rows_z = ex.converge("zxzm", P, lam, [2, 4, 8, 16, 32, 64, 128])
     assert rows_z[-1].gap <= 1e-4
     assert rows_z[-1].gap < rows_z[0].gap
 

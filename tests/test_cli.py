@@ -1,3 +1,4 @@
+import argparse
 import io
 import contextlib
 import json
@@ -413,7 +414,7 @@ CLI_COMMANDS = {
     "u": (SERIES_OPTIONS, {}, {}),
     "compare": (SERIES_OPTIONS, {"--group-b": CLI_GROUPS}, {}),
     "converge": ({"--lambda", "--support-cap"},
-                 {"--chain": (("abelian", "dihedral", "dicyclic", "zxzm"), ("bad",)),
+                 {"--chain": (tuple(cli.ex.CHAINS), ("bad",)),
                   "--params": (("4", "2,3"), ("0", "4,x", "", "-2"))}, {}),
     "agree-depth": ({"--support-cap"}, {"--group-b": CLI_GROUPS}, {"--n-max": CLI_SIZES}),
     "genfun": (set(), {"--series": (("tree", "free", "free-p2", "psl2-xyy", "z2"), ("bad",))},
@@ -809,6 +810,46 @@ def test_converge_command_csv():
     lines = out.strip().split("\n")
     assert lines[0] == "parameter,value,gap,limit_method,q"
     assert len(lines) == 3
+
+
+# chain: one small request over its limit group
+CHAIN_REQUESTS = {
+    "abelian": ("Z^2", "x+x^-1+y+y^-1", "2,3"),
+    "dihedral": ("Dinf", "x+x^-1+y", "3,6"),
+    "dicyclic": ("Dicinf", "x+x^-1", "4,8"),
+    "zxzm": ("Z^2", "x+x^-1+y+y^-1", "2,4"),
+}
+
+
+def test_chain_choices_are_the_chain_table():
+    subcommands = next(a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    chain = next(a for a in subcommands.choices["converge"]._actions if a.dest == "chain")
+    assert chain.choices == tuple(cli.ex.CHAINS)
+
+
+@pytest.mark.parametrize("chain", cli.ex.CHAINS)
+def test_every_chain_answers_with_strict_json(chain):
+    group, poly, params = CHAIN_REQUESTS[chain]
+    rc, out, err = run_cli(["converge", "--chain", chain, "--group", group, "--poly", poly,
+                            "--lambda", "0.1", "--params", params])
+    assert rc == 0 and err == ""
+    obj = strict_json(out)
+    assert obj["method"] == "converge-" + chain
+    assert len(obj["extra"]["rows"]) == len(params.split(","))
+
+
+@pytest.mark.parametrize("chain, group", [
+    ("dihedral", "Z^2"), ("dihedral", "F2"), ("dihedral", "Dicinf"), ("dicyclic", "Dinf"),
+    ("zxzm", "ZxZ/3"), ("zxzm", "Dinf"), ("abelian", "Z/3xZ"), ("abelian", "Dinf"),
+])
+def test_converge_refuses_a_group_the_chain_does_not_serve(chain, group):
+    rc, out, err = run_cli(["converge", "--chain", chain, "--group", group,
+                            "--poly", "x+x^-1+y+y^-1", "--lambda", "0.1", "--params", "4,8"])
+    assert rc == 3 and out == ""
+    error = strict_json(err)["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"].startswith(f"the {chain} chain does not serve ")
+    assert repr(cli.parse_group(group)) in error["message"]
 
 
 def test_agree_depth_command():

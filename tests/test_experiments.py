@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ from grmahler import experiments as ex
 from grmahler import groups as gr
 from grmahler import mahler as mh
 from grmahler import ring as rg
+from grmahler.errors import DomainError
 from grmahler.parsing import parse_poly_over
 
 from conftest import dihedral_theorem_instance, from_alpha_beta
@@ -39,28 +41,61 @@ def test_q_of_m_guards():
 
 
 # ---------------------------------------------------------------------------
-# abelian convergence (finite grids -> torus)
+# convergence along every chain of ex.CHAINS
+
+# chain: (limit group, P, params at lambda 0.1, bound on the last gap)
+SWEEPS = {
+    "abelian": (Z2, P_STANDARD, [4, 8, 16, 32], 1e-6),
+    "dihedral": (gr.Dihedral(0), "x + x^-1 + y", [4, 8, 16], 1e-6),
+    # without y-terms the presentation discrepancy is invisible and the
+    # dicyclic chain genuinely converges
+    "dicyclic": (gr.Dicyclic(0), "x + x^-1", [4, 8, 16], 1e-6),
+    "zxzm": (Z2, P_STANDARD, [2, 4, 8, 16], 1e-4),
+}
+
+
+@pytest.mark.parametrize("chain", ex.CHAINS)
+def test_converge_gap_falls_below_a_bound(chain):
+    group, poly, params, bound = SWEEPS[chain]
+    rows = ex.converge(chain, parse_poly_over(poly, group), 0.1, params)
+    assert rows[-1].gap < bound
+    assert rows[-1].gap < rows[0].gap
+
+
+@pytest.mark.parametrize("chain", ex.CHAINS)
+def test_converge_zero_lambda(chain):
+    group, poly, params, _ = SWEEPS[chain]
+    P = parse_poly_over(poly, group)
+    if chain == "zxzm":  # the closed form holds for 0 < lambda < 1/4 only
+        with pytest.raises(DomainError, match="lambda in"):
+            ex.converge(chain, P, 0.0, params)
+        return
+    rows = ex.converge(chain, P, 0.0, params)
+    assert all(r.value == 0.0 and r.gap == 0.0 for r in rows)
+
+
+def test_converge_sorts_rows_by_parameter():
+    P = parse_poly_over("x + x^-1 + y", gr.Dihedral(0))
+    rows = ex.converge("dihedral", P, 0.1, [16, 4, 8])
+    assert [r.parameter for r in rows] == [4, 8, 16]
 
 
 def test_converge_abelian_square_grids():
     P = parse_poly_over(P_STANDARD, Z2)
-    rows = ex.converge_abelian(P, 0.1, [(G, G) for G in (4, 8, 16, 32)])
+    rows = ex.converge("abelian", P, 0.1, [4, 8, 16, 32])
     assert [r.parameter for r in rows] == [16, 64, 256, 1024]
-    assert rows[-1].gap < 1e-6
-    assert rows[-1].gap < rows[0].gap
     assert all(r.q == 1 for r in rows)  # equal moduli: s = (1, -1)
 
 
-def test_converge_abelian_zero_lambda():
+def test_converge_abelian_int_is_a_square_grid():
     P = parse_poly_over(P_STANDARD, Z2)
-    rows = ex.converge_abelian(P, 0.0, [(4, 4), (8, 8)])
-    assert all(r.value == 0.0 and r.gap == 0.0 for r in rows)
+    assert ex.converge("abelian", P, 0.1, [4, 8]) == ex.converge("abelian", P, 0.1, [(4, 4), (8, 8)])
 
 
 def test_converge_abelian_one_variable_to_quadrature():
     g = gr.AbelianProduct((0,))
     P = parse_poly_over("x + x^-1", g)
-    rows = ex.converge_abelian(P, 0.2, [(G,) for G in (8, 32, 128, 256)])
+    rows = ex.converge("abelian", P, 0.2, [(G,) for G in (8, 32, 128, 256)])
     torus = mh.mahler_torus(P, 0.2, grid=512).value
     assert abs(rows[-1].value - torus) < 1e-8
     assert rows[-1].gap < rows[0].gap
@@ -68,7 +103,7 @@ def test_converge_abelian_one_variable_to_quadrature():
 
 def test_converge_abelian_coprime_grids_report_q():
     P = parse_poly_over(P_STANDARD, Z2)
-    rows = ex.converge_abelian(P, 0.05, [(4, 5), (8, 9)])
+    rows = ex.converge("abelian", P, 0.05, [(4, 5), (8, 9)])
     assert rows[0].q == 5 and rows[1].q == ">8"  # q((8,9)) = 9 > default h_max
 
 
@@ -135,33 +170,10 @@ def test_tail_bound_controls_measure_gap():
 # quotient chains
 
 
-def test_converge_quotients_dihedral():
-    P = parse_poly_over("x + x^-1 + y", gr.Dihedral(0))
-    rows = ex.converge_quotients("dihedral", P, 0.1, [4, 8, 16])
-    assert rows[-1].gap < 1e-6
-    assert rows[-1].gap < rows[0].gap
-
-
-def test_converge_quotients_zxzm():
-    P = parse_poly_over(P_STANDARD, Z2)
-    rows = ex.converge_quotients("zxzm", P, 0.1, [2, 4, 8, 16])
-    assert rows[-1].gap < 1e-4
-    assert rows[-1].gap < rows[0].gap
-
-
 def test_converge_quotients_zxzm_rejects_other_elements():
     P = parse_poly_over("x + x^-1", Z2)
-    with pytest.raises(ValueError):
-        ex.converge_quotients("zxzm", P, 0.1, [2, 4])
-
-
-def test_converge_quotients_dicyclic_rotation_only():
-    # without y-terms the presentation discrepancy is invisible and the
-    # dicyclic chain genuinely converges
-    P = parse_poly_over("x + x^-1", gr.Dicyclic(0))
-    rows = ex.converge_quotients("dicyclic", P, 0.1, [4, 8, 16])
-    assert rows[-1].gap < 1e-6
-    assert rows[-1].gap < rows[0].gap
+    with pytest.raises(DomainError, match=re.escape("closed form for x + x^-1 + y + y^-1 only")):
+        ex.converge("zxzm", P, 0.1, [2, 4])
 
 
 def test_dicyclic_y_elements_cannot_ride_the_chain():
@@ -178,14 +190,8 @@ def test_dicyclic_y_elements_cannot_ride_the_chain():
 def test_converge_quotients_uniform_in_lambda():
     P = parse_poly_over("x + x^-1 + y", gr.Dihedral(0))
     for lam in (0.05, 0.1, 0.15):
-        rows = ex.converge_quotients("dihedral", P, lam, [4, 16])
+        rows = ex.converge("dihedral", P, lam, [4, 16])
         assert rows[-1].gap < 1e-6
-
-
-def test_converge_quotients_zero_lambda():
-    P = parse_poly_over("x + x^-1 + y", gr.Dihedral(0))
-    rows = ex.converge_quotients("dihedral", P, 0.0, [4, 8])
-    assert all(r.value == 0.0 and r.gap == 0.0 for r in rows)
 
 
 # ---------------------------------------------------------------------------

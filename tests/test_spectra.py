@@ -451,7 +451,7 @@ def test_converge_abelian_refuses_a_grid_past_the_point_cap(monkeypatch):
     P = parse_poly_over("x+x^-1+y+y^-1", Z2)
     cap = f"max_points={mh.TORUS_MAX_POINTS}"
     with pytest.raises(ResourceLimitError, match=f"{2048 * 2048} characters .*{cap}"):
-        ex.converge_abelian(P, 0.1, [(2048, 2048)])
+        ex.converge("abelian", P, 0.1, [2048])
 
 
 def test_abelian_spectrum_circulant():
