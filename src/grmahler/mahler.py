@@ -14,8 +14,9 @@ Four computation routes; the first three return one result type, MeasureResult:
                   average *is* the finite-group measure at the grid size);
 * closed-form  -- the Z x Z/m family for the standard 4-term element.
 
-measure holds the one rule that picks a route from the method, lambda and
-the group; it only dispatches, and no route calls another.
+ROUTES, in auto's order, is the one table of measure's routes; measure only
+runs a row, and no route calls another.  A new route is a row, its function,
+a tests/test_routes.py ROUTES entry and a tests/test_cli.py METHOD_ARGVS one.
 
 lambda is kept real for measure routes; only the walk generating function
 u accepts complex lambda.  Every series route takes its terms a_n s^n
@@ -27,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import groups as gr
 from . import ring as rg
@@ -58,32 +59,46 @@ class MeasureResult(NamedTuple):
     grid: int | None = None
 
 
-METHODS = ("auto", "finite", "series", "general", "torus")  # the choices of measure
+class Route(NamedTuple):
+    """One row of ROUTES, a --method of measure.  run looks its route functions
+    up as module globals at each call, so a patched module attribute runs."""
+
+    lam: bool  # True: the route needs a lambda; False: it refuses one
+    auto: Callable[[gr.GroupSpec], bool] | None  # the groups auto may take it on; None: never
+    run: Callable  # (g, P, lam, **options) -> MeasureResult
+
+
+ROUTES = {
+    "finite": Route(True, lambda g: g.is_finite(), lambda g, P, lam, allow_continuation, **_:
+                    mahler_finite(g, P, lam, allow_continuation)),
+    "series": Route(True, lambda g: True, lambda g, P, lam, epsilon, support_cap, **_:
+                    mahler_series(g, P, lam, epsilon, support_cap)),
+    "general": Route(False, lambda g: True, lambda g, P, lam, epsilon, support_cap, **_:
+                     mahler_determinant(g, P) if g.is_finite()
+                     else mahler_general(g, P, epsilon, support_cap)),
+    "torus": Route(True, None, lambda g, P, lam, grid, **_:
+                   mahler_torus(rg.transfer(P, g), lam, grid)),
+}
+METHODS = ("auto", *ROUTES)  # the choices of measure
 
 
 def measure(g: gr.GroupSpec, P: rg.RingElement, lam=None, method: str = "auto",
             epsilon: float = 1e-10, support_cap: int = rg.DEFAULT_SUPPORT_CAP,
             grid: int | None = None, allow_continuation: bool = False) -> MeasureResult:
-    """m(P, lambda), or the lambda-free m(P) when lam is None, by one route:
-    "general" is mahler_determinant on finite g, else mahler_general, and
-    refuses a lam; "finite", "series" and "torus" need one (DomainError);
-    "auto" is "general" without lam, else "finite" or "series" by g."""
-    if method not in METHODS:
-        raise ValueError(f"unknown measure method {method!r}")
+    """m(P, lambda), or the lambda-free m(P) when lam is None, by the ROUTES
+    row that method names; a row refuses a lam it cannot use (DomainError).
+    "auto" is the first row whose lambda rule holds and whose auto accepts g."""
     if method == "auto":
-        method = "general" if lam is None else "finite" if g.is_finite() else "series"
-    if (lam is None) != (method == "general"):
+        method = next(name for name, route in ROUTES.items()
+                      if route.lam == (lam is not None) and route.auto and route.auto(g))
+    route = ROUTES.get(method)
+    if route is None:
+        raise ValueError(f"unknown measure method {method!r}")
+    if route.lam != (lam is not None):
         rule = "takes no lambda" if lam is not None else "needs an explicit lambda"
         raise DomainError(f"method {method!r} {rule}")
-    if method == "general":
-        if g.is_finite():
-            return mahler_determinant(g, P)
-        return mahler_general(g, P, epsilon, support_cap)
-    if method == "finite":
-        return mahler_finite(g, P, lam, allow_continuation)
-    if method == "series":
-        return mahler_series(g, P, lam, epsilon, support_cap)
-    return mahler_torus(rg.transfer(P, g), lam, grid)
+    return route.run(g, P, lam, epsilon=epsilon, support_cap=support_cap, grid=grid,
+                     allow_continuation=allow_continuation)
 
 
 def _log(x) -> float:
@@ -175,7 +190,7 @@ def mahler_series(
     """
     P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
-        raise ValueError("P must be reciprocal")
+        raise DomainError("P must be reciprocal")
     terms, bound = _walk_to_depth(P, float(lam), epsilon, _tail_bound, support_cap)
     total = _sum([t / n for n, t in enumerate(terms, 1)])
     return MeasureResult(-total.real, "series", bound, imaginary_discard=abs(total.imag))
@@ -361,10 +376,10 @@ def mahler_torus(
     """
     g = P.group
     if not isinstance(g, gr.AbelianProduct) or any(m != 0 for m in g.moduli):
-        raise ValueError("mahler_torus needs a free abelian group (all factors Z)")
+        raise DomainError("mahler_torus needs a free abelian group (all factors Z)")
     l = len(g.moduli)
     if l > 3:
-        raise ValueError("torus quadrature limited to at most 3 variables")
+        raise DomainError("torus quadrature limited to at most 3 variables")
     lam = float(lam)
     if abs(lam) * rg.l1_norm(P) >= 1.0:
         raise DomainError("lambda outside the disc: integrand may vanish on the torus")

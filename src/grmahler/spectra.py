@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import coeffs as cf
 from . import groups as gr
 from . import ring as rg
-from .errors import InfiniteGroupError, NonConvergenceError, ResourceLimitError
+from .errors import DomainError, InfiniteGroupError, NonConvergenceError, ResourceLimitError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,7 +95,7 @@ def _finite_reciprocal(g: gr.GroupSpec, P: rg.RingElement, what: str) -> rg.Ring
         raise ResourceLimitError(f"a group of order {g.order()} exceeds max_order={MAX_ORDER}")
     P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
-        raise ValueError("P must be reciprocal (P == P*)")
+        raise DomainError("P must be reciprocal (P == P*)")
     return P
 
 
@@ -225,7 +225,7 @@ def character_determinant(g: gr.GroupSpec, R: rg.RingElement):
     while M, the product of |t - w| over the primitive L-th roots w, is at
     least (t - 1)^phi(L) >= 2^((k-1) phi(L)) >= 2^(b|G|/2 + 1) for the k
     chosen.  So |D| < M/2, and D is the residue of the product in
-    (-M/2, M/2].  A non-reciprocal R is refused (ValueError): its det(B) is
+    (-M/2, M/2].  A non-reciprocal R is refused (DomainError): its det(B) is
     not real, and the map would collapse it.
     """
     R = _finite_reciprocal(g, R, "a character determinant")

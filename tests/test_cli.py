@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grmahler import cli
+from grmahler import mahler as mh
 from grmahler import spectra as sp
 from grmahler.cli import format_number, main, render_json
 from grmahler.coeffs import GaussianRational
@@ -264,11 +265,43 @@ def test_format_number_rejects_nan():
         format_number(float("nan"))
 
 
-def test_library_value_error_exit_3():
-    # a non-reciprocal P reaches mahler_series, which raises ValueError
+def test_library_value_error_exit_3(monkeypatch):
+    # a non-reciprocal P reaches mahler_series, which refuses it as a DomainError
     rc, out, err = run_cli(["measure", "--group", "Z^2", "--poly", "x+y", "--lambda", "0.1"])
     assert rc == 3 and out == ""
-    assert strict_json(err) == {"error": {"type": "ValueError", "message": "P must be reciprocal"}}
+    assert strict_json(err) == {"error": {"type": "DomainError", "message": "P must be reciprocal"}}
+
+    # an untyped ValueError from the library still exits 3, as itself
+    def untyped(*args):
+        raise ValueError("untyped")
+
+    monkeypatch.setattr(mh, "measure", untyped)
+    rc, out, err = run_cli(["measure", "--group", "Z^2", "--poly", "x+y", "--lambda", "0.1"])
+    assert rc == 3 and out == ""
+    assert strict_json(err) == {"error": {"type": "ValueError", "message": "untyped"}}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "--group", "D3", "--poly", "x+x^-1+y", "--lambda", "0.1", "--method",
+          "torus"], "mahler_torus needs a free abelian group (all factors Z)"),
+        (["measure", "--group", "Z^4", "--poly", "x1+x1^-1", "--lambda", "0.1", "--method",
+          "torus"], "torus quadrature limited to at most 3 variables"),
+        (["spectrum", "--group", "D3", "--poly", "x+2*y"], "P must be reciprocal (P == P*)"),
+        # Dicinf binds y^-1 = y, so the quotient's P is x + x^-1 + 2y, not reciprocal
+        (["converge", "--chain", "dicyclic", "--group", "Dicinf", "--poly", "x+x^-1+y+y^-1",
+          "--lambda", "0.1", "--params", "4,8"], "P must be reciprocal (P == P*)"),
+        # the benchmark's small-mix mistake
+        (["measure", "--group", "F2", "--poly", "x+x^-1+y+y^-1", "--method", "series"],
+         "method 'series' needs an explicit lambda"),
+    ],
+    ids=["torus-D3", "torus-Z4", "spectrum", "dicyclic-chain", "series-no-lambda"],
+)
+def test_route_refusals_are_domain_errors(argv, message):
+    rc, out, err = run_cli(argv)
+    assert rc == 3 and out == ""
+    assert strict_json(err) == {"error": {"type": "DomainError", "message": message}}
 
 
 @pytest.mark.parametrize(
@@ -405,8 +438,7 @@ SERIES_OPTIONS = {"--lambda", "--epsilon", "--support-cap"}
 CLI_COMMANDS = {
     # command: (the options of SERIES_OPTIONS it takes, required options,
     # optional options), each option with its pieces (None: a flag)
-    "measure": (SERIES_OPTIONS, {}, {"--method": (("auto", "finite", "series", "general",
-                                                   "torus"), ("bad",)),
+    "measure": (SERIES_OPTIONS, {}, {"--method": (mh.METHODS, ("bad",)),
                                      "--grid": (("4", "8", "100000"), ("1", "0", "x")),
                                      "--allow-continuation": None}),
     "coeffs": ({"--support-cap"}, {}, {"--n": CLI_SIZES}),
@@ -467,14 +499,18 @@ def with_examples(argvs):
     return decorate
 
 
-# every --method with and without --lambda, on a group each route accepts
-METHOD_ARGVS = [
-    ["measure", "--group", group, "--poly", poly, "--method", method] + lam
+# every --method with and without --lambda, on a group its route accepts
+METHOD_ARGVS = {
+    method: [["measure", "--group", group, "--poly", poly, "--method", method] + lam
+             for lam in ([], ["--lambda", "0.05"])]
     for method, group, poly in (
         ("auto", "D3", "3+x+y"), ("finite", "D3", "x+x^-1+y"), ("series", "Dinf", "x+x^-1+y"),
         ("general", "Dinf", "3+x+y"), ("torus", "Z^2", "x+x^-1+y+y^-1"))
-    for lam in ([], ["--lambda", "0.05"])
-]
+}
+
+
+def test_method_argvs_cover_every_method():
+    assert set(METHOD_ARGVS) == set(mh.METHODS)
 
 
 # the lambda-free measure of BIG_POLY over Z/3xZ/2 prints its exact
@@ -483,7 +519,7 @@ BIG_DETERMINANT_ARGV = ["measure", "--group", "Z/3xZ/2", "--poly", BIG_POLY, "--
 
 
 @settings(max_examples=300)
-@with_examples(METHOD_ARGVS + [BIG_DETERMINANT_ARGV])
+@with_examples(sum(METHOD_ARGVS.values(), []) + [BIG_DETERMINANT_ARGV])
 @given(command_lines())
 def test_any_command_line_gives_json_or_a_typed_error(argv):
     start = time.perf_counter()

@@ -64,7 +64,7 @@ def test_series_requires_contraction():
 
 
 def test_series_rejects_non_reciprocal():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^P must be reciprocal$"):
         mh.mahler_series(Z32, parse_poly_over("1+x+y", Z32), 0.05)
 
 
@@ -516,9 +516,9 @@ def test_torus_one_variable_closed_form():
 def test_torus_guards():
     g4 = gr.AbelianProduct((0, 0, 0, 0))
     P = rg.one(g4)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="at most 3 variables"):
         mh.mahler_torus(P, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="needs a free abelian group"):
         mh.mahler_torus(parse_poly_over("x", Z32), 0.1)
     with pytest.raises(DomainError):
         mh.mahler_torus(parse_poly_over(P_STANDARD, Z2), 0.3)
@@ -572,14 +572,19 @@ def test_measure_picks_the_route_it_names(case, route, method):
 
 
 def test_measure_refuses_a_lambda_its_method_cannot_use():
-    P = parse_poly_over("x+x^-1+y", D3)
-    with pytest.raises(DomainError):
-        mh.measure(D3, P, 0.1, method="general")
-    for method in ("finite", "series", "torus"):
-        with pytest.raises(DomainError):
-            mh.measure(D3, P, method=method)
-    with pytest.raises(ValueError):
-        mh.measure(D3, P, 0.1, method="determinant")
+    # each row refuses before it runs, so the group need suit none of them
+    F2 = gr.Free(2)
+    P = parse_poly_over(P_STANDARD, F2)
+    for method, route in mh.ROUTES.items():
+        if route.lam:
+            with pytest.raises(DomainError, match=f"^method '{method}' needs an explicit lambda$"):
+                mh.measure(F2, P, method=method)
+        else:
+            with pytest.raises(DomainError, match=f"^method '{method}' takes no lambda$"):
+                mh.measure(F2, P, 0.1, method=method)
+    assert mh.METHODS == ("auto", *mh.ROUTES)
+    with pytest.raises(ValueError, match="^unknown measure method 'determinant'$"):
+        mh.measure(F2, P, 0.1, method="determinant")
 
 
 # ---------------------------------------------------------------------------

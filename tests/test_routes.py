@@ -12,9 +12,11 @@ applies, and returns a value with its error bound; every two routes that
 apply agree within the sum of their bounds and one rounding allowance.
 
 No route may call another, or the agreement of the two would be a
-tautology: test_no_route_names_another reads mahler.py to enforce it.  A
+tautology: test_no_route_names_another reads mahler.py to enforce it, and
+to hold every function that a row of mahler.ROUTES runs to an entry here.  A
 route may share another's function as a kernel only where its entry says
-so, and the two are then never paired.
+so, and the two are then never paired.  Every entry takes at least one of
+EXAMPLES (test_every_route_takes_an_example).
 """
 import ast
 import math
@@ -256,14 +258,32 @@ def test_every_two_routes_agree(case):
 
 def test_no_route_names_another():
     # a route reaches the module functions it names, and those they name;
-    # the routes among them must be the ones it declares it shares
+    # the routes among them must be the ones it declares it shares.  measure
+    # and ROUTES name every route
     module = ast.parse(Path(mh.__file__).read_text())
     functions = {f.name: f for f in module.body if isinstance(f, ast.FunctionDef)}
-    routes = {route.function for route in ROUTES.values()} | {"measure"}
+    matrix = {route.function for route in ROUTES.values()}
+    routes = matrix | {"measure", "ROUTES"}
     for route in ROUTES.values():
         reached, todo = set(), [route.function]
         while todo:
             named = {n.id for n in ast.walk(functions[todo.pop()]) if isinstance(n, ast.Name)}
             todo.extend(named & functions.keys() - reached)
-            reached |= named & functions.keys()
+            reached |= named & (functions.keys() | routes)
         assert reached & routes - {route.function} == set(route.shares), route.function
+    # the functions each row of mahler.ROUTES runs, named in its run lambda,
+    # are routes of this matrix
+    table = next(n.value for n in module.body if isinstance(n, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "ROUTES" for t in n.targets))
+    assert [key.value for key in table.keys] == list(mh.ROUTES)
+    for key, row in zip(table.keys, table.values):
+        run = row.args[mh.Route._fields.index("run")]
+        named = {n.id for n in ast.walk(run) if isinstance(n, ast.Name)} & functions.keys()
+        assert named and named <= matrix, (key.value, named - matrix)
+
+
+def test_every_route_takes_an_example():
+    # a predicate that narrows by mistake fails here rather than drop its
+    # route's cells unseen
+    idle = [name for name, route in ROUTES.items() if not any(map(route.applies, EXAMPLES))]
+    assert not idle, idle

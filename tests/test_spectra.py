@@ -13,7 +13,12 @@ from grmahler import mahler as mh
 from grmahler import ring as rg
 from grmahler import spectra as sp
 from grmahler.coeffs import GaussianRational, conj, exact_real
-from grmahler.errors import InfiniteGroupError, ResourceLimitError, SingularMatrixError
+from grmahler.errors import (
+    DomainError,
+    InfiniteGroupError,
+    ResourceLimitError,
+    SingularMatrixError,
+)
 from grmahler.parsing import parse_group, parse_poly_over
 
 from conftest import (
@@ -87,7 +92,7 @@ def test_cayley_zero_element():
 def test_cayley_rejects_bad_input():
     with pytest.raises(InfiniteGroupError):
         sp.cayley_adjacency(gr.Free(2), rg.zero(gr.Free(2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^P must be reciprocal \(P == P\*\)$"):
         sp.cayley_adjacency(D3, parse_poly_over("x+2*y", D3))  # not reciprocal
 
 
@@ -371,7 +376,7 @@ def test_character_determinant_signs_and_refusals(monkeypatch):
         mh.measure(g, parse_poly_over("1+x+y", g))
     D8 = gr.Dihedral(8)
     assert sp.character_determinant(D8, parse_poly_over("x+x^-1+2*y+0.25", D8)) < 0
-    with pytest.raises(ValueError, match="reciprocal"):
+    with pytest.raises(DomainError, match="reciprocal"):
         sp.character_determinant(D3, parse_poly_over("x+2*y", D3))
     with pytest.raises(InfiniteGroupError):
         sp.character_determinant(gr.Dihedral(0), rg.one(gr.Dihedral(0)))
