@@ -199,9 +199,8 @@ def run_coeffs(args):
 
 def run_spectrum(args):
     group, poly = _bind(args)
-    A = sp.cayley_adjacency(group, poly)
-    spec = sp.hermitian_eigenvalues(A)
-    obj = _result_object(args, "eigvalsh", None, 0, spec._asdict())
+    spec = sp.block_spectrum(group, poly)
+    obj = _result_object(args, "blocks", None, 0, spec._asdict())
     rows = [[i, v] for i, v in enumerate(spec.eigenvalues)]
     return obj, ["index", "eigenvalue"], rows
 

@@ -161,7 +161,7 @@ def converge(
     serves, row, epsilon = CHAINS[chain]
     g = P.group
     if not serves(P):
-        raise DomainError(f"the {chain} chain does not serve {g!r}: P must live over its limit group")
+        raise DomainError(f"the {chain} chain does not serve {g.spec()}: P must live over its limit group")
     limit = mh.measure(g, P, lam, epsilon=epsilon, support_cap=support_cap)
     rows = [ConvergenceRow(p, v, abs(v - limit.value), limit.method, q)
             for p, v, q in (row(g, P, lam, m) for m in params)]

@@ -1,7 +1,8 @@
 """Group families, canonical normal forms, and exact group arithmetic.
 
 A family is one immutable class that carries its operations as methods
-and its specifier pattern as the classmethod `parse`.  Two groups are
+and its specifier pattern as the classmethod `parse`; `spec()` writes a
+group back as a specifier that `parse` reads, for messages.  Two groups are
 equal when their family and parameter are.  The families and their
 element encodings:
 
@@ -148,6 +149,10 @@ class AbelianProduct(_Family):
                 raise ParseError(f"bad abelian factor {part!r} in {src!r}")
         return _build(cls, moduli, src)
 
+    def spec(self) -> str:
+        """The specifier parse_group reads back as this group."""
+        return "x".join(f"Z/{m}" if m else "Z" for m in self.moduli)
+
     def order(self):
         return math.prod(self.moduli) if all(self.moduli) else math.inf
 
@@ -222,6 +227,9 @@ class _RotationReflection(_Family):
         if rest.isdecimal() and _order(rest, src) >= 1:
             return cls(int(rest))
         raise ParseError(f"bad {cls._NOUN} specifier {src!r}")
+
+    def spec(self) -> str:
+        return f"{self._PREFIX}{self.m or 'inf'}"
 
     @property
     def rotations(self) -> int:
@@ -313,6 +321,9 @@ class Free(_Family):
             raise ParseError(f"bad free-group specifier {src!r}")
         return _build(cls, rank, src)
 
+    def spec(self) -> str:
+        return f"F{self.rank}"
+
     def order(self):
         return math.inf
 
@@ -387,6 +398,9 @@ class FreeProductCyclic(_Family):
                 raise ParseError(f"bad free-product factor {part!r} in {src!r}")
             orders.append(_order(part[1:], src))
         return _build(cls, orders, src)
+
+    def spec(self) -> str:
+        return "*".join(f"C{n}" for n in self.orders)
 
     def order(self):
         return math.inf

@@ -8,14 +8,18 @@ Four computation routes; the first three return one result type, MeasureResult:
                   dominant coefficient (mahler_general), is
                   log|c| - Re sum [P^n]_0 / n with the same tail;
 * finite-determinant -- log det(I - lambda A) / |G|, I - lambda A the adjacency
-                  of 1 - lambda P, and the lambda-free log det(B) / (2|G|), B
-                  that of QQ* (mahler_determinant), exact whenever the inputs are;
+                  of 1 - lambda P, in floats from the representation blocks
+                  (mahler_blocks) or from the adjacency, exact by Bareiss for
+                  exact inputs (mahler_finite); and the lambda-free
+                  log det(B) / (2|G|), B that of QQ* (mahler_determinant),
+                  exact whenever the inputs are;
 * quadrature   -- uniform torus grids for free abelian groups (the grid
                   average *is* the finite-group measure at the grid size);
 * closed-form  -- the Z x Z/m family for the standard 4-term element.
 
-ROUTES, in auto's order, is the one table of measure's routes; measure only
-runs a row, and no route calls another.  A new route is a row, its function,
+ROUTES, in auto's order, is the one table of measure's routes: blocks,
+finite, series, general and torus.  measure only runs a row, and no route
+calls another.  A new route is a row, its function,
 a tests/test_routes.py ROUTES entry and a tests/test_cli.py METHOD_ARGVS one.
 
 lambda is kept real for measure routes; only the walk generating function
@@ -69,6 +73,9 @@ class Route(NamedTuple):
 
 
 ROUTES = {
+    "blocks": Route(True, lambda g: g.is_finite() and isinstance(g, sp.BLOCK_FAMILIES),
+                    lambda g, P, lam, allow_continuation, **_:
+                    mahler_blocks(g, P, lam, allow_continuation)),
     "finite": Route(True, lambda g: g.is_finite(), lambda g, P, lam, allow_continuation, **_:
                     mahler_finite(g, P, lam, allow_continuation)),
     "series": Route(True, lambda g: True, lambda g, P, lam, epsilon, support_cap, **_:
@@ -215,6 +222,33 @@ def u_series(
 # finite-group determinant route
 
 
+def _spectral_measure(spec: sp.Spectrum, lam, allow_continuation: bool,
+                      exact_det: Callable | None = None) -> MeasureResult:
+    """log|det(I - lambda A)| / |G| from the spectrum of A, under the domain
+    rule of mahler_finite; the determinant is exact_det() when given, else
+    the product of 1 - lambda*s over the eigenvalues s, summed as logs."""
+    n, lam_f = spec.n, float(lam)
+    rho = spec.max_abs()
+    if not allow_continuation and abs(lam_f) * rho >= 1.0:
+        raise DomainError(
+            f"|lambda|*spectral_radius = {abs(lam_f) * rho} >= 1; "
+            "pass allow_continuation to evaluate log|det| anyway"
+        )
+    if exact_det is not None:
+        det = exact_det()
+        if det == 0:
+            raise SingularMatrixError("1/lambda is an eigenvalue of A")
+        if not allow_continuation and det < 0:
+            raise DomainError("determinant not positive inside the stated domain")
+        value = _log(abs(det)) / n
+    else:
+        factors = [abs(1.0 - lam_f * s) for s in spec.eigenvalues]
+        if 0.0 in factors:
+            raise SingularMatrixError("1/lambda is an eigenvalue of A")
+        value = math.fsum(math.log(f) for f in factors) / n
+    return MeasureResult(value, "finite-determinant", 0.0, group_order=n, imaginary_discard=0.0)
+
+
 def mahler_finite(
     g: gr.GroupSpec,
     P: rg.RingElement,
@@ -230,34 +264,29 @@ def mahler_finite(
 
     Takes det_hermitian of the adjacency of 1 - lambda P when P is exact
     and lambda rational; otherwise sums log|1 - lambda*s| over the
-    eigenvalues s of A.
+    eigenvalues s of A, from LAPACK.
     """
     if not g.is_finite():
         raise InfiniteGroupError("mahler_finite needs a finite group")
     A = sp.cayley_adjacency(g, P)
-    spec = sp.hermitian_eigenvalues(A)
-    n = spec.n
-    rho = spec.max_abs()
-    lam_f = float(lam)
-    if not allow_continuation and abs(lam_f) * rho >= 1.0:
-        raise DomainError(
-            f"|lambda|*spectral_radius = {abs(lam_f) * rho} >= 1; "
-            "pass allow_continuation to evaluate log|det| anyway"
-        )
+    exact_det = None
     if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool) and A.is_exact():
         shifted = rg.add(rg.one(g), rg.scale(-lam, rg.transfer(P, g)))  # 1 - lambda P
-        det = sp.det_hermitian(sp.cayley_adjacency(g, shifted))
-        if det == 0:
-            raise SingularMatrixError("1/lambda is an eigenvalue of A")
-        if not allow_continuation and det < 0:
-            raise DomainError("determinant not positive inside the stated domain")
-        value = _log(abs(det)) / n
-    else:
-        factors = [abs(1.0 - lam_f * s) for s in spec.eigenvalues]
-        if 0.0 in factors:
-            raise SingularMatrixError("1/lambda is an eigenvalue of A")
-        value = math.fsum(math.log(f) for f in factors) / n
-    return MeasureResult(value, "finite-determinant", 0.0, group_order=n, imaginary_discard=0.0)
+        exact_det = lambda: sp.det_hermitian(sp.cayley_adjacency(g, shifted))
+    return _spectral_measure(sp.hermitian_eigenvalues(A), lam, allow_continuation, exact_det)
+
+
+def mahler_blocks(
+    g: gr.GroupSpec,
+    P: rg.RingElement,
+    lam,
+    allow_continuation: bool = False,
+) -> MeasureResult:
+    """mahler_finite's float value, over a finite abelian, dihedral or
+    dicyclic group, for any lambda: the same rules on the spectrum that
+    spectra.block_spectrum takes from the representation blocks, with no
+    adjacency, numpy or LAPACK."""
+    return _spectral_measure(sp.block_spectrum(g, P), lam, allow_continuation)
 
 
 def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
@@ -351,7 +380,7 @@ def abelian_measure_via_characters(
     points = g.order()
     if points > TORUS_MAX_POINTS and g.is_finite():
         raise ResourceLimitError(
-            f"{points} characters of {g!r} exceed max_points={TORUS_MAX_POINTS}"
+            f"{points} characters of {g.spec()} exceed max_points={TORUS_MAX_POINTS}"
         )
     vals = sp.abelian_character_values(g, P)
     integrand = 1.0 - lam * vals

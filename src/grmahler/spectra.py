@@ -6,9 +6,12 @@ canonical enumeration order.  CayleyAdjacency holds it sparsely, as the
 vertex g_i e_t for each g_i and each term c_t e_t of P: |G|*|supp P|
 group-law calls.  Reciprocity of P, checked once, makes A Hermitian.
 
-Floating spectra come from LAPACK's Hermitian eigensolver (eigvalsh)
-through hermitian_eigenvalues, the one eigenvalue entry point.  numpy is
-imported on first use, so the series and exact routes never load it.
+Floating spectra come two ways.  block_spectrum, the one the spectrum
+command and the blocks route read, splits the regular representation into
+characters and 2x2 blocks and builds no matrix.  hermitian_eigenvalues
+runs LAPACK's Hermitian eigensolver (eigvalsh) on an adjacency, for the
+finite route and as the oracle of block_spectrum; numpy is imported on
+first use, so only the adjacency, character-array and torus paths load it.
 Exact determinants come two independent ways, both with denominators
 cleared once so that integer constants come out exactly.  det_hermitian
 takes the dense rows of any adjacency (I - lambda A is the adjacency of
@@ -122,6 +125,54 @@ def hermitian_eigenvalues(A: CayleyAdjacency) -> Spectrum:
     except np.linalg.LinAlgError as err:
         raise NonConvergenceError(f"Hermitian eigensolver failed: {err}") from err
     return Spectrum(tuple(vals.tolist()), A.n)
+
+
+# the families whose regular representation block_spectrum splits
+BLOCK_FAMILIES = (gr.AbelianProduct, gr.Dihedral, gr.Dicyclic)
+
+
+def block_spectrum(g: gr.GroupSpec, P: rg.RingElement) -> Spectrum:
+    """The spectrum of the Cayley adjacency of reciprocal P over a finite
+    abelian, dihedral or dicyclic group, from the summands of the regular
+    representation (see character_determinant), with no matrix built.
+
+    Over Z/m_1 x ... x Z/m_l it is the values P(chi) over the characters.
+    Over the family (r, s), with P = a(x) + y b(x), it is the eigenvalues of
+    the Hermitian blocks [[a(z^j), b(z^-j)], [z^js b(z^j), a(z^-j)]] for
+    j < r: with alpha = a(z^j) and delta = a(z^-j) real, and |z^js| = 1,
+    they are (alpha + delta)/2 +- hypot((alpha - delta)/2, |b(z^j)|).
+    Each term is added into a list of values in one loop, so the work
+    allocates no object per character that the cyclic garbage collector
+    tracks.
+    """
+    P = _finite_reciprocal(g, P, "a block spectrum")
+    abelian = isinstance(g, gr.AbelianProduct)
+    L = math.lcm(*g.moduli) if abelian else g.rotations
+    root = [cmath.exp(2j * math.pi * E / L) for E in range(L)]
+    n = g.order() if abelian else L
+    values = ([0j] * n, [0j] * n)  # P(chi); or a(z^j) and b(z^j)
+    for e, c in P.terms:
+        c = cf.to_complex(c, "a coefficient of P")
+        if abelian:  # chi_j(x^e) = root[sum_i e_i j_i L/m_i], j in lexicographic order
+            E, acc = [0], values[0]
+            for m, x in zip(g.moduli, e):
+                step = L // m * x
+                E = [t + step * j for t in E for j in range(m)]
+        else:  # y^e x^k at z^j
+            E, acc = [e[1] * j for j in range(L)], values[e[0]]
+        for i, t in enumerate(E):
+            acc[i] += c * root[t % L]
+    if abelian:
+        vals = [v.real for v in values[0]]
+    else:
+        a, b = values
+        vals = []
+        for j in range(L):
+            mid = (a[j].real + a[-j].real) / 2
+            half = math.hypot((a[j].real - a[-j].real) / 2, abs(b[j]))
+            vals.append(mid - half)
+            vals.append(mid + half)
+    return Spectrum(tuple(sorted(vals)), g.order())
 
 
 # ---------------------------------------------------------------------------

@@ -504,8 +504,9 @@ METHOD_ARGVS = {
     method: [["measure", "--group", group, "--poly", poly, "--method", method] + lam
              for lam in ([], ["--lambda", "0.05"])]
     for method, group, poly in (
-        ("auto", "D3", "3+x+y"), ("finite", "D3", "x+x^-1+y"), ("series", "Dinf", "x+x^-1+y"),
-        ("general", "Dinf", "3+x+y"), ("torus", "Z^2", "x+x^-1+y+y^-1"))
+        ("auto", "D3", "3+x+y"), ("blocks", "D3", "x+x^-1+y"), ("finite", "D3", "x+x^-1+y"),
+        ("series", "Dinf", "x+x^-1+y"), ("general", "Dinf", "3+x+y"),
+        ("torus", "Z^2", "x+x^-1+y+y^-1"))
 }
 
 
@@ -780,7 +781,7 @@ def test_spectrum_command():
     vals = obj["extra"]["eigenvalues"]
     assert len(vals) == 2
     assert abs(vals[0] + 2) < 1e-12 and abs(vals[1] - 2) < 1e-12
-    assert obj["method"] == "eigvalsh"
+    assert obj["method"] == "blocks"
 
 
 def test_lambda_free_finite_measure_computes_one_determinant(monkeypatch):
@@ -885,7 +886,7 @@ def test_converge_refuses_a_group_the_chain_does_not_serve(chain, group):
     error = strict_json(err)["error"]
     assert error["type"] == "DomainError"
     assert error["message"].startswith(f"the {chain} chain does not serve ")
-    assert repr(cli.parse_group(group)) in error["message"]
+    assert f" serve {cli.parse_group(group).spec()}: " in error["message"]
 
 
 def test_agree_depth_command():
@@ -1144,8 +1145,8 @@ def test_readme_examples_answer():
 
 # Run in a fresh interpreter, so numpy or dataclasses can only be in
 # sys.modules if the calls made here imported it.  Every call but the last
-# stays off the float spectral and character routes; no call, numpy's
-# import included, needs dataclasses.
+# stays off the adjacency, character-array and torus routes; no call,
+# numpy's import included, needs dataclasses.
 IMPORT_BOUNDARY_SCRIPT = """
 import contextlib, io, json, sys
 import grmahler.cli
@@ -1164,8 +1165,11 @@ def test_only_float_spectral_routes_import_numpy():
         ["genfun", "--series", "z2", "--n", "4"],
         ["measure", "--group", "Dinf", "--poly", "3+x+y"],  # λ-free series
         ["measure", "--group", "Z/3xZ/2", "--poly", "1+x+y"],  # exact character determinant
+        ["measure", "--group", "D4", "--poly", "x+x^-1+y", "--lambda", "0.1"],  # blocks
+        ["spectrum", "--group", "Z/3xZ/2", "--poly", "x+x^-1+y"],  # blocks
     ]
-    float_spectral = ["measure", "--group", "D4", "--poly", "x+x^-1+y", "--lambda", "0.1"]
+    float_spectral = ["measure", "--group", "D4", "--poly", "x+x^-1+y", "--lambda", "0.1",
+                      "--method", "finite"]
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
@@ -1173,6 +1177,6 @@ def test_only_float_spectral_routes_import_numpy():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     steps = json.loads(done.stdout)
-    assert [rc for _, rc, _, _ in steps] == [0] * 6
-    assert [numpy for _, _, numpy, _ in steps] == [False] * 5 + [True]
-    assert [dataclasses for _, _, _, dataclasses in steps] == [False] * 6
+    assert [rc for _, rc, _, _ in steps] == [0] * 8
+    assert [numpy for _, _, numpy, _ in steps] == [False] * 7 + [True]
+    assert [dataclasses for _, _, _, dataclasses in steps] == [False] * 8

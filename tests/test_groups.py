@@ -382,6 +382,18 @@ def test_values_refuse_assignment(value, field):
     assert repr(value) == before
 
 
+@pytest.mark.parametrize("text, spec", [
+    ("Z", "Z"), ("Z^2", "ZxZ"), ("Z/3xZ/2", "Z/3xZ/2"), ("ZxZ/3", "ZxZ/3"),
+    ("Z/4xZxZ/1", "Z/4xZxZ/1"),
+    ("D5", "D5"), ("Dinf", "Dinf"), ("Dic3", "Dic3"), ("Dicinf", "Dicinf"), ("F2", "F2"),
+    ("C2*C3", "C2*C3"), ("C2 * C3 * C5", "C2*C3*C5"),
+])
+def test_spec_round_trips_through_parse_group(text, spec):
+    g = parse_group(text)
+    assert g.spec() == spec
+    assert parse_group(spec) == g
+
+
 def test_error_messages_embed_the_same_reprs():
     assert [repr(g) for g in (gr.Dihedral(3), gr.AbelianProduct((3, 2)), gr.Free(2),
                               gr.FreeProductCyclic((2, 3)))] == [

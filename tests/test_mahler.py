@@ -557,7 +557,7 @@ def test_torus_refuses_a_grid_past_its_point_cap(monkeypatch):
     "case, route, method",
     [
         (lambda_free(D3, "3+x+y"), "determinant exact", "finite-determinant"),
-        (at_lambda(D3, "x+x^-1+y", 0.1), "finite float", "finite-determinant"),
+        (at_lambda(D3, "x+x^-1+y", 0.1), "blocks", "finite-determinant"),
         (lambda_free(gr.Dihedral(0), "3+x+y"), "general", "series"),
         (at_lambda(gr.Dihedral(0), "x+x^-1+y", 0.1), "series", "series"),
     ],
@@ -582,6 +582,9 @@ def test_measure_refuses_a_lambda_its_method_cannot_use():
         else:
             with pytest.raises(DomainError, match=f"^method '{method}' takes no lambda$"):
                 mh.measure(F2, P, 0.1, method=method)
+    # blocks takes a lambda, but no infinite group
+    with pytest.raises(InfiniteGroupError, match="^a block spectrum needs a finite group$"):
+        mh.measure(F2, P, 0.1, method="blocks")
     assert mh.METHODS == ("auto", *mh.ROUTES)
     with pytest.raises(ValueError, match="^unknown measure method 'determinant'$"):
         mh.measure(F2, P, 0.1, method="determinant")

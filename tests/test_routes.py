@@ -3,7 +3,8 @@
 Each route reaches the Fuglede-Kadison measure from its own base: walk
 counts (the lambda series, and the lambda-free series at the dominant
 coefficient of an exact or a float Q), finite-group determinants (float
-and exact, of I - lambda A and of QQ*), characters, the torus grid and the
+from the adjacency and from the representation blocks, and exact, of
+I - lambda A and of QQ*), characters, the torus grid and the
 Z x Z/m closed form.  A
 case is a group g with either a reciprocal P and a lambda, whose lambda-free
 routes then run on Q = 1 - lambda P (m(P, lambda) = m(1 - lambda P)), or a
@@ -139,6 +140,11 @@ ROUTES = {
         "mahler_general",
         lambda c: _dominance_rate(c.Q) <= RATE_CAP,
         lambda c: mh.mahler_general(c.g, float_twin(c.Q), EPS)),
+    # floats for any lambda, the exact ones included
+    "blocks": Route(
+        "mahler_blocks",
+        lambda c: _lam(c) and c.g.is_finite(),
+        lambda c: mh.mahler_blocks(c.g, c.P, c.lam)),
     "finite float": Route(
         "mahler_finite",
         lambda c: _lam(c) and c.g.is_finite(),

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -232,6 +233,55 @@ def test_eigen_sums_match_traces(rng):
         tr2 = float(g.order() * complex(sum(c * conj(c) for _, c in P.terms)).real)
         assert abs(eigen_trace(A, 1) - tr1) <= 1e-9 * max(1, abs(tr1))
         assert abs(eigen_trace(A, 2) - tr2) <= 1e-9 * max(1, abs(tr2))
+
+
+# ---------------------------------------------------------------------------
+# block spectra
+
+
+@given(st.sampled_from(FINITE_CATALOGUE), st.integers(0, 2**32))
+def test_block_spectrum_is_the_adjacency_spectrum(g, seed):
+    # random_reciprocal draws Gaussian coefficients too
+    P = random_reciprocal(g, random.Random(seed))
+    blocks = sp.block_spectrum(g, P)
+    eigvalsh = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, P))
+    assert blocks.n == eigvalsh.n == len(blocks.eigenvalues) == g.order()
+    assert list(blocks.eigenvalues) == sorted(blocks.eigenvalues)
+    tol = 1e-12 * max(1.0, eigvalsh.max_abs())
+    assert_multisets_close(blocks.eigenvalues, eigvalsh.eigenvalues, tol=tol)
+    if isinstance(g, gr.AbelianProduct):
+        assert_multisets_close(blocks.eigenvalues, sp.abelian_spectrum(g, P).eigenvalues, tol=tol)
+
+
+@pytest.mark.parametrize("spec, poly", [("D100000", "x+x^-1+y"), ("Z/300xZ/300", "x+x^-1+y+y^-1"),
+                                        ("Dic1025", "x+x^-1")])
+def test_block_spectrum_refuses_a_group_past_the_order_cap(spec, poly, monkeypatch):
+    g = parse_group(spec)
+    P = parse_poly_over(poly, g)
+    monkeypatch.setattr(gr, "elements", lambda g: pytest.fail("enumerated past the cap"))
+    with pytest.raises(ResourceLimitError, match=f"order {g.order()} exceeds max_order=4096"):
+        sp.block_spectrum(g, P)
+
+
+def test_block_spectrum_refusals():
+    with pytest.raises(InfiniteGroupError, match="^a block spectrum needs a finite group$"):
+        sp.block_spectrum(gr.Dihedral(0), parse_poly_over("x+x^-1", gr.Dihedral(0)))
+    for g in (Z32, D3):
+        with pytest.raises(DomainError, match="reciprocal"):
+            sp.block_spectrum(g, parse_poly_over("x+2*y", g))
+    big = "9" * 400  # past float range
+    for g in (Z32, D3):
+        with pytest.raises(DomainError, match="^a coefficient of P is out of float range$"):
+            sp.block_spectrum(g, parse_poly_over(f"{big}*x+{big}*x^-1", g))
+
+
+def test_block_spectrum_takes_a_group_at_the_order_cap():
+    for spec in ("Z/4096", "D2048", "Dic1024", "Z/64xZ/64"):
+        g = parse_group(spec)
+        spectrum = sp.block_spectrum(g, parse_poly_over("x+x^-1", g))
+        assert spectrum.n == len(spectrum.eigenvalues) == 4096
+        low, high = spectrum.eigenvalues[0], spectrum.eigenvalues[-1]
+        assert abs(low + 2) < 1e-12 and abs(high - 2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
