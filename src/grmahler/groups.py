@@ -102,22 +102,22 @@ class _Family:
         that adjacency matrices are reproducible bit-for-bit: exponent vectors
         lexicographically, or the rotations e, x, ... and then y, yx, ...."""
         if not self.is_finite():
-            raise InfiniteGroupError(f"cannot enumerate infinite group {self!r}")
+            raise InfiniteGroupError(f"cannot enumerate infinite group {self.spec()}")
         return self._elements()
 
     def element_index(self, a) -> int:
         """Position of `a` in elements() without building the list."""
-        raise InfiniteGroupError(f"no canonical index for {self!r}")
+        raise InfiniteGroupError(f"no canonical index for {self.spec()}")
 
     def generator(self, i: int):
         """The i-th canonical generator (0-based); x, then y for Dihedral/Dicyclic."""
         if not 0 <= i < self.num_generators():
-            raise GroupMismatchError(f"group {self!r} has no generator {i}")
+            raise GroupMismatchError(f"group {self.spec()} has no generator {i}")
         return self._generator(i)
 
     def _check(self, a, ok: bool) -> None:
         if not ok:
-            raise GroupMismatchError(f"{a!r} is not a normal form for {self!r}")
+            raise GroupMismatchError(f"{a!r} is not a normal form for {self.spec()}")
 
 
 class AbelianProduct(_Family):

@@ -12,14 +12,16 @@ Four computation routes; the first three return one result type, MeasureResult:
                   (mahler_blocks) or from the adjacency, exact by Bareiss for
                   exact inputs (mahler_finite); and the lambda-free
                   log det(B) / (2|G|), B that of QQ* (mahler_determinant),
-                  exact whenever the inputs are;
+                  exact whenever the inputs are, else from the blocks;
 * quadrature   -- uniform torus grids for free abelian groups (the grid
                   average *is* the finite-group measure at the grid size);
 * closed-form  -- the Z x Z/m family for the standard 4-term element.
 
 ROUTES, in auto's order, is the one table of measure's routes: blocks,
-finite, series, general and torus.  measure only runs a row, and no route
-calls another.  A new route is a row, its function,
+finite, series, general and torus.  auto takes blocks on a finite group and
+series on an infinite one with a lambda, and general without one; finite,
+the adjacency oracle, and torus run only when named.  measure only runs a
+row, and no route calls another.  A new route is a row, its function,
 a tests/test_routes.py ROUTES entry and a tests/test_cli.py METHOD_ARGVS one.
 
 lambda is kept real for measure routes; only the walk generating function
@@ -38,12 +40,7 @@ from . import groups as gr
 from . import ring as rg
 from . import spectra as sp
 from .coeffs import GaussianRational, conj, exact_real
-from .errors import (
-    DomainError,
-    InfiniteGroupError,
-    ResourceLimitError,
-    SingularMatrixError,
-)
+from .errors import DomainError, ResourceLimitError, SingularMatrixError
 
 
 class MeasureResult(NamedTuple):
@@ -73,10 +70,9 @@ class Route(NamedTuple):
 
 
 ROUTES = {
-    "blocks": Route(True, lambda g: g.is_finite() and isinstance(g, sp.BLOCK_FAMILIES),
-                    lambda g, P, lam, allow_continuation, **_:
+    "blocks": Route(True, lambda g: g.is_finite(), lambda g, P, lam, allow_continuation, **_:
                     mahler_blocks(g, P, lam, allow_continuation)),
-    "finite": Route(True, lambda g: g.is_finite(), lambda g, P, lam, allow_continuation, **_:
+    "finite": Route(True, None, lambda g, P, lam, allow_continuation, **_:
                     mahler_finite(g, P, lam, allow_continuation)),
     "series": Route(True, lambda g: True, lambda g, P, lam, epsilon, support_cap, **_:
                     mahler_series(g, P, lam, epsilon, support_cap)),
@@ -266,8 +262,6 @@ def mahler_finite(
     and lambda rational; otherwise sums log|1 - lambda*s| over the
     eigenvalues s of A, from LAPACK.
     """
-    if not g.is_finite():
-        raise InfiniteGroupError("mahler_finite needs a finite group")
     A = sp.cayley_adjacency(g, P)
     exact_det = None
     if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool) and A.is_exact():
@@ -291,11 +285,10 @@ def mahler_blocks(
 
 def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
     """The lambda-free m(Q) over finite G: log det(B) / (2|G|), B the adjacency
-    of QQ*.  For exact Q, det(B) is spectra.character_determinant of QQ*,
-    exact, and B is never built; otherwise log det(B) is the sum of the logs
-    of the eigenvalues of B, which stays finite where det(B) does not."""
-    if not g.is_finite():
-        raise InfiniteGroupError("mahler_determinant needs a finite group")
+    of QQ*, which is never built.  For exact Q, det(B) is
+    spectra.character_determinant of QQ*, exact; otherwise log det(B) is the
+    sum of the logs of the eigenvalues of B from spectra.block_spectrum,
+    which stays finite where det(B) does not."""
     Q = rg.transfer(Q, g)
     R = rg.mul(Q, rg.star(Q))
     if not R.is_exact():
@@ -310,7 +303,7 @@ def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
         det = sp.character_determinant(g, R)
         log_det = _log(det) if det > 0 else None
     else:
-        eigenvalues = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, R)).eigenvalues
+        eigenvalues = sp.block_spectrum(g, R).eigenvalues
         det = math.prod(eigenvalues)
         det = det if math.isfinite(det) else None
         log_det = math.fsum(map(math.log, eigenvalues)) if eigenvalues[0] > 0 else None
@@ -431,17 +424,18 @@ def mahler_torus(
 
 
 def mahler_zxzm(m: int, lam: float) -> float:
-    """Closed-form m_{Z x Z/m}(x + x^-1 + y + y^-1, lambda) for 0 < lambda < 1/4.
+    """Closed-form m_{Z x Z/m}(x + x^-1 + y + y^-1, lambda) for -1/4 < lambda < 1/4.
 
     Averages, over the m-th roots of unity in the finite factor, the log of
-    the larger root of the one-variable quadratic; the '+' branch is the
-    correct one for positive lambda.
+    the larger root of the one-variable quadratic; for |lambda| < 1/4,
+    1 - 2 cos(theta) lambda > 0 at either sign, so the larger root takes the
+    '+' branch.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     lam = float(lam)
-    if not 0.0 < lam < 0.25:
-        raise DomainError("closed form valid for lambda in (0, 1/4)")
+    if not abs(lam) < 0.25:
+        raise DomainError("closed form valid for lambda in (-1/4, 1/4)")
     total = 0.0
     for k in range(m):
         theta = 2.0 * math.pi * k / m

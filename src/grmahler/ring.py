@@ -129,7 +129,7 @@ def from_word_terms(group: gr.GroupSpec, terms) -> RingElement:
 
 def _check_same_group(a: RingElement, b: RingElement):
     if a.group != b.group:
-        raise GroupMismatchError(f"group mismatch: {a.group!r} vs {b.group!r}")
+        raise GroupMismatchError(f"group mismatch: {a.group.spec()} vs {b.group.spec()}")
 
 
 def add(a: RingElement, b: RingElement) -> RingElement:
@@ -469,7 +469,7 @@ def transfer(a: RingElement, target: gr.GroupSpec) -> RingElement:
     n_tgt = target.num_generators()
     if n_src > n_tgt:
         raise GroupMismatchError(
-            f"cannot transfer: {a.group!r} uses {n_src} generators, "
-            f"{target!r} has {n_tgt}"
+            f"cannot transfer: {a.group.spec()} uses {n_src} generators, "
+            f"{target.spec()} has {n_tgt}"
         )
     return from_word_terms(target, ((c, a.group.element_word(e)) for e, c in a.terms))

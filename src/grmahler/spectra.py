@@ -7,11 +7,12 @@ vertex g_i e_t for each g_i and each term c_t e_t of P: |G|*|supp P|
 group-law calls.  Reciprocity of P, checked once, makes A Hermitian.
 
 Floating spectra come two ways.  block_spectrum, the one the spectrum
-command and the blocks route read, splits the regular representation into
-characters and 2x2 blocks and builds no matrix.  hermitian_eigenvalues
-runs LAPACK's Hermitian eigensolver (eigvalsh) on an adjacency, for the
-finite route and as the oracle of block_spectrum; numpy is imported on
-first use, so only the adjacency, character-array and torus paths load it.
+command, the blocks route and the float lambda-free determinant read,
+splits the regular representation into characters and 2x2 blocks and
+builds no matrix.  hermitian_eigenvalues runs LAPACK's Hermitian
+eigensolver (eigvalsh) on an adjacency, only for the finite route, which
+is block_spectrum's oracle; numpy is imported on first use, so only the
+adjacency, character-array and torus paths load it.
 Exact determinants come two independent ways, both with denominators
 cleared once so that integer constants come out exactly.  det_hermitian
 takes the dense rows of any adjacency (I - lambda A is the adjacency of
@@ -125,10 +126,6 @@ def hermitian_eigenvalues(A: CayleyAdjacency) -> Spectrum:
     except np.linalg.LinAlgError as err:
         raise NonConvergenceError(f"Hermitian eigensolver failed: {err}") from err
     return Spectrum(tuple(vals.tolist()), A.n)
-
-
-# the families whose regular representation block_spectrum splits
-BLOCK_FAMILIES = (gr.AbelianProduct, gr.Dihedral, gr.Dicyclic)
 
 
 def block_spectrum(g: gr.GroupSpec, P: rg.RingElement) -> Spectrum:

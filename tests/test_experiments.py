@@ -66,10 +66,6 @@ def test_converge_gap_falls_below_a_bound(chain):
 def test_converge_zero_lambda(chain):
     group, poly, params, _ = SWEEPS[chain]
     P = parse_poly_over(poly, group)
-    if chain == "zxzm":  # the closed form holds for 0 < lambda < 1/4 only
-        with pytest.raises(DomainError, match="lambda in"):
-            ex.converge(chain, P, 0.0, params)
-        return
     rows = ex.converge(chain, P, 0.0, params)
     assert all(r.value == 0.0 and r.gap == 0.0 for r in rows)
 

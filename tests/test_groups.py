@@ -401,11 +401,20 @@ def test_error_messages_embed_the_same_reprs():
         "FreeProductCyclic(orders=(2, 3))"]
     P = rg.one(gr.Dihedral(3))
     assert repr(P) == "RingElement(group=Dihedral(m=3), terms=(((0, 0), 1),))"
-    with pytest.raises(GroupMismatchError, match=r"^group mismatch: Dihedral\(m=3\) vs "
-                       r"AbelianProduct\(moduli=\(3, 2\)\)$"):
+    # error messages name a group by the specifier the user types
+    with pytest.raises(GroupMismatchError, match=r"^group mismatch: D3 vs Z/3xZ/2$"):
         rg.add(P, rg.one(gr.AbelianProduct((3, 2))))
-    with pytest.raises(GroupMismatchError, match=r"^\(2, 0\) is not a normal form for Free\(rank=2\)$"):
+    with pytest.raises(GroupMismatchError, match=r"^\(2, 0\) is not a normal form for F2$"):
         gr.Free(2).validate_element((2, 0))
+    with pytest.raises(GroupMismatchError, match=r"^group C2\*C3 has no generator 2$"):
+        gr.FreeProductCyclic((2, 3)).generator(2)
+    with pytest.raises(InfiniteGroupError, match=r"^cannot enumerate infinite group Dinf$"):
+        gr.Dihedral(0).elements()
+    with pytest.raises(InfiniteGroupError, match=r"^no canonical index for F2$"):
+        gr.Free(2).element_index(())
+    with pytest.raises(GroupMismatchError, match=r"^cannot transfer: Z/3xZ/2 uses 2 generators, "
+                       r"Z/5 has 1$"):
+        rg.transfer(rg.one(gr.AbelianProduct((3, 2))), gr.AbelianProduct((5,)))
 
 
 # ---------------------------------------------------------------------------

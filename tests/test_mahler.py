@@ -1,8 +1,13 @@
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -212,10 +217,40 @@ def test_float_determinant_past_float_range_gives_a_value():
     assert res.determinant is None
 
 
+# Run in a fresh interpreter, so numpy can only be in sys.modules if the
+# call made here imported it
+FLOAT_DETERMINANT_SCRIPT = """
+import json, sys
+from grmahler import groups as gr, mahler as mh, ring as rg
+g = gr.Dihedral(64)
+Q = rg.ring_element(g, {(0, 0): 3.0, (0, 1): 1.0, (1, 0): 1.0})  # 3 + x + y
+res = mh.measure(g, Q)
+print(json.dumps([res.value, res.determinant, "numpy" in sys.modules]))
+"""
+
+
+def test_float_determinant_loads_no_numpy():
+    # the lambda-free float determinant takes the eigenvalues of B from the
+    # representation blocks, with no adjacency and no LAPACK
+    src = str(Path(mh.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", FLOAT_DETERMINANT_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    value, det, numpy = json.loads(done.stdout)
+    assert not numpy
+    assert isinstance(det, float)
+    D64 = gr.Dihedral(64)
+    assert abs(value - mh.mahler_determinant(D64, parse_poly_over("3+x+y", D64)).value) <= 1e-12
+
+
 def test_determinant_refuses_an_infinite_group():
+    # the exact and the float determinant each refuse it in their kernel
     g = gr.Dihedral(0)
-    with pytest.raises(InfiniteGroupError):
-        mh.mahler_determinant(g, parse_poly_over("3+x+y", g))
+    Q = parse_poly_over("3+x+y", g)
+    with pytest.raises(InfiniteGroupError, match="^a character determinant needs a finite group$"):
+        mh.mahler_determinant(g, Q)
+    with pytest.raises(InfiniteGroupError, match="^a block spectrum needs a finite group$"):
+        mh.mahler_determinant(g, float_twin(Q))
 
 
 def test_general_singular_is_an_error():
@@ -571,6 +606,20 @@ def test_measure_picks_the_route_it_names(case, route, method):
     assert res == ROUTES[route].call(case)
 
 
+def test_auto_takes_blocks_or_the_determinant_on_every_finite_group(monkeypatch, rng):
+    # every finite group is a block group: with a lambda auto takes blocks,
+    # without one the determinant, and never the adjacency route finite
+    ran = []
+    for name in ("mahler_blocks", "mahler_finite", "mahler_series", "mahler_determinant",
+                 "mahler_general", "mahler_torus"):
+        monkeypatch.setattr(mh, name, lambda *args, name=name, **kwargs: ran.append(name))
+    for g in FINITE_CATALOGUE:
+        P = random_reciprocal(g, rng)
+        mh.measure(g, P, 0.1)
+        mh.measure(g, P)
+    assert ran == ["mahler_blocks", "mahler_determinant"] * len(FINITE_CATALOGUE)
+
+
 def test_measure_refuses_a_lambda_its_method_cannot_use():
     # each row refuses before it runs, so the group need suit none of them
     F2 = gr.Free(2)
@@ -616,10 +665,15 @@ def test_zxzm_continuity_at_zero():
 
 
 def test_zxzm_domain():
-    with pytest.raises(DomainError):
-        mh.mahler_zxzm(3, 0.25)
-    with pytest.raises(DomainError):
-        mh.mahler_zxzm(3, -0.1)
+    # the closed form holds on the whole disc |lambda| < 1/4, either sign
+    g = parse_group("ZxZ/3")
+    P = parse_poly_over(P_STANDARD, g)
+    res = mh.mahler_series(g, P, -0.1, 1e-13)
+    assert abs(mh.mahler_zxzm(3, -0.1) - res.value) <= res.error_bound + 1e-15
+    assert mh.mahler_zxzm(3, 0.0) == 0.0
+    for lam in (0.25, -0.25):
+        with pytest.raises(DomainError, match=r"^closed form valid for lambda in \(-1/4, 1/4\)$"):
+            mh.mahler_zxzm(3, lam)
     with pytest.raises(ValueError):
         mh.mahler_zxzm(0, 0.1)
 

@@ -2,10 +2,10 @@
 
 Each route reaches the Fuglede-Kadison measure from its own base: walk
 counts (the lambda series, and the lambda-free series at the dominant
-coefficient of an exact or a float Q), finite-group determinants (float
-from the adjacency and from the representation blocks, and exact, of
-I - lambda A and of QQ*), characters, the torus grid and the
-Z x Z/m closed form.  A
+coefficient of an exact or a float Q), finite-group determinants (of
+I - lambda A in floats from the adjacency and from the representation
+blocks, and exact; of QQ* in floats from the blocks, and exact),
+characters, the torus grid and the Z x Z/m closed form.  A
 case is a group g with either a reciprocal P and a lambda, whose lambda-free
 routes then run on Q = 1 - lambda P (m(P, lambda) = m(1 - lambda P)), or a
 lambda-free Q alone.  A route states, from the case alone, whether it
@@ -140,7 +140,9 @@ ROUTES = {
         "mahler_general",
         lambda c: _dominance_rate(c.Q) <= RATE_CAP,
         lambda c: mh.mahler_general(c.g, float_twin(c.Q), EPS)),
-    # floats for any lambda, the exact ones included
+    # floats for any lambda, the exact ones included.  blocks and determinant
+    # float both read spectra.block_spectrum (of P and of QQ*); finite float
+    # and determinant exact are their oracles that do not
     "blocks": Route(
         "mahler_blocks",
         lambda c: _lam(c) and c.g.is_finite(),
@@ -175,7 +177,7 @@ ROUTES = {
     "zxzm": Route(
         "mahler_zxzm",
         lambda c: _lam(c) and _zxzm(c.g) and c.P == parse_poly_over(P_STANDARD, c.g)
-        and 0 < c.lam < Fraction(1, 4),
+        and abs(c.lam) < Fraction(1, 4),
         lambda c: mh.mahler_zxzm(c.g.moduli[1], c.lam)),
 }
 
