@@ -18,10 +18,10 @@ singular determinant, ...), 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps quotes a str by
 
 from . import coeffs as cf
 from . import experiments as ex
@@ -40,6 +40,7 @@ DEFAULT_EPSILON = 1e-10
 
 
 _CHUNK_DIGITS = 1000  # below the interpreter's str(int) digit limit
+_CHUNK = 10**_CHUNK_DIGITS
 
 
 def _int_text(n: int) -> str:
@@ -47,8 +48,8 @@ def _int_text(n: int) -> str:
     if n < 0:
         return "-" + _int_text(-n)
     chunks = []
-    while n >= 10**_CHUNK_DIGITS:
-        n, r = divmod(n, 10**_CHUNK_DIGITS)
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
         chunks.append(f"{r:0{_CHUNK_DIGITS}d}")
     chunks.append(str(n))
     return "".join(reversed(chunks))
@@ -86,12 +87,6 @@ def format_number(x) -> str:
     """15 significant digits for floats and Fractions; exact integers stay
     integers, however long.  A complex or Gaussian-rational value with zero
     imaginary part is its real value; any other is the string "(a+bi)"."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return _int_text(x)
-    if isinstance(x, Fraction):
-        return _fraction_text(x)
     if isinstance(x, float):
         if math.isnan(x):
             raise ValueError("NaN cannot be rendered as a number")
@@ -100,6 +95,12 @@ def format_number(x) -> str:
         if x == 0.0:
             return "0"
         return f"{x:.15g}"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return _int_text(x)
+    if isinstance(x, Fraction):
+        return _fraction_text(x)
     if isinstance(x, cf.GaussianRational):
         re, im = cf.exact_real(x.re), cf.exact_real(x.im)
     elif isinstance(x, complex):
@@ -116,14 +117,14 @@ def render_json(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (bool, int, float, Fraction, complex, cf.GaussianRational)):
         return format_number(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(render_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         inner = ", ".join(
-            f"{json.dumps(str(k))}: {render_json(v)}" for k, v in obj.items()
+            f"{_quote(str(k))}: {render_json(v)}" for k, v in obj.items()
         )
         return "{" + inner + "}"
     raise TypeError(f"cannot serialize {obj!r}")

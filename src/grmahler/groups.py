@@ -176,6 +176,8 @@ class AbelianProduct(_Family):
         return [tuple(v) for v in product(*(range(m) for m in self.moduli))]
 
     def element_index(self, a) -> int:
+        if not all(self.moduli):
+            return super().element_index(a)
         idx = 0
         for x, m in zip(a, self.moduli):
             idx = idx * m + x
@@ -250,6 +252,8 @@ class _RotationReflection(_Family):
         return [(e, k) for e in (0, 1) for k in range(self.rotations)]
 
     def element_index(self, a) -> int:
+        if not self.m:
+            return super().element_index(a)
         return a[0] * self.rotations + a[1]
 
     def element_sort_key(self, a):

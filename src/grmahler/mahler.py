@@ -355,19 +355,16 @@ def mahler_general(
 # ---------------------------------------------------------------------------
 # torus quadrature for free abelian groups
 
-TORUS_MAX_POINTS = 2**20  # most characters per call; numpy arrays peak near 48 MB there
+# most characters per call; numpy arrays peak near 25 MB there, and at 56-64 MB
+# when a term of P moves every axis (on Z, any term) (tracemalloc)
+TORUS_MAX_POINTS = 2**20
 
 
-def abelian_measure_via_characters(
-    g: gr.AbelianProduct, P: rg.RingElement, lam: float
-) -> float:
-    """(1/|G|) sum over characters of log|1 - lambda P(chi)| (finite abelian G).
-
-    By the product formula this IS the finite-group Mahler measure, and it is
-    the arithmetic path shared with the torus quadrature grid.
+def _character_logs(g: gr.AbelianProduct, P: rg.RingElement, lam: float):
+    """log|1 - lambda P(chi)| at every character of finite abelian G, formed
+    in place in the flat array of spectra.abelian_character_values.
     ResourceLimitError, before any array is built, when |G| exceeds
-    TORUS_MAX_POINTS.
-    """
+    TORUS_MAX_POINTS."""
     import numpy as np
 
     points = g.order()
@@ -376,11 +373,27 @@ def abelian_measure_via_characters(
             f"{points} characters of {g.spec()} exceed max_points={TORUS_MAX_POINTS}"
         )
     vals = sp.abelian_character_values(g, P)
-    integrand = 1.0 - lam * vals
-    mags = np.abs(integrand)
+    vals *= -lam
+    vals += 1.0
+    mags = np.abs(vals)
     if np.any(mags == 0.0):
         raise SingularMatrixError("1 - lambda*P vanishes at a character")
-    return float(np.mean(np.log(mags)))
+    return np.log(mags, out=mags)
+
+
+def abelian_measure_via_characters(
+    g: gr.AbelianProduct, P: rg.RingElement, lam: float
+) -> float:
+    """(1/|G|) sum over characters of log|1 - lambda P(chi)| (finite abelian G).
+
+    By the product formula this IS the finite-group Mahler measure; it is the
+    mean of _character_logs, the arithmetic path shared with the torus grid.
+    ResourceLimitError, before any array is built, when |G| exceeds
+    TORUS_MAX_POINTS.
+    """
+    import numpy as np
+
+    return float(np.mean(_character_logs(g, P, lam)))
 
 
 def mahler_torus(
@@ -392,10 +405,14 @@ def mahler_torus(
 
     The G-point grid average equals the Z/G x ... x Z/G measure exactly, so
     refining G converges to the free-abelian measure; the error estimate is
-    the difference between the G and G//2 grids.  ResourceLimitError, before
-    any array is built, when grid**l exceeds TORUS_MAX_POINTS (checked by
-    abelian_measure_via_characters).
+    the difference between the G and G//2 grids.  For even G the G//2 grid
+    is the even-index points of the G grid (2 pi e j'/(G/2) = 2 pi e 2j'/G),
+    so P's characters are evaluated once; an odd G evaluates both grids.
+    ResourceLimitError, before any array is built, when grid**l exceeds
+    TORUS_MAX_POINTS (checked by _character_logs).
     """
+    import numpy as np
+
     g = P.group
     if not isinstance(g, gr.AbelianProduct) or any(m != 0 for m in g.moduli):
         raise DomainError("mahler_torus needs a free abelian group (all factors Z)")
@@ -409,13 +426,14 @@ def mahler_torus(
         grid = 256 if l <= 2 else 64
     if grid < 2:
         raise ValueError("grid must be >= 2")
-
-    def grid_value(G: int) -> float:
-        gq = gr.AbelianProduct((G,) * l)
-        return abelian_measure_via_characters(gq, rg.transfer(P, gq), lam)
-
-    value = grid_value(grid)
-    coarse = grid_value(grid // 2)
+    gq = gr.AbelianProduct((grid,) * l)
+    logs = _character_logs(gq, rg.transfer(P, gq), lam)
+    value = float(np.mean(logs))
+    if grid % 2:
+        gq = gr.AbelianProduct((grid // 2,) * l)
+        coarse = abelian_measure_via_characters(gq, rg.transfer(P, gq), lam)
+    else:
+        coarse = float(np.mean(logs.reshape((grid,) * l)[(slice(0, None, 2),) * l]))
     return MeasureResult(value, "quadrature", abs(value - coarse), grid=grid)
 
 

@@ -15,8 +15,9 @@ each element met gets an int id, and its products with the elements of P
 and, once the graph holds it, its inverse are computed once per walk,
 however often it recurs.  block_walk_counts, which the series routes call,
 splits an abelian P into blocks of terms on disjoint axes, walks each block
-by walk_counts over its own axes and combines them by the binomial theorem,
-so a sum over l axes walks l lines instead of an l-dimensional ball.  It
+by walk_counts over its own axes, once for all blocks equal there, and
+combines them by the binomial theorem, so a sum over l axes walks at most l
+lines instead of an l-dimensional ball, and x + x^-1 + y + y^-1 one line.  It
 sends a nearest-neighbour P over a free group or a free product of cyclic
 groups to first_passage_counts, the second kernel: it solves the
 first-passage equations of the tree-like Cayley graph order by order and
@@ -279,10 +280,11 @@ def block_walk_counts(P: RingElement, N: int, support_cap: int = DEFAULT_SUPPORT
     of the multinomial coefficient times c^n_0 a_n_1(P_1) ... a_n_k(P_k),
     taken one part at a time as c_n = sum_j C(n, j) s_j b_(n-j).  Each
     a_n(P_i) is walk_counts of P_i over the subgroup of its block's axes,
-    which checks support_cap in that block's walk only.  With one block or
-    none, and over any other group, it is walk_counts of P itself, except
-    for a nearest-neighbour P over a free group or a free product, whose
-    counts come from first_passage_counts and no support cap.
+    which checks support_cap in that block's walk only; blocks that are one
+    element there share one walk.  With one block or none, and over any
+    other group, it is walk_counts of P itself, except for a
+    nearest-neighbour P over a free group or a free product, whose counts
+    come from first_passage_counts and no support cap.
 
     Exact P gives the values of walk_counts exactly, though a count's kind
     (int, Fraction or a GaussianRational with no imaginary part) may differ
@@ -294,8 +296,12 @@ def block_walk_counts(P: RingElement, N: int, support_cap: int = DEFAULT_SUPPORT
         raise ValueError("N must be non-negative")
     group, identity = P.group, P.group.identity()
 
+    walked = {}  # the counts of each distinct part: equal blocks walk once
+
     def counts(Q):
-        return tuple(islice(walk_counts(Q, support_cap), N + 1))
+        if Q not in walked:
+            walked[Q] = tuple(islice(walk_counts(Q, support_cap), N + 1))
+        return walked[Q]
 
     blocks = []  # (axes, {element: coeff}) of the non-constant terms
     if isinstance(group, gr.AbelianProduct):

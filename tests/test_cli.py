@@ -189,6 +189,24 @@ def test_format_number_beyond_float_range():
     assert format_number(-big) == "-" + text
 
 
+@pytest.mark.parametrize("n", [10**1000 - 1, 10**1000, 10**2500],
+                         ids=["10^1000-1", "10^1000", "10^2500"])
+def test_ints_render_every_digit_across_the_chunk_edge(n):
+    # below the interpreter's digit limit, so str() is the reference
+    assert format_number(n) == render_json(n) == str(n)
+    assert format_number(-n) == render_json(-n) == str(-n)
+    assert render_json([n, True, False, 0]) == f"[{n}, true, false, 0]"
+
+
+@pytest.mark.parametrize("text", [
+    'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "café ∞ 𝔽₂", "",
+], ids=["quotes", "backslash", "control", "non-ascii", "empty"])
+def test_strings_and_keys_render_as_json_dumps_does(text):
+    assert render_json(text) == json.dumps(text)
+    assert render_json({text: text}) == "{" + json.dumps(text) + ": " + json.dumps(text) + "}"
+    assert json.loads(render_json({text: [text]})) == {text: [text]}
+
+
 def test_render_json_deterministic_order():
     s = render_json({"b": 1, "a": [1.5, None, "x"]})
     assert s == '{"b": 1, "a": [1.5, null, "x"]}'

@@ -59,6 +59,19 @@ def test_enumerate_abelian_lexicographic():
         assert gr.AbelianProduct((3, 2)).element_index(e) == i
 
 
+@pytest.mark.parametrize("g, a", [
+    (gr.Dihedral(0), (1, 7)), (gr.Dihedral(0), (0, 7)), (gr.Dicyclic(0), (1, -2)),
+    (gr.AbelianProduct((0, 3)), (5, 1)), (gr.AbelianProduct((4, 0)), (1, 0)),
+], ids=["Dinf-reflection", "Dinf-rotation", "Dicinf", "ZxZ/3", "Z/4xZ"])
+def test_element_index_refuses_an_infinite_group(g, a):
+    # an index of an infinite group would be shared: (1, 7) and (0, 7) of
+    # Dinf both took 7; every family refuses as the base class does for F2
+    with pytest.raises(InfiniteGroupError, match=f"^no canonical index for {g.spec()}$"):
+        g.element_index(a)
+    for h in (gr.Dihedral(3), gr.Dicyclic(2), gr.AbelianProduct((3, 4))):
+        assert [h.element_index(e) for e in h.elements()] == list(range(h.order()))
+
+
 # ---------------------------------------------------------------------------
 # multiplication examples from the catalogue relations
 

@@ -569,6 +569,43 @@ def test_torus_estimate_covers_the_error_on_small_grids(grid):
     assert res.grid == grid
 
 
+@pytest.mark.parametrize("grid", [2, 4, 6, 8, 10, 16])
+@pytest.mark.parametrize("l, text", [
+    (1, "x + x^-1"), (1, "2*x + i*x^-3"),
+    (2, P_STANDARD), (2, "x y + x^-1 + 2*y^-3"),
+    (3, "x1 + x1^-1 + x2 + x2^-1 + x3 + x3^-1"), (3, "x1 x2 x3 + x1^-1 + x2^2 x3^-1"),
+])
+def test_torus_reads_the_half_grid_off_the_even_grid(l, text, grid):
+    # the value is the (Z/G)^l character measure bit for bit, and the G/2
+    # estimate, the mean over the even-index points of the same array, is
+    # the (Z/(G/2))^l measure up to rounding; on Z the odd-index half would
+    # give the same distance, as the G-point mean is the mean of the halves,
+    # so l = 2 and 3 are the cases that tell the subgrids apart
+    P = parse_poly_over(text, gr.AbelianProduct((0,) * l))
+    lam = 0.6 / rg.l1_norm(P)
+    res = mh.mahler_torus(P, lam, grid=grid)
+
+    def characters(G):
+        gq = gr.AbelianProduct((G,) * l)
+        return mh.abelian_measure_via_characters(gq, rg.transfer(P, gq), lam)
+
+    assert res.value.hex() == characters(grid).hex()
+    assert abs(res.error_bound - abs(res.value - characters(grid // 2))) <= 1e-14
+
+
+@pytest.mark.parametrize("grid, calls", [(8, 1), (64, 1), (7, 2), (3, 2)])
+def test_torus_evaluates_one_grid_when_it_is_even(monkeypatch, grid, calls):
+    # an odd G has no G/2 subgrid and evaluates the G//2 grid on its own
+    P = parse_poly_over(P_STANDARD, Z2)
+    want = mh.mahler_torus(P, 0.1, grid=grid)
+    grids = []
+    character_values = sp.abelian_character_values
+    monkeypatch.setattr(sp, "abelian_character_values",
+                        lambda g, Q: grids.append(g.moduli) or character_values(g, Q))
+    assert mh.mahler_torus(P, 0.1, grid=grid) == want
+    assert grids == [(grid, grid), (grid // 2, grid // 2)][:calls]
+
+
 def test_torus_refuses_a_grid_past_its_point_cap(monkeypatch):
     def no_arrays(*args):
         pytest.fail("the point cap must be checked before any array is built")

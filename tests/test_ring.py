@@ -328,6 +328,23 @@ def test_block_walk_counts_examples(monkeypatch, g, terms, N, splits):
     _assert_block_walk_is_the_walk(rg.ring_element(g, terms), N)
 
 
+@pytest.mark.parametrize("g, text, walks", [
+    (gr.AbelianProduct((0, 0, 0)), "x1+x1^-1+x2+x2^-1+x3+x3^-1", 1),
+    (Z2, "x+x^-1+2*y+2*y^-1", 2),
+], ids=["Z^3-three-equal-blocks", "Z^2-two-blocks"])
+def test_block_walk_counts_walk_each_distinct_block_once(monkeypatch, g, text, walks):
+    # x1 + x1^-1, x2 + x2^-1 and x3 + x3^-1 are one element of Z on their own
+    # axes, so one walk serves all three; y + y^-1 weighted 2 is another
+    P = parse_poly_over(text, g)
+    want = rg.power_constant_coeffs(P, 30).values
+    walked = []
+    walk_counts = rg.walk_counts
+    monkeypatch.setattr(rg, "walk_counts",
+                        lambda Q, *args: walked.append(Q) or walk_counts(Q, *args))
+    assert rg.block_walk_counts(P, 30) == want
+    assert len(walked) == len(set(walked)) == walks
+
+
 def test_block_walk_counts_keep_the_walk_elsewhere():
     # any other group is walked whole unless P is nearest-neighbour on a free
     # family, as this one with a word of two letters is not; the support cap
