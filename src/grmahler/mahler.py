@@ -355,8 +355,9 @@ def mahler_general(
 # ---------------------------------------------------------------------------
 # torus quadrature for free abelian groups
 
-# most characters per call; numpy arrays peak near 25 MB there, and at 56-64 MB
-# when a term of P moves every axis (on Z, any term) (tracemalloc)
+# most characters per call (and per zxzm closed form); numpy arrays peak near
+# 25 MB there, and at 40-48 MB when a term of P moves every axis (on Z, any
+# term) (tracemalloc)
 TORUS_MAX_POINTS = 2**20
 
 
@@ -447,10 +448,13 @@ def mahler_zxzm(m: int, lam: float) -> float:
     Averages, over the m-th roots of unity in the finite factor, the log of
     the larger root of the one-variable quadratic; for |lambda| < 1/4,
     1 - 2 cos(theta) lambda > 0 at either sign, so the larger root takes the
-    '+' branch.
+    '+' branch.  ResourceLimitError, before the loop over the m characters,
+    when m exceeds TORUS_MAX_POINTS.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > TORUS_MAX_POINTS:
+        raise ResourceLimitError(f"{m} characters of Z/{m} exceed max_points={TORUS_MAX_POINTS}")
     lam = float(lam)
     if not abs(lam) < 0.25:
         raise DomainError("closed form valid for lambda in (-1/4, 1/4)")

@@ -83,10 +83,10 @@ class Spectrum(NamedTuple):
 # adjacency
 
 
-# the largest group given a Cayley adjacency or a character determinant: the
-# adjacency's dense complex matrix is 268 MB there, and character_determinant
-# takes seconds (its modulus grows with |G|, and it makes |G| or |G|/2
-# products modulo it)
+# the largest group given a Cayley adjacency, a block spectrum or a character
+# determinant: the adjacency's dense complex matrix is 268 MB there, and
+# character_determinant takes seconds (its modulus grows with |G|, and it
+# makes |G| or |G|/2 products modulo it)
 MAX_ORDER = 2**12
 
 
@@ -362,7 +362,13 @@ def abelian_character_values(g: gr.AbelianProduct, P: rg.RingElement) -> np.ndar
         for exp, m, j in zip(e, moduli, axes):
             if exp:
                 phase = phase + (2.0 * math.pi * exp / m) * j
-        vals += complex(c) * np.exp(1j * phase)
+        # c exp(i phase) in one complex scratch array, freed before the next
+        # term's; out= keeps the identity term's 0-d phase an array
+        t = np.multiply(1j, phase, out=np.empty(np.shape(phase), complex))
+        np.exp(t, out=t)
+        np.multiply(complex(c), t, out=t)
+        vals += t
+        del t
     return vals.reshape(-1)
 
 

@@ -1164,15 +1164,23 @@ def test_readme_examples_answer():
 # Run in a fresh interpreter, so numpy or dataclasses can only be in
 # sys.modules if the calls made here imported it.  Every call but the last
 # stays off the adjacency, character-array and torus routes; no call,
-# numpy's import included, needs dataclasses.
+# numpy's import included, needs dataclasses.  The library's lambda-free
+# determinant of a float Q, which the command line cannot pass, runs first.
 IMPORT_BOUNDARY_SCRIPT = """
 import contextlib, io, json, sys
 import grmahler.cli
-steps = [("import", 0, "numpy" in sys.modules, "dataclasses" in sys.modules)]
+from grmahler import groups, mahler, ring
+steps = []
+def record(name, rc):
+    steps.append((name, rc, "numpy" in sys.modules, "dataclasses" in sys.modules))
+record("import", 0)
+D64 = groups.Dihedral(64)
+mahler.measure(D64, ring.ring_element(D64, {(0, 0): 3.0, (0, 1): 1.0, (1, 0): 1.0}))
+record("float determinant", 0)
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = grmahler.cli.main(argv)
-    steps.append((argv[0], rc, "numpy" in sys.modules, "dataclasses" in sys.modules))
+    record(argv[0], rc)
 print(json.dumps(steps))
 """
 
@@ -1185,6 +1193,12 @@ def test_only_float_spectral_routes_import_numpy():
         ["measure", "--group", "Z/3xZ/2", "--poly", "1+x+y"],  # exact character determinant
         ["measure", "--group", "D4", "--poly", "x+x^-1+y", "--lambda", "0.1"],  # blocks
         ["spectrum", "--group", "Z/3xZ/2", "--poly", "x+x^-1+y"],  # blocks
+        ["spectrum", "--group", "D5", "--poly", "x+x^-1+2*y"],
+        ["measure", "--group", "D512", "--poly", "x+x^-1+y", "--lambda", "0.1"],
+        ["converge", "--chain", "dihedral", "--group", "Dinf", "--poly", "x+x^-1+y",
+         "--lambda", "0.1", "--params", "4,8,16,32"],
+        ["compare", "--group", "D8", "--group-b", "Z/8xZ/2", "--poly", "x+x^-1+y",
+         "--lambda", "0.1"],
     ]
     float_spectral = ["measure", "--group", "D4", "--poly", "x+x^-1+y", "--lambda", "0.1",
                       "--method", "finite"]
@@ -1195,6 +1209,6 @@ def test_only_float_spectral_routes_import_numpy():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     steps = json.loads(done.stdout)
-    assert [rc for _, rc, _, _ in steps] == [0] * 8
-    assert [numpy for _, _, numpy, _ in steps] == [False] * 7 + [True]
-    assert [dataclasses for _, _, _, dataclasses in steps] == [False] * 8
+    assert [rc for _, rc, _, _ in steps] == [0] * 13
+    assert [numpy for _, _, numpy, _ in steps] == [False] * 12 + [True]
+    assert [dataclasses for _, _, _, dataclasses in steps] == [False] * 13

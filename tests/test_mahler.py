@@ -713,6 +713,10 @@ def test_zxzm_domain():
             mh.mahler_zxzm(3, lam)
     with pytest.raises(ValueError):
         mh.mahler_zxzm(0, 0.1)
+    # one character past the torus point cap is refused before the loop
+    m = mh.TORUS_MAX_POINTS + 1
+    with pytest.raises(ResourceLimitError, match=f"^{m} characters of Z/{m} exceed max_points="):
+        mh.mahler_zxzm(m, 0.1)
 
 
 # ---------------------------------------------------------------------------

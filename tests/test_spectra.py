@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -495,6 +496,21 @@ def test_one_axis_terms_exponentiate_only_their_axis(monkeypatch):
     monkeypatch.undo()
     assert len(sizes) == 4 and max(sizes) <= 128
     assert vals.tobytes() == dense_character_values(g, P).tobytes()
+
+
+def test_each_term_is_built_in_one_complex_scratch_array():
+    # on Z/2^20 both terms move the one axis: the sum, the axis, the phase and
+    # one complex scratch array peak at 48 MiB; three complex temporaries per
+    # term, as c * exp(1j * phase) makes, reach 64 MiB
+    g = gr.AbelianProduct((mh.TORUS_MAX_POINTS,))
+    P = parse_poly_over("x+x^-1", g)
+    tracemalloc.start()
+    try:
+        sp.abelian_character_values(g, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * 2**20
 
 
 def test_converge_abelian_refuses_a_grid_past_the_point_cap(monkeypatch):
