@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Quotient chains approaching their infinite-group measures.
 
-Sweeps the dihedral chain D_m -> D_inf and the Z x Z/m closed-form chain,
-and prints walk-count agreement depths that drive the convergence.  The
+Sweeps the dihedral chain D_m -> D_inf and the chain Z x Z/m -> Z^2, each
+Z x Z/m measured by the series (a row with m past the series depth equals
+the limit, so its gap is 0), and prints walk-count agreement depths that
+drive the convergence.  The
 dicyclic section documents how the printed infinite presentation (y^2 = e)
 departs from Dic_m (y^2 = x^m): rotation-only elements converge, while any
 y-supported element already disagrees in a_2.
@@ -42,7 +44,7 @@ def main():
         rep = ex.agreement_depth(gr.Dihedral(m), gr.Dihedral(0), P, m + 2)
         print(f"{m},{rep.first_disagreement}")
 
-    print("\n## Z x Z/m closed-form chain, P = x + x^-1 + y + y^-1")
+    print("\n## Z x Z/m -> Z^2 chain by the series, P = x + x^-1 + y + y^-1")
     Pz = parse_poly_over("x + x^-1 + y + y^-1", gr.AbelianProduct((0, 0)))
     print_rows(ex.converge("zxzm", Pz, args.lam, ms + [128]))
 

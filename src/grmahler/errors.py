@@ -28,9 +28,9 @@ class SingularMatrixError(GrmahlerError):
 class ResourceLimitError(GrmahlerError):
     """A resource cap was exceeded: the walk's support cap, the series term
     cap (which also bounds --n and --n-max), the free-word letter cap, the
-    torus point cap (which also bounds the zxzm closed form's m) or
-    spectra.MAX_ORDER, the group-order cap of every finite route (the Cayley
-    adjacency, the block spectrum and the character determinant)."""
+    torus point cap or spectra.MAX_ORDER, the group-order cap of every
+    finite route (the Cayley adjacency, the block spectrum and the character
+    determinant)."""
 
 
 class NonConvergenceError(GrmahlerError):

@@ -1,10 +1,10 @@
 """Convergence and comparison experiments.
 
 Reproduces the finite-approximation behaviour: `converge` runs any chain of
-`CHAINS` (finite abelian grids against the torus measure, dihedral and
-dicyclic quotients against their infinite limits, the Z x Z/m closed form
-against Z^2); agreement depth of walk counts; and the equality and
-counterexample comparisons between a group and its abelianized counterpart.
+`CHAINS` (finite abelian grids against the torus measure, dihedral,
+dicyclic and Z x Z/m quotients against their infinite limits); agreement
+depth of walk counts; and the equality and counterexample comparisons
+between a group and its abelianized counterpart.
 """
 from __future__ import annotations
 
@@ -117,18 +117,9 @@ def _abelian_row(g, P, lam, m):
     return gq.order(), value, f">{DEFAULT_H_MAX}" if q is None else q
 
 
-def _quotient_row(g, P, lam, m):
-    return m, mh.measure(type(g)(m), P, lam).value, None
-
-
-_Z2 = gr.AbelianProduct((0, 0))
-_ZXZM_P = rg.ring_element(_Z2, {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1})
-
-
-def _zxzm_serves(P) -> bool:
-    if P.group == _Z2 and P != _ZXZM_P:
-        raise DomainError("the zxzm chain is the closed form for x + x^-1 + y + y^-1 only")
-    return P.group == _Z2
+def _quotient_row(quotient):
+    """The row of a chain whose parameter m names the quotient(m) P is measured over."""
+    return lambda g, P, lam, m: (m, mh.measure(quotient(m), P, lam).value, None)
 
 
 class Chain(NamedTuple):
@@ -145,11 +136,11 @@ CHAINS = {
     "abelian": Chain(lambda P: isinstance(P.group, gr.AbelianProduct) and not any(P.group.moduli),
                      _abelian_row, 1e-9),
     # D_m -> Dinf and Dic_m -> the printed Dicinf (see README for the
-    # caveat), by determinant
-    "dihedral": Chain(lambda P: P.group == gr.Dihedral(0), _quotient_row, 1e-10),
-    "dicyclic": Chain(lambda P: P.group == gr.Dicyclic(0), _quotient_row, 1e-10),
-    # the Z x Z/m closed form -> Z^2, for x + x^-1 + y + y^-1 only
-    "zxzm": Chain(_zxzm_serves, lambda g, P, lam, m: (m, mh.mahler_zxzm(m, lam), None), 1e-10),
+    # caveat), by determinant; Z x Z/m -> Z^2 by the series
+    "dihedral": Chain(lambda P: P.group == gr.Dihedral(0), _quotient_row(gr.Dihedral), 1e-10),
+    "dicyclic": Chain(lambda P: P.group == gr.Dicyclic(0), _quotient_row(gr.Dicyclic), 1e-10),
+    "zxzm": Chain(lambda P: P.group == gr.AbelianProduct((0, 0)),
+                  _quotient_row(lambda m: gr.AbelianProduct((0, m))), 1e-10),
 }
 
 

@@ -1,6 +1,6 @@
 """Mahler measures of group-ring elements.
 
-Four computation routes; the first three return one result type, MeasureResult:
+Three computation routes, each returning one result type, MeasureResult:
 
 * series       -- m(P, lambda) = -sum a_n lambda^n / n with the rigorous
                   geometric tail bound from |a_n| <= k^n, k the l1-norm;
@@ -14,8 +14,7 @@ Four computation routes; the first three return one result type, MeasureResult:
                   log det(B) / (2|G|), B that of QQ* (mahler_determinant),
                   exact whenever the inputs are, else from the blocks;
 * quadrature   -- uniform torus grids for free abelian groups (the grid
-                  average *is* the finite-group measure at the grid size);
-* closed-form  -- the Z x Z/m family for the standard 4-term element.
+                  average *is* the finite-group measure at the grid size).
 
 ROUTES, in auto's order, is the one table of measure's routes: blocks,
 finite, series, general and torus.  auto takes blocks on a finite group and
@@ -355,9 +354,8 @@ def mahler_general(
 # ---------------------------------------------------------------------------
 # torus quadrature for free abelian groups
 
-# most characters per call (and per zxzm closed form); numpy arrays peak near
-# 25 MB there, and at 40-48 MB when a term of P moves every axis (on Z, any
-# term) (tracemalloc)
+# most characters per call; numpy arrays peak near 25 MB there, and at
+# 40-48 MB when a term of P moves every axis (on Z, any term) (tracemalloc)
 TORUS_MAX_POINTS = 2**20
 
 
@@ -436,34 +434,3 @@ def mahler_torus(
     else:
         coarse = float(np.mean(logs.reshape((grid,) * l)[(slice(0, None, 2),) * l]))
     return MeasureResult(value, "quadrature", abs(value - coarse), grid=grid)
-
-
-# ---------------------------------------------------------------------------
-# closed form for Z x Z/m with the standard 4-term element
-
-
-def mahler_zxzm(m: int, lam: float) -> float:
-    """Closed-form m_{Z x Z/m}(x + x^-1 + y + y^-1, lambda) for -1/4 < lambda < 1/4.
-
-    Averages, over the m-th roots of unity in the finite factor, the log of
-    the larger root of the one-variable quadratic; for |lambda| < 1/4,
-    1 - 2 cos(theta) lambda > 0 at either sign, so the larger root takes the
-    '+' branch.  ResourceLimitError, before the loop over the m characters,
-    when m exceeds TORUS_MAX_POINTS.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > TORUS_MAX_POINTS:
-        raise ResourceLimitError(f"{m} characters of Z/{m} exceed max_points={TORUS_MAX_POINTS}")
-    lam = float(lam)
-    if not abs(lam) < 0.25:
-        raise DomainError("closed form valid for lambda in (-1/4, 1/4)")
-    total = 0.0
-    for k in range(m):
-        theta = 2.0 * math.pi * k / m
-        c = math.cos(theta)
-        s2 = math.sin(theta) ** 2
-        disc = 1.0 - 4.0 * c * lam - 4.0 * s2 * lam * lam
-        disc = max(disc, 0.0)
-        total += math.log((1.0 - 2.0 * c * lam + math.sqrt(disc)) / 2.0)
-    return total / m

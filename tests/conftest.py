@@ -213,6 +213,25 @@ def dense_character_values(g, P):
     return vals.reshape(-1)
 
 
+def zxzm_closed_form(m, lam):
+    """m_{Z x Z/m}(x + x^-1 + y + y^-1, lambda) for |lambda| < 1/4, in closed
+    form: a test-side oracle, which calls no route of grmahler.mahler.
+
+    Averages, over the m-th roots of unity in the finite factor, the log of
+    the larger root of the one-variable quadratic; for |lambda| < 1/4,
+    1 - 2 cos(theta) lambda > 0 at either sign, so the larger root takes the
+    '+' branch.
+    """
+    lam = float(lam)
+    total = 0.0
+    for k in range(m):
+        theta = 2.0 * math.pi * k / m
+        c = math.cos(theta)
+        disc = max(1.0 - 4.0 * c * lam - 4.0 * math.sin(theta) ** 2 * lam * lam, 0.0)
+        total += math.log((1.0 - 2.0 * c * lam + math.sqrt(disc)) / 2.0)
+    return total / m
+
+
 def assert_multisets_close(xs, ys, tol=1e-9):
     xs = sorted(xs)
     ys = sorted(ys)

@@ -31,6 +31,7 @@ from conftest import (
 )
 
 Z2 = gr.AbelianProduct((0, 0))
+ZxZ2 = gr.AbelianProduct((0, 2))
 Z32 = gr.AbelianProduct((3, 2))
 D3 = gr.Dihedral(3)
 P_STANDARD = "x + x^-1 + y + y^-1"
@@ -229,7 +230,8 @@ def test_c08_zxz2_closed_form():
             math.comb(4 * l, 2 * l) * lam ** (2 * l) / (2 * l) for l in range(1, 90)
         )
         assert abs(closed - series) <= 1e-10
-        assert abs(mh.mahler_zxzm(2, lam) - closed) <= 1e-12
+        res = mh.measure(ZxZ2, parse_poly_over(P_STANDARD, ZxZ2), lam)
+        assert abs(res.value - closed) <= res.error_bound
 
 
 @criterion(9, "differential relation -lambda dm/dlambda = u - 1")

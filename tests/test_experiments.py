@@ -1,5 +1,4 @@
 import math
-import re
 
 import pytest
 
@@ -7,10 +6,9 @@ from grmahler import experiments as ex
 from grmahler import groups as gr
 from grmahler import mahler as mh
 from grmahler import ring as rg
-from grmahler.errors import DomainError
 from grmahler.parsing import parse_poly_over
 
-from conftest import dihedral_theorem_instance, from_alpha_beta
+from conftest import dihedral_theorem_instance, from_alpha_beta, zxzm_closed_form
 
 Z2 = gr.AbelianProduct((0, 0))
 Z32 = gr.AbelianProduct((3, 2))
@@ -166,10 +164,21 @@ def test_tail_bound_controls_measure_gap():
 # quotient chains
 
 
-def test_converge_quotients_zxzm_rejects_other_elements():
-    P = parse_poly_over("x + x^-1", Z2)
-    with pytest.raises(DomainError, match=re.escape("closed form for x + x^-1 + y + y^-1 only")):
-        ex.converge("zxzm", P, 0.1, [2, 4])
+def test_converge_quotients_zxzm_serves_any_reciprocal_element():
+    # any reciprocal P over Z^2, here one with a diagonal term, is measured
+    # over each Z x Z/m; past the series depth the walks no longer wrap
+    P = parse_poly_over("x + x^-1 + 2*y + 2*y^-1 + xy + x^-1y^-1", Z2)
+    rows = ex.converge("zxzm", P, 0.05, [2, 4, 8, 16, 64])
+    assert rows[-2].gap < 1e-7 < rows[0].gap
+    assert rows[-1].gap == 0.0
+
+
+@pytest.mark.parametrize("lam", [0.1, -0.1, 0.2])
+def test_converge_zxzm_rows_meet_the_closed_form(lam):
+    # each row is measure's series over Z x Z/m, whose error bound is at most
+    # its default epsilon, 1e-10
+    rows = ex.converge("zxzm", parse_poly_over(P_STANDARD, Z2), lam, [1, 2, 3, 4, 8, 64])
+    assert all(abs(r.value - zxzm_closed_form(r.parameter, lam)) <= 1e-10 for r in rows)
 
 
 def test_dicyclic_y_elements_cannot_ride_the_chain():

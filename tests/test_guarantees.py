@@ -20,6 +20,7 @@ equal or stricter bound are not repeated here:
 - the finite lambda measures, spectra and float determinant load no numpy:
   test_cli.py::test_only_float_spectral_routes_import_numpy.
 """
+import ast
 import math
 import re
 import time
@@ -130,7 +131,7 @@ DIHEDRAL = "--poly x+x^-1+y --lambda 0.1"  # P on Dinf and its quotients D_m
 
 ROWS = [
     # one request per row of experiments.CHAINS over its limit group, and the
-    # zxzm closed form at a negative lambda and at 0
+    # zxzm chain at a negative lambda and at 0
     (f"converge --chain abelian {Z2} --lambda 0.1 --params 4,8", 10, answers()),
     (f"converge --chain dihedral --group Dinf {DIHEDRAL} --params 4,8", 10, answers()),
     ("converge --chain dicyclic --group Dicinf --poly x+x^-1 --lambda 0.1 --params 4,8", 10,
@@ -138,14 +139,22 @@ ROWS = [
     (f"converge --chain zxzm {Z2} --lambda 0.1 --params 2,4", 10, answers()),
     (f"converge --chain zxzm {Z2} --lambda -0.1 --params 2,4", 10, answers()),
     (f"converge --chain zxzm {Z2} --lambda 0 --params 2,4", 10, answers()),
+    # the zxzm chain serves any reciprocal P over Z^2, and refuses one that
+    # is not reciprocal
+    ("converge --chain zxzm --group Z^2 --poly x+x^-1+2*y+2*y^-1+xy+x^-1y^-1 --lambda 0.05 "
+     "--params 2,4,64", 10, answers()),
+    ("converge --chain zxzm --group Z^2 --poly 1+x+y --lambda 0.1 --params 2,4", 10,
+     refuses(3, "DomainError")),
     # a group the chain does not serve
     (f"converge --chain dihedral --group Z^2 {DIHEDRAL} --params 4,8", 10,
      refuses(3, "DomainError")),
-    # every chain refuses a parameter past its point or order cap before any
-    # work: the zxzm closed form loops once per character
+    # every chain over finite quotients refuses a parameter past its point or
+    # order cap before any work; a Z x Z/m quotient is walked by the series,
+    # whose depth does not grow with m
     *((f"converge --chain {chain} --group {CHAIN_REQUESTS[chain][0]} "
        f"--poly {CHAIN_REQUESTS[chain][1]} --lambda 0.1 --params 100000000000", 10,
-       refuses(4, "ResourceLimitError")) for chain in cli.ex.CHAINS),
+       refuses(4, "ResourceLimitError")) for chain in cli.ex.CHAINS if chain != "zxzm"),
+    (f"converge --chain zxzm {Z2} --lambda 0.1 --params 100000000000", 2, answers()),
     # --n past the term cap and a group past the order cap, before any work
     ("coeffs --group Z --poly x+x^-1 --n 8000", 10, refuses(4, "ResourceLimitError")),
     ("genfun --series tree --degree 3 --n 2000", 10, refuses(4, "ResourceLimitError")),
@@ -194,17 +203,35 @@ def test_guarantee(line, seconds, expect):
     assert elapsed <= seconds, f"{elapsed:.2f} s > {seconds} s"
 
 
-WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+TESTS = Path(__file__).parent
+WORKFLOW = TESTS.parent / ".github" / "workflows" / "tests.yml"
 # the installed script as a shell word, python -m grmahler.cli, or cli.main
 CLI_CALL = re.compile(r"(?<![\w./-])grmahler\s|-m\s+grmahler\b|\bmain\(")
 
 
-def test_only_the_readme_step_of_ci_runs_the_command_line():
-    steps = re.split(r"^\s*- (?=name:|uses:)", WORKFLOW.read_text(), flags=re.M)[1:]
-    calling = []
-    for step in steps:
+def _ci_steps():
+    """(name line, body without its comment lines) of each step of the workflow."""
+    for step in re.split(r"^\s*- (?=name:|uses:)", WORKFLOW.read_text(), flags=re.M)[1:]:
         name, _, body = step.partition("\n")
-        code = "\n".join(line for line in body.splitlines() if not line.lstrip().startswith("#"))
-        if CLI_CALL.search(code):
-            calling.append(name)
+        yield name, "\n".join(line for line in body.splitlines() if not line.lstrip().startswith("#"))
+
+
+def test_only_the_readme_step_of_ci_runs_the_command_line():
+    calling = [name for name, code in _ci_steps() if CLI_CALL.search(code)]
     assert calling == ["name: README commands through the installed grmahler entry point"]
+
+
+def _randomized(module: Path) -> bool:
+    """The test module imports hypothesis or has a function that takes the rng fixture."""
+    tree = ast.parse(module.read_text())
+    imported = ({a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+                | {n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)})
+    takes = {a.arg for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) for a in n.args.args}
+    return "rng" in takes or any(m.split(".")[0] == "hypothesis" for m in imported)
+
+
+def test_every_randomized_module_runs_on_the_held_out_seed():
+    held_out = next(code for _, code in _ci_steps() if "--hypothesis-seed" in code)
+    listed = set(re.findall(r"\btests/(test_\w+\.py)\b", held_out))
+    randomized = {m.name for m in TESTS.glob("test_*.py") if _randomized(m)}
+    assert randomized - listed == set()

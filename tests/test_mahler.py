@@ -38,6 +38,7 @@ from conftest import (
     one_minus_lambda_adjacency,
     random_reciprocal,
     random_split_element,
+    zxzm_closed_form,
 )
 from test_ring import EXACT_COEFFS
 from test_routes import EPS, ROUTES, at_lambda, lambda_free
@@ -677,7 +678,7 @@ def test_measure_refuses_a_lambda_its_method_cannot_use():
 
 
 # ---------------------------------------------------------------------------
-# the Z x Z/m closed form
+# the Z x Z/m closed form, a test-side oracle (conftest.zxzm_closed_form)
 
 
 def test_zxzm_m2_displayed_formula():
@@ -686,7 +687,7 @@ def test_zxzm_m2_displayed_formula():
         math.log(1 - 2 * lam + math.sqrt(1 - 4 * lam))
         + math.log(1 + 2 * lam + math.sqrt(1 + 4 * lam))
     )
-    assert abs(mh.mahler_zxzm(2, lam) - want) < 1e-15
+    assert abs(zxzm_closed_form(2, lam) - want) < 1e-15
 
 
 def test_zxzm_m1_is_one_variable_measure():
@@ -694,11 +695,11 @@ def test_zxzm_m1_is_one_variable_measure():
     P = parse_poly_over("x + x^-1 + 2", g)
     lam = 0.2
     series = mh.mahler_series(g, P, lam, 1e-12).value
-    assert abs(mh.mahler_zxzm(1, lam) - series) < 1e-11
+    assert abs(zxzm_closed_form(1, lam) - series) < 1e-11
 
 
 def test_zxzm_continuity_at_zero():
-    assert abs(mh.mahler_zxzm(5, 1e-9)) < 1e-7
+    assert abs(zxzm_closed_form(5, 1e-9)) < 1e-7
 
 
 def test_zxzm_domain():
@@ -706,17 +707,8 @@ def test_zxzm_domain():
     g = parse_group("ZxZ/3")
     P = parse_poly_over(P_STANDARD, g)
     res = mh.mahler_series(g, P, -0.1, 1e-13)
-    assert abs(mh.mahler_zxzm(3, -0.1) - res.value) <= res.error_bound + 1e-15
-    assert mh.mahler_zxzm(3, 0.0) == 0.0
-    for lam in (0.25, -0.25):
-        with pytest.raises(DomainError, match=r"^closed form valid for lambda in \(-1/4, 1/4\)$"):
-            mh.mahler_zxzm(3, lam)
-    with pytest.raises(ValueError):
-        mh.mahler_zxzm(0, 0.1)
-    # one character past the torus point cap is refused before the loop
-    m = mh.TORUS_MAX_POINTS + 1
-    with pytest.raises(ResourceLimitError, match=f"^{m} characters of Z/{m} exceed max_points="):
-        mh.mahler_zxzm(m, 0.1)
+    assert abs(zxzm_closed_form(3, -0.1) - res.value) <= res.error_bound + 1e-15
+    assert zxzm_closed_form(3, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
