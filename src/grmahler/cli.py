@@ -11,9 +11,11 @@ digits, ints exactly, a complex or Gaussian-rational value with zero
 imaginary part as its real value, any other as the string "(a+bi)", and
 infinity as "infinite".  Each subcommand binds its runner, which takes the
 parsed arguments.  The parser is built once, when this module is imported,
-so main can be called many times in one process.  Exit codes: 0 ok, 2 parse
-error (an unwritable --out file too), 3 domain error (lambda out of disc,
-singular determinant, ...), 4 resource cap exceeded.
+so main can be called many times in one process, and main parses with the
+subcommand's parser, which reads the arguments after the subcommand once.
+Exit codes: 0 ok, 2 parse error (an unwritable --out file too), 3 domain
+error (lambda out of disc, singular determinant, ...), 4 resource cap
+exceeded.
 """
 from __future__ import annotations
 
@@ -262,12 +264,12 @@ def run_agree_depth(args):
     return obj, ["n", "a_n_a", "a_n_b", "equal"], rows
 
 
-# series name -> (coefficients a_0..a_n from (degree, n), what --degree means;
-# None when the series takes no degree)
+# series name -> (coefficients a_0..a_n from (degree, n), what --degree means
+# and its least value; None when the series takes no degree)
 GENFUN_SERIES = {
-    "tree": (lambda d, n: gf.tree_walk_series(d).coeffs(n), ""),
-    "free": (lambda d, n: gf.u_free(d).coeffs(n), " (the rank)"),
-    "free-p2": (lambda d, n: gf.u_free_p2(d).coeffs(n), " (the l parameter)"),
+    "tree": (lambda d, n: gf.tree_walk_series(d).coeffs(n), ("", 2)),
+    "free": (lambda d, n: gf.u_free(d).coeffs(n), (" (the rank)", 1)),
+    "free-p2": (lambda d, n: gf.u_free_p2(d).coeffs(n), (" (the l parameter)", 2)),
     "psl2-xyy": (lambda d, n: gf.u_psl2("x+y+y^-1").coeffs(n), None),
     "psl2-2xyy": (lambda d, n: gf.u_psl2("2x+y+y^-1").coeffs(n), None),
     "z2": (lambda d, n: gf.z2_walk_coeffs(n), None),
@@ -276,12 +278,17 @@ GENFUN_SERIES = {
 
 def run_genfun(args):
     series, degree = args.series, args.degree
-    coeffs_of, degree_meaning = GENFUN_SERIES[series]
-    if degree_meaning is None:
+    coeffs_of, degree_rule = GENFUN_SERIES[series]
+    if degree_rule is None:
         name = series
-    elif degree is None:
-        raise DomainError(f"{series} series needs --degree{degree_meaning}")
     else:
+        meaning, least = degree_rule
+        if degree is None:
+            raise DomainError(f"{series} series needs --degree{meaning}")
+        if degree < least:
+            # worded like argparse's message for the floor of 1 that every series has
+            raise ParseError(f"{PARSER.prog} genfun: argument --degree: must be at least "
+                             f"{least} for the {series} series, got {degree}")
         name = f"{series}-{degree}"
     coeffs = coeffs_of(degree, _depth(args.n, "--n"))
     obj = _result_object(args, "closed-form", None, 0, {"series": name, "coeffs": coeffs})
@@ -317,7 +324,8 @@ def _int_at_least(low: int, name: str = "int"):
 size = _int_at_least(0, "size")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its table of subcommand name -> subcommand parser."""
     ap = _Parser(
         prog="grmahler",
         description="Mahler measures of group-ring elements over a group catalogue.",
@@ -380,10 +388,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=size, default=10)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    return ap
+    return ap, sub.choices
 
 
-PARSER = _build_parser()
+PARSER, _SUBCOMMANDS = _build_parser()
 
 
 def _exit_code(err: GrmahlerError) -> int:
@@ -399,9 +407,23 @@ def _report(type_name: str, message: str, code: int) -> int:
     return code
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """PARSER.parse_args(argv), parsing each argument once: a known subcommand's
+    parser reads the rest of argv itself.  Any other argv (empty, an unknown
+    subcommand, --help or --) goes through PARSER."""
+    sub = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if sub is None:
+        return PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args.lam is not None and not math.isfinite(args.lam):
             raise DomainError(f"lambda must be finite, got {args.lam!r}")
         if "epsilon" in args and not (math.isfinite(args.epsilon) and args.epsilon > 0):

@@ -458,7 +458,7 @@ GroupSpec = AbelianProduct | Dihedral | Dicyclic | Free | FreeProductCyclic
 FAMILIES = (Dicyclic, Dihedral, Free, FreeProductCyclic, AbelianProduct)
 
 # ---------------------------------------------------------------------------
-# module-level entry points and words, for any family
+# module-level entry points, for any family
 
 
 def multiplier(g: GroupSpec):
@@ -485,28 +485,3 @@ def generator_names(g: GroupSpec) -> list[str]:
     if n > MAX_GENERATORS:
         raise ValueError(f"polynomial grammar supports at most {MAX_GENERATORS} generators")
     return ["x", "y"][:n] if n <= 2 else [f"x{i}" for i in range(1, n + 1)]
-
-
-def element_power(g: GroupSpec, a, n: int):
-    """a**n by repeated squaring; n may be negative.  No word built on the
-    way is longer than a**n, so the free-word cap refuses only an a**n past it."""
-    if n < 0:
-        a, n = g.invert(a), -n
-    mul = multiplier(g)
-    acc = g.identity()
-    while n:
-        if n & 1:
-            acc = mul(acc, a)
-        n >>= 1
-        if n:  # a square past the last bit would be longer than a**n
-            a = mul(a, a)
-    return acc
-
-
-def evaluate_word(g: GroupSpec, word):
-    """Evaluate ((gen_index, exponent), ...) into a normal form."""
-    mul = multiplier(g)
-    acc = g.identity()
-    for i, exp in word:
-        acc = mul(acc, element_power(g, g.generator(i), exp))
-    return acc

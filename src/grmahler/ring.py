@@ -120,10 +120,27 @@ def zero(group: gr.GroupSpec) -> RingElement:
 
 
 def from_word_terms(group: gr.GroupSpec, terms) -> RingElement:
-    """Build from ((coeff, word), ...) where word = ((gen_index, exp), ...)."""
+    """Build from ((coeff, word), ...) where word = ((gen_index, exp), ...),
+    under one law of the group.  Each power of a generator (exp may be
+    negative) is taken by repeated squaring, and no element built on the way
+    is longer than that power, so the free-word cap refuses only a power past it."""
+    mul = gr.multiplier(group)
+    identity = group.identity()
     acc = {}
     for c, word in terms:
-        e = gr.evaluate_word(group, word)
+        e = identity
+        for i, exp in word:
+            a = group.generator(i)
+            if exp < 0:
+                a, exp = group.invert(a), -exp
+            power = identity
+            while exp:
+                if exp & 1:
+                    power = mul(power, a)
+                exp >>= 1
+                if exp:  # a square past the last bit would be longer than the power
+                    a = mul(a, a)
+            e = mul(e, power)
         acc[e] = acc.get(e, 0) + c
     return ring_element(group, acc)
 

@@ -58,15 +58,18 @@ FINITE_CATALOGUE = [
 ]
 
 
+def word_element(group, word):
+    """The value of the word ((gen_index, exp), ...): the one element of the
+    one-term ring element that ring.from_word_terms builds from it."""
+    ((e, _),) = rg.from_word_terms(group, [(1, word)]).terms
+    return e
+
+
 def random_element(group, rnd, max_len=3):
     """A valid normal form reached by a short random word of generators."""
-    e = group.identity()
     n = group.num_generators()
-    for _ in range(rnd.randint(0, max_len)):
-        i = rnd.randrange(n)
-        exp = rnd.choice([-2, -1, 1, 2])
-        e = gr.multiply(group, e, gr.element_power(group, group.generator(i), exp))
-    return e
+    word = [(rnd.randrange(n), rnd.choice([-2, -1, 1, 2])) for _ in range(rnd.randint(0, max_len))]
+    return word_element(group, tuple(word))
 
 
 def random_nearest_neighbour(group, rnd):

@@ -22,6 +22,7 @@ from grmahler import mahler as mh
 from grmahler import spectra as sp
 from grmahler.cli import format_number, main, render_json
 from grmahler.coeffs import GaussianRational
+from grmahler.errors import ParseError
 
 GOLDEN = {
     (
@@ -1133,6 +1134,36 @@ def test_main_reuses_one_parser(monkeypatch):
     assert strict_json(forward[-1][1])["group"] is None
 
 
+def _parse_outcome(parse, argv):
+    """What parse(argv) gives: the parsed arguments, a ParseError's text, or a
+    SystemExit's code and what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            return vars(parse(list(argv)))
+        except ParseError as err:
+            return str(err)
+        except SystemExit as exit_info:
+            return exit_info.code, out.getvalue()
+
+
+D12 = ["measure", "--group", "D12", "--poly", "x+x^-1+2*y"]
+
+
+def test_main_parses_as_the_full_parser_does():
+    argvs = [
+        *GOLDEN, *EVERY_SUBCOMMAND, *readme_commands(),
+        # no subcommand first: the full parser answers
+        [], ["--help"], ["bogus"], ["--", *D12], ["meas", *D12[1:]],
+        # the subcommand's parser answers
+        D12, ["measure"], [*D12, "--help"], [*D12, "--lambda", "0.1", "--bogus"],
+        [*D12, "--lambda", "0.1", "stray"], [*D12, "--lambda=0.1"], [*D12, "--lam", "0.1"],
+        [*D12, "--lambda", "abc"], ["measure", "--", *D12[1:]], [*D12, "--", "--lambda", "0.1"],
+    ]
+    for argv in argvs:
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(cli.PARSER.parse_args, argv), argv
+
+
 def test_csv_format_for_coeffs():
     rc, out, _ = run_cli(
         ["coeffs", "--group", "Z^2", "--poly", "x+x^-1+y+y^-1", "--n", "4",
@@ -1142,15 +1173,20 @@ def test_csv_format_for_coeffs():
     assert out == "n,a_n\n0,1\n1,0\n2,4\n3,0\n4,36\n"
 
 
-def test_readme_examples_answer():
+def readme_commands():
+    """The argv of each grmahler command line in the README's sh blocks."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
-    commands = [
+    return [
         shlex.split(line)[1:]
         for block in blocks
         for line in block.splitlines()
         if line.startswith("grmahler ")
     ]
+
+
+def test_readme_examples_answer():
+    commands = readme_commands()
     assert len(commands) >= 9
     for argv in commands:
         start = time.perf_counter()

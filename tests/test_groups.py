@@ -12,7 +12,7 @@ from grmahler.coeffs import GaussianRational
 from grmahler.errors import GroupMismatchError, InfiniteGroupError, ResourceLimitError
 from grmahler.parsing import parse_group
 
-from conftest import FINITE_CATALOGUE, random_element
+from conftest import FINITE_CATALOGUE, random_element, word_element
 
 SMALL_FINITE = [g for g in FINITE_CATALOGUE if g.order() <= 48] + [
     gr.AbelianProduct((8, 6)),  # order 48
@@ -102,16 +102,16 @@ def test_free_reduction():
     assert gr.multiply(g, xy, yinv_x) == (1, 1)
 
 
-@pytest.mark.parametrize("a, length", [((1,), 1), ((-2,), 1), ((1, 2), 2), ((1, 2, -1), 1)])
-def test_free_powers_stop_at_the_word_cap(a, length):
-    # a^n has 2|u| + |n||c| letters for a = u c u^-1, c cyclically reduced
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("prefix", [(), ((1, 1),), ((0, -1), (1, 2))])
+def test_free_powers_stop_at_the_word_cap(prefix, sign):
+    # u x^n has |u| + |n| letters when u ends in y: the largest power within
+    # the cap builds, since no square on the way to x^n is longer than x^n
     F2, cap = gr.Free(2), gr.MAX_WORD_LETTERS
-    n = (cap - (len(a) - length)) // length  # the largest power within the cap
-    assert len(gr.element_power(F2, a, n)) == len(a) - length + n * length
+    n = cap - sum(abs(exp) for _, exp in prefix)
+    assert len(word_element(F2, prefix + ((0, sign * n),))) == cap
     with pytest.raises(ResourceLimitError, match=f"pass the free-word cap {cap}"):
-        gr.element_power(F2, a, n + 1)
-    with pytest.raises(ResourceLimitError):
-        gr.element_power(F2, a, -(n + 1))
+        word_element(F2, prefix + ((0, sign * (n + 1)),))
 
 
 def test_dihedral_conjugation_relation():
@@ -126,8 +126,8 @@ def test_dicyclic_defining_relations():
     for m in (1, 2, 3, 4):
         g = gr.Dicyclic(m)
         x, y = (0, 1), (1, 0)
-        assert gr.element_power(g, x, 2 * m) == (0, 0)
-        assert gr.multiply(g, y, y) == gr.element_power(g, x, m)
+        assert word_element(g, ((0, 2 * m),)) == (0, 0)
+        assert gr.multiply(g, y, y) == word_element(g, ((0, m),))
         # y^-1 x y = x^-1
         lhs = gr.multiply(g, gr.multiply(g, g.invert(y), x), y)
         assert lhs == g.invert(x)
@@ -170,7 +170,7 @@ def test_multiplier_agrees_with_multiply(g, rnd):
         assert mul(a, b) == gr.multiply(g, a, b)
         # the product of two normal forms is the value of the joined words
         word = g.element_word(a) + g.element_word(b)
-        assert mul(a, b) == gr.evaluate_word(g, word)
+        assert mul(a, b) == word_element(g, word)
 
 
 MISMATCHES = [
@@ -298,10 +298,7 @@ def test_free_words_are_reduced(letters):
 )
 def test_dinf_associative_on_words(word_a, word_b):
     g = gr.Dihedral(0)
-    acc = g.identity()
-    for i, exp in word_a + word_b:
-        acc = gr.multiply(g, acc, gr.element_power(g, g.generator(i), exp))
-    g.validate_element(acc)
+    g.validate_element(word_element(g, tuple(word_a + word_b)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +310,7 @@ def test_element_word_round_trip(g, rng):
     for _ in range(50):
         a = random_element(g, rng, max_len=4)
         w = g.element_word(a)
-        assert gr.evaluate_word(g, w) == a
+        assert word_element(g, w) == a
 
 
 def test_generator_names():

@@ -158,6 +158,9 @@ ROWS = [
     # --n past the term cap and a group past the order cap, before any work
     ("coeffs --group Z --poly x+x^-1 --n 8000", 10, refuses(4, "ResourceLimitError")),
     ("genfun --series tree --degree 3 --n 2000", 10, refuses(4, "ResourceLimitError")),
+    # a --degree below the least its series takes, like any size below its floor
+    ("genfun --series tree --degree 1", 10, refuses(2, "ParseError")),
+    ("genfun --series free-p2 --degree 1", 10, refuses(2, "ParseError")),
     ("spectrum --group Z/300xZ/300 --poly x+x^-1+y+y^-1", 10, refuses(4, "ResourceLimitError")),
     # the torus grid at its point cap, 1024^2 = 2^20 characters, against the series
     (f"measure {Z2} --method torus --lambda 0.1 --grid 1024", 20,

@@ -113,6 +113,45 @@ def test_parse_poly_rejects(bad, position):
     assert str(info.value) == f"a number of more than 4300 digits (at position {position})"
 
 
+# (input, message, position): every message parse_poly raises, where it
+# raises it; whitespace is skipped before a token, so most positions are past
+# it, but a term missing after a sign is reported right after the sign
+PARSE_ERRORS = [
+    ("", "empty polynomial", 0),
+    ("  ", "empty polynomial", 2),
+    (" - ", "empty polynomial", 3),
+    ("( x", "expected a decimal inside parentheses", 2),
+    ("(1", "expected '+' or '-' in complex literal", 2),
+    ("(1 * 2i)", "expected '+' or '-' in complex literal", 3),
+    ("(1+i)", "expected a decimal imaginary part", 3),
+    ("(1+2)", "expected 'i' to close the imaginary part", 4),
+    ("(1+2i", "expected ')'", 5),
+    ("(1+2i x", "expected ')'", 6),
+    ("2* +", "expected a word after '*'", 3),
+    ("x+ *y", "expected a term", 2),
+    ("x+", "expected a term", 2),
+    ("- *x", "expected a term", 2),
+    ("+x", "expected a term", 0),
+    ("x^ -", "expected an integer exponent after '^'", 3),
+    ("x ^ z", "expected an integer exponent after '^'", 4),
+    ("x y z", "expected '+' or '-', found 'z'", 4),
+    ("2x", "expected '+' or '-', found 'x'", 1),
+    ("x10", "expected '+' or '-', found '0'", 2),
+    ("x^2.5", "expected '+' or '-', found '.'", 3),
+    ("1 .5", "expected '+' or '-', found '.'", 2),
+    ("x^2" + NINES, "a number of more than 4300 digits", 2),
+]
+
+
+@pytest.mark.parametrize("src, message, position", PARSE_ERRORS,
+                         ids=[src[:8] for src, _, _ in PARSE_ERRORS])
+def test_every_parse_error_names_its_position(src, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_poly(src)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
 def test_parse_takes_the_longest_digit_runs_int_converts():
     run = "9" * 4300
     assert parse_poly(f"{run}.{run}*x^{run}").terms[0].word == (("x", int(run)),)
