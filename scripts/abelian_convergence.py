@@ -21,7 +21,7 @@ def main():
 
     g = gr.AbelianProduct((0, 0))
     P = parse_poly_over("x + x^-1 + y + y^-1", g)
-    limit = mh.mahler_series(g, P, args.lam, 1e-12).value
+    limit = mh.mahler_series(P, args.lam, 1e-12).value
     print(f"# limit m_Z^2(P, {args.lam}) = {limit:.15g}")
 
     sizes = []

@@ -164,14 +164,13 @@ def _result_object(args, method, value, error_bound, extra) -> dict:
 
 
 def _bind(args):
+    """The --poly polynomial over the --group group, which is parsed, and refused, first."""
     group = parse_group(args.group)
-    poly = to_ring_element(parse_poly(args.poly), group)
-    return group, poly
+    return to_ring_element(parse_poly(args.poly), group)
 
 
 def run_measure(args):
-    group, poly = _bind(args)
-    res = mh.measure(group, poly, args.lam, args.method, args.epsilon, args.support_cap,
+    res = mh.measure(_bind(args), args.lam, args.method, args.epsilon, args.support_cap,
                      args.grid, args.allow_continuation)
     computed = ("group_order", "determinant", "imaginary_discard", "grid")  # in print order
     extra = {k: getattr(res, k) for k in computed if getattr(res, k) is not None}
@@ -187,8 +186,7 @@ def _depth(n: int, option: str) -> int:
 
 
 def run_coeffs(args):
-    group, poly = _bind(args)
-    series = rg.power_constant_coeffs(poly, _depth(args.n, "--n"), support_cap=args.support_cap)
+    series = rg.power_constant_coeffs(_bind(args), _depth(args.n, "--n"), support_cap=args.support_cap)
     obj = _result_object(
         args,
         "group-ring-powering",
@@ -201,18 +199,17 @@ def run_coeffs(args):
 
 
 def run_spectrum(args):
-    group, poly = _bind(args)
-    spec = sp.block_spectrum(group, poly)
+    spec = sp.block_spectrum(_bind(args))
     obj = _result_object(args, "blocks", None, 0, spec._asdict())
     rows = [[i, v] for i, v in enumerate(spec.eigenvalues)]
     return obj, ["index", "eigenvalue"], rows
 
 
 def run_u(args):
-    group, poly = _bind(args)
+    poly = _bind(args)
     if args.lam is None:
         raise DomainError("u needs an explicit --lambda")
-    val = mh.u_series(group, poly, args.lam, args.epsilon, support_cap=args.support_cap)
+    val = mh.u_series(poly, args.lam, args.epsilon, support_cap=args.support_cap)
     obj = _result_object(args, "series", val.real, args.epsilon, {"imag": val.imag})
     return obj, ["value", "imag"], [[val.real, val.imag]]
 
@@ -246,7 +243,7 @@ def run_converge(args):
     params = _parse_params(args.params)
     if args.lam is None:
         raise DomainError("converge needs an explicit --lambda")
-    rows = ex.converge(args.chain, _bind(args)[1], args.lam, params, support_cap=args.support_cap)
+    rows = ex.converge(args.chain, _bind(args), args.lam, params, support_cap=args.support_cap)
     obj = _result_object(args, "converge-" + args.chain, None, 0, {"rows": [r._asdict() for r in rows]})
     return obj, list(ex.ConvergenceRow._fields), [list(r) for r in rows]
 
@@ -265,7 +262,7 @@ def run_agree_depth(args):
 
 
 # series name -> (coefficients a_0..a_n from (degree, n), what --degree means
-# and its least value; None when the series takes no degree)
+# and its least value; None when the series takes no degree and refuses one)
 GENFUN_SERIES = {
     "tree": (lambda d, n: gf.tree_walk_series(d).coeffs(n), ("", 2)),
     "free": (lambda d, n: gf.u_free(d).coeffs(n), (" (the rank)", 1)),
@@ -279,16 +276,19 @@ GENFUN_SERIES = {
 def run_genfun(args):
     series, degree = args.series, args.degree
     coeffs_of, degree_rule = GENFUN_SERIES[series]
+    # a --degree the series cannot take is worded like argparse's message
+    # for the floor of 1 that every series has
+    refusal = f"{PARSER.prog} genfun: argument --degree: "
     if degree_rule is None:
+        if degree is not None:
+            raise ParseError(f"{refusal}the {series} series takes no degree")
         name = series
     else:
         meaning, least = degree_rule
         if degree is None:
             raise DomainError(f"{series} series needs --degree{meaning}")
         if degree < least:
-            # worded like argparse's message for the floor of 1 that every series has
-            raise ParseError(f"{PARSER.prog} genfun: argument --degree: must be at least "
-                             f"{least} for the {series} series, got {degree}")
+            raise ParseError(f"{refusal}must be at least {least} for the {series} series, got {degree}")
         name = f"{series}-{degree}"
     coeffs = coeffs_of(degree, _depth(args.n, "--n"))
     obj = _result_object(args, "closed-form", None, 0, {"series": name, "coeffs": coeffs})

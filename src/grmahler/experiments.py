@@ -5,6 +5,10 @@ Reproduces the finite-approximation behaviour: `converge` runs any chain of
 dicyclic and Z x Z/m quotients against their infinite limits); agreement
 depth of walk counts; and the equality and counterexample comparisons
 between a group and its abelianized counterpart.
+
+The paper's base group varies here, so these are the callers that move P
+between groups, with ring.transfer: each chain row onto its quotient, and
+compare_groups and agreement_depth onto each of their two groups.
 """
 from __future__ import annotations
 
@@ -109,24 +113,24 @@ def _coeffs_equal(x, y) -> bool:
     return x == y
 
 
-def _abelian_row(g, P, lam, m):
-    moduli = (m,) * len(g.moduli) if isinstance(m, int) else tuple(m)
+def _abelian_row(P, lam, m):
+    moduli = (m,) * len(P.group.moduli) if isinstance(m, int) else tuple(m)
     gq = gr.AbelianProduct(moduli)
-    value = mh.abelian_measure_via_characters(gq, rg.transfer(P, gq), lam)
+    value = mh.abelian_measure_via_characters(rg.transfer(P, gq), lam)
     q = q_of_m(moduli)
     return gq.order(), value, f">{DEFAULT_H_MAX}" if q is None else q
 
 
 def _quotient_row(quotient):
     """The row of a chain whose parameter m names the quotient(m) P is measured over."""
-    return lambda g, P, lam, m: (m, mh.measure(quotient(m), P, lam).value, None)
+    return lambda P, lam, m: (m, mh.measure(rg.transfer(P, quotient(m)), lam).value, None)
 
 
 class Chain(NamedTuple):
     """One row of CHAINS: a chain of finite quotients and its limit group."""
 
     serves: Callable[[rg.RingElement], bool]  # P lives over the limit group
-    row: Callable  # (limit group, P, lambda, m) -> (parameter, value, q)
+    row: Callable  # (P over the limit group, lambda, m) -> (parameter, value, q)
     epsilon: float  # of the series limit
 
 
@@ -150,12 +154,11 @@ def converge(
     """Measures along a chain of finite quotients against the series value
     over the limit group, P's group; rows sorted by parameter."""
     serves, row, epsilon = CHAINS[chain]
-    g = P.group
     if not serves(P):
-        raise DomainError(f"the {chain} chain does not serve {g.spec()}: P must live over its limit group")
-    limit = mh.measure(g, P, lam, epsilon=epsilon, support_cap=support_cap)
+        raise DomainError(f"the {chain} chain does not serve {P.group.spec()}: P must live over its limit group")
+    limit = mh.measure(P, lam, epsilon=epsilon, support_cap=support_cap)
     rows = [ConvergenceRow(p, v, abs(v - limit.value), limit.method, q)
-            for p, v, q in (row(g, P, lam, m) for m in params)]
+            for p, v, q in (row(P, lam, m) for m in params)]
     return sorted(rows, key=lambda r: r.parameter)
 
 
@@ -175,7 +178,7 @@ def compare_groups(
     the point of the counterexamples.
     """
     va, vb = (
-        mh.measure(g, poly, lam, epsilon=epsilon, support_cap=support_cap).value
+        mh.measure(rg.transfer(poly, g), lam, epsilon=epsilon, support_cap=support_cap).value
         for g in (g_a, g_b)
     )
     diff = abs(va - vb)

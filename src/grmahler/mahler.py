@@ -23,6 +23,10 @@ the adjacency oracle, and torus run only when named.  measure only runs a
 row, and no route calls another.  A new route is a row, its function,
 a tests/test_routes.py ROUTES entry and a tests/test_cli.py METHOD_ARGVS one.
 
+P carries its group: every route measures P over P.group, and a caller
+that changes the base group does so with ring.transfer where it changes it.
+Only mahler_torus does so here, to read P on its finite grids.
+
 lambda is kept real for measure routes; only the walk generating function
 u accepts complex lambda.  Every series route takes its terms a_n s^n
 (s = lambda, or 1 for mahler_general) from _walk_to_depth, which picks the
@@ -65,41 +69,41 @@ class Route(NamedTuple):
 
     lam: bool  # True: the route needs a lambda; False: it refuses one
     auto: Callable[[gr.GroupSpec], bool] | None  # the groups auto may take it on; None: never
-    run: Callable  # (g, P, lam, **options) -> MeasureResult
+    run: Callable  # (P, lam, **options) -> MeasureResult
 
 
 ROUTES = {
-    "blocks": Route(True, lambda g: g.is_finite(), lambda g, P, lam, allow_continuation, **_:
-                    mahler_blocks(g, P, lam, allow_continuation)),
-    "finite": Route(True, None, lambda g, P, lam, allow_continuation, **_:
-                    mahler_finite(g, P, lam, allow_continuation)),
-    "series": Route(True, lambda g: True, lambda g, P, lam, epsilon, support_cap, **_:
-                    mahler_series(g, P, lam, epsilon, support_cap)),
-    "general": Route(False, lambda g: True, lambda g, P, lam, epsilon, support_cap, **_:
-                     mahler_determinant(g, P) if g.is_finite()
-                     else mahler_general(g, P, epsilon, support_cap)),
-    "torus": Route(True, None, lambda g, P, lam, grid, **_:
-                   mahler_torus(rg.transfer(P, g), lam, grid)),
+    "blocks": Route(True, lambda g: g.is_finite(), lambda P, lam, allow_continuation, **_:
+                    mahler_blocks(P, lam, allow_continuation)),
+    "finite": Route(True, None, lambda P, lam, allow_continuation, **_:
+                    mahler_finite(P, lam, allow_continuation)),
+    "series": Route(True, lambda g: True, lambda P, lam, epsilon, support_cap, **_:
+                    mahler_series(P, lam, epsilon, support_cap)),
+    "general": Route(False, lambda g: True, lambda P, lam, epsilon, support_cap, **_:
+                     mahler_determinant(P) if P.group.is_finite()
+                     else mahler_general(P, epsilon, support_cap)),
+    "torus": Route(True, None, lambda P, lam, grid, **_: mahler_torus(P, lam, grid)),
 }
 METHODS = ("auto", *ROUTES)  # the choices of measure
 
 
-def measure(g: gr.GroupSpec, P: rg.RingElement, lam=None, method: str = "auto",
+def measure(P: rg.RingElement, lam=None, method: str = "auto",
             epsilon: float = 1e-10, support_cap: int = rg.DEFAULT_SUPPORT_CAP,
             grid: int | None = None, allow_continuation: bool = False) -> MeasureResult:
-    """m(P, lambda), or the lambda-free m(P) when lam is None, by the ROUTES
-    row that method names; a row refuses a lam it cannot use (DomainError).
-    "auto" is the first row whose lambda rule holds and whose auto accepts g."""
+    """m(P, lambda) over P.group, or the lambda-free m(P) when lam is None, by
+    the ROUTES row that method names; a row refuses a lam it cannot use
+    (DomainError).  "auto" is the first row whose lambda rule holds and whose
+    auto accepts P.group."""
     if method == "auto":
         method = next(name for name, route in ROUTES.items()
-                      if route.lam == (lam is not None) and route.auto and route.auto(g))
+                      if route.lam == (lam is not None) and route.auto and route.auto(P.group))
     route = ROUTES.get(method)
     if route is None:
         raise ValueError(f"unknown measure method {method!r}")
     if route.lam != (lam is not None):
         rule = "takes no lambda" if lam is not None else "needs an explicit lambda"
         raise DomainError(f"method {method!r} {rule}")
-    return route.run(g, P, lam, epsilon=epsilon, support_cap=support_cap, grid=grid,
+    return route.run(P, lam, epsilon=epsilon, support_cap=support_cap, grid=grid,
                      allow_continuation=allow_continuation)
 
 
@@ -180,7 +184,6 @@ def _sum(terms) -> complex:
 
 
 def mahler_series(
-    g: gr.GroupSpec,
     P: rg.RingElement,
     lam: float,
     epsilon: float = 1e-10,
@@ -190,7 +193,6 @@ def mahler_series(
     from |a_n| <= k^n is at most epsilon.  Requires |lambda| < 1/k strictly.
     The imaginary part of the sum is reported as imaginary_discard.
     """
-    P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
         raise DomainError("P must be reciprocal")
     terms, bound = _walk_to_depth(P, float(lam), epsilon, _tail_bound, support_cap)
@@ -199,7 +201,6 @@ def mahler_series(
 
 
 def u_series(
-    g: gr.GroupSpec,
     P: rg.RingElement,
     lam: complex,
     epsilon: float = 1e-10,
@@ -207,7 +208,6 @@ def u_series(
 ) -> complex:
     """Truncation of u(P, lambda) = 1 + sum a_n lambda^n with geometric tail
     <= epsilon; |a_n lambda^n| <= (k|lambda|)^n keeps each term in float range."""
-    P = rg.transfer(P, g)
     terms, _ = _walk_to_depth(P, lam, epsilon,
                               lambda klam, N: klam ** (N + 1) / (1.0 - klam), support_cap)
     return 1 + _sum(terms)
@@ -245,7 +245,6 @@ def _spectral_measure(spec: sp.Spectrum, lam, allow_continuation: bool,
 
 
 def mahler_finite(
-    g: gr.GroupSpec,
     P: rg.RingElement,
     lam,
     allow_continuation: bool = False,
@@ -261,16 +260,15 @@ def mahler_finite(
     and lambda rational; otherwise sums log|1 - lambda*s| over the
     eigenvalues s of A, from LAPACK.
     """
-    A = sp.cayley_adjacency(g, P)
+    A = sp.cayley_adjacency(P)
     exact_det = None
     if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool) and A.is_exact():
-        shifted = rg.add(rg.one(g), rg.scale(-lam, rg.transfer(P, g)))  # 1 - lambda P
-        exact_det = lambda: sp.det_hermitian(sp.cayley_adjacency(g, shifted))
+        shifted = rg.add(rg.one(P.group), rg.scale(-lam, P))  # 1 - lambda P
+        exact_det = lambda: sp.det_hermitian(sp.cayley_adjacency(shifted))
     return _spectral_measure(sp.hermitian_eigenvalues(A), lam, allow_continuation, exact_det)
 
 
 def mahler_blocks(
-    g: gr.GroupSpec,
     P: rg.RingElement,
     lam,
     allow_continuation: bool = False,
@@ -279,16 +277,15 @@ def mahler_blocks(
     dicyclic group, for any lambda: the same rules on the spectrum that
     spectra.block_spectrum takes from the representation blocks, with no
     adjacency, numpy or LAPACK."""
-    return _spectral_measure(sp.block_spectrum(g, P), lam, allow_continuation)
+    return _spectral_measure(sp.block_spectrum(P), lam, allow_continuation)
 
 
-def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
+def mahler_determinant(Q: rg.RingElement) -> MeasureResult:
     """The lambda-free m(Q) over finite G: log det(B) / (2|G|), B the adjacency
     of QQ*, which is never built.  For exact Q, det(B) is
     spectra.character_determinant of QQ*, exact; otherwise log det(B) is the
     sum of the logs of the eigenvalues of B from spectra.block_spectrum,
     which stays finite where det(B) does not."""
-    Q = rg.transfer(Q, g)
     R = rg.mul(Q, rg.star(Q))
     if not R.is_exact():
         # float QQ* sums its coefficients at h and h^-1 in different orders, so
@@ -296,13 +293,13 @@ def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
         # R/2 + (R/2)* is, as float addition commutes
         half = rg.scale(0.5, R)
         R = rg.add(half, rg.star(half))
-    n = g.order()
+    n = Q.group.order()
     # B is positive semidefinite, so it is singular unless det(B) > 0
     if R.is_exact():
-        det = sp.character_determinant(g, R)
+        det = sp.character_determinant(R)
         log_det = _log(det) if det > 0 else None
     else:
-        eigenvalues = sp.block_spectrum(g, R).eigenvalues
+        eigenvalues = sp.block_spectrum(R).eigenvalues
         det = math.prod(eigenvalues)
         det = det if math.isfinite(det) else None
         log_det = math.fsum(map(math.log, eigenvalues)) if eigenvalues[0] > 0 else None
@@ -313,7 +310,6 @@ def mahler_determinant(g: gr.GroupSpec, Q: rg.RingElement) -> MeasureResult:
 
 
 def mahler_general(
-    g: gr.GroupSpec,
     Q: rg.RingElement,
     epsilon: float = 1e-12,
     support_cap: int = rg.DEFAULT_SUPPORT_CAP,
@@ -328,7 +324,7 @@ def mahler_general(
     multiplicative gives m(Q) = log|c| - Re sum_n [P^n]_0 / n, cut where
     the rigorous tail k^(N+1)/((N+1)(1 - k)) is at most epsilon.
     """
-    Q = rg.transfer(Q, g)
+    g = Q.group
     if Q.is_zero():
         raise SingularMatrixError("Q = 0: the measure is undefined")
     l1 = rg.l1_norm(Q)
@@ -359,19 +355,20 @@ def mahler_general(
 TORUS_MAX_POINTS = 2**20
 
 
-def _character_logs(g: gr.AbelianProduct, P: rg.RingElement, lam: float):
-    """log|1 - lambda P(chi)| at every character of finite abelian G, formed
-    in place in the flat array of spectra.abelian_character_values.
-    ResourceLimitError, before any array is built, when |G| exceeds
-    TORUS_MAX_POINTS."""
+def _character_logs(P: rg.RingElement, lam: float):
+    """log|1 - lambda P(chi)| at every character of G = P.group, finite
+    abelian, formed in place in the flat array of
+    spectra.abelian_character_values.  ResourceLimitError, before any array
+    is built, when |G| exceeds TORUS_MAX_POINTS."""
     import numpy as np
 
+    g = P.group
     points = g.order()
     if points > TORUS_MAX_POINTS and g.is_finite():
         raise ResourceLimitError(
             f"{points} characters of {g.spec()} exceed max_points={TORUS_MAX_POINTS}"
         )
-    vals = sp.abelian_character_values(g, P)
+    vals = sp.abelian_character_values(P)
     vals *= -lam
     vals += 1.0
     mags = np.abs(vals)
@@ -380,10 +377,9 @@ def _character_logs(g: gr.AbelianProduct, P: rg.RingElement, lam: float):
     return np.log(mags, out=mags)
 
 
-def abelian_measure_via_characters(
-    g: gr.AbelianProduct, P: rg.RingElement, lam: float
-) -> float:
-    """(1/|G|) sum over characters of log|1 - lambda P(chi)| (finite abelian G).
+def abelian_measure_via_characters(P: rg.RingElement, lam: float) -> float:
+    """(1/|G|) sum over characters of log|1 - lambda P(chi)| (G = P.group,
+    finite abelian).
 
     By the product formula this IS the finite-group Mahler measure; it is the
     mean of _character_logs, the arithmetic path shared with the torus grid.
@@ -392,7 +388,7 @@ def abelian_measure_via_characters(
     """
     import numpy as np
 
-    return float(np.mean(_character_logs(g, P, lam)))
+    return float(np.mean(_character_logs(P, lam)))
 
 
 def mahler_torus(
@@ -426,11 +422,11 @@ def mahler_torus(
     if grid < 2:
         raise ValueError("grid must be >= 2")
     gq = gr.AbelianProduct((grid,) * l)
-    logs = _character_logs(gq, rg.transfer(P, gq), lam)
+    logs = _character_logs(rg.transfer(P, gq), lam)
     value = float(np.mean(logs))
     if grid % 2:
         gq = gr.AbelianProduct((grid // 2,) * l)
-        coarse = abelian_measure_via_characters(gq, rg.transfer(P, gq), lam)
+        coarse = abelian_measure_via_characters(rg.transfer(P, gq), lam)
     else:
         coarse = float(np.mean(logs.reshape((grid,) * l)[(slice(0, None, 2),) * l]))
     return MeasureResult(value, "quadrature", abs(value - coarse), grid=grid)

@@ -40,32 +40,11 @@ from .errors import DomainError, GroupMismatchError, ResourceLimitError
 DEFAULT_SUPPORT_CAP = 5_000_000**2
 
 
-class RingElement:
+class RingElement(NamedTuple):
     """Element of C[group]; `terms` is sorted in the canonical element order."""
 
-    __slots__ = ("group", "terms")
     group: gr.GroupSpec
     terms: tuple
-
-    def __init__(self, group, terms):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.terms) == (other.group, other.terms)
-
-    def __hash__(self):
-        return hash((self.group, self.terms))
-
-    def __repr__(self):
-        return f"RingElement(group={self.group!r}, terms={self.terms!r})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
 
     def coeff(self, elem):
         """Coefficient of `elem`; 0 off the support."""

@@ -21,6 +21,9 @@ takes the dense rows of any adjacency (I - lambda A is the adjacency of
 multiplies det(R) over the characters of an abelian group, or over the 2x2
 representations of a dihedral or dicyclic one, in plain ints modulo
 Phi_L(2^k), a cyclotomic value past twice Hadamard's bound.
+
+P carries its group: each function here reads P over P.group, and a caller
+that wants another base group passes rg.transfer(P, group).
 """
 from __future__ import annotations
 
@@ -90,24 +93,24 @@ class Spectrum(NamedTuple):
 MAX_ORDER = 2**12
 
 
-def _finite_reciprocal(g: gr.GroupSpec, P: rg.RingElement, what: str) -> rg.RingElement:
-    """P over g, refused unless g is finite, of order at most MAX_ORDER
+def _finite_reciprocal(P: rg.RingElement, what: str) -> gr.GroupSpec:
+    """P's group, refused unless it is finite, of order at most MAX_ORDER
     (ResourceLimitError, before any group-law call) and P reciprocal."""
+    g = P.group
     if not g.is_finite():
         raise InfiniteGroupError(f"{what} needs a finite group")
     if g.order() > MAX_ORDER:
         raise ResourceLimitError(f"a group of order {g.order()} exceeds max_order={MAX_ORDER}")
-    P = rg.transfer(P, g)
     if not rg.is_reciprocal(P):
         raise DomainError("P must be reciprocal (P == P*)")
-    return P
+    return g
 
 
-def cayley_adjacency(g: gr.GroupSpec, P: rg.RingElement) -> CayleyAdjacency:
-    """Weighted Cayley adjacency of a finite group for reciprocal P;
+def cayley_adjacency(P: rg.RingElement) -> CayleyAdjacency:
+    """Weighted Cayley adjacency of P's group, finite, for reciprocal P;
     ResourceLimitError, before any group-law call, when |G| exceeds
     MAX_ORDER."""
-    P = _finite_reciprocal(g, P, "Cayley adjacency")
+    g = _finite_reciprocal(P, "Cayley adjacency")
     mul, index = gr.multiplier(g), g.element_index
     cols = tuple(tuple(index(mul(gi, e)) for e, _ in P.terms) for gi in gr.elements(g))
     return CayleyAdjacency(len(cols), cols, tuple(c for _, c in P.terms))
@@ -128,7 +131,7 @@ def hermitian_eigenvalues(A: CayleyAdjacency) -> Spectrum:
     return Spectrum(tuple(vals.tolist()), A.n)
 
 
-def block_spectrum(g: gr.GroupSpec, P: rg.RingElement) -> Spectrum:
+def block_spectrum(P: rg.RingElement) -> Spectrum:
     """The spectrum of the Cayley adjacency of reciprocal P over a finite
     abelian, dihedral or dicyclic group, from the summands of the regular
     representation (see character_determinant), with no matrix built.
@@ -142,7 +145,7 @@ def block_spectrum(g: gr.GroupSpec, P: rg.RingElement) -> Spectrum:
     allocates no object per character that the cyclic garbage collector
     tracks.
     """
-    P = _finite_reciprocal(g, P, "a block spectrum")
+    g = _finite_reciprocal(P, "a block spectrum")
     abelian = isinstance(g, gr.AbelianProduct)
     L = math.lcm(*g.moduli) if abelian else g.rotations
     root = [cmath.exp(2j * math.pi * E / L) for E in range(L)]
@@ -246,7 +249,7 @@ def _cyclotomic_modulus(L: int, bits: int) -> tuple[int, int]:
     return k, num // den
 
 
-def character_determinant(g: gr.GroupSpec, R: rg.RingElement):
+def character_determinant(R: rg.RingElement):
     """Exact det(B) (int or Fraction) for B the Cayley adjacency of exact
     reciprocal R over a finite abelian, dihedral or dicyclic group, as a
     product over representations; B is never built.
@@ -276,7 +279,7 @@ def character_determinant(g: gr.GroupSpec, R: rg.RingElement):
     (-M/2, M/2].  A non-reciprocal R is refused (DomainError): its det(B) is
     not real, and the map would collapse it.
     """
-    R = _finite_reciprocal(g, R, "a character determinant")
+    g = _finite_reciprocal(R, "a character determinant")
     n = g.order()
     d = math.lcm(*(x.denominator for _, c in R.terms for x in (c.real, c.imag)))
     terms = [(e, int(c.real * d), int(c.imag * d)) for e, c in R.terms]
@@ -335,8 +338,8 @@ def character_determinant(g: gr.GroupSpec, R: rg.RingElement):
 # character-based spectra
 
 
-def abelian_character_values(g: gr.AbelianProduct, P: rg.RingElement) -> np.ndarray:
-    """P evaluated at every character of a finite abelian group.
+def abelian_character_values(P: rg.RingElement) -> np.ndarray:
+    """P evaluated at every character of its group, finite abelian.
 
     Entry order is lexicographic over the character index tuples
     (j_1, ..., j_l), matching the canonical element order.  Each term c x^e
@@ -347,13 +350,13 @@ def abelian_character_values(g: gr.AbelianProduct, P: rg.RingElement) -> np.ndar
     no float (the partial sum is never -0.0), and every other operation is
     the same elementwise one in the same order.
     """
+    g = P.group
     if not isinstance(g, gr.AbelianProduct):
         raise ValueError("character evaluation needs an abelian product group")
     if not g.is_finite():
         raise InfiniteGroupError("character evaluation needs a finite group")
     import numpy as np
 
-    P = rg.transfer(P, g)
     moduli = g.moduli
     axes = np.meshgrid(*(np.arange(m) for m in moduli), indexing="ij", sparse=True)
     vals = np.zeros(moduli, dtype=complex)
@@ -372,7 +375,7 @@ def abelian_character_values(g: gr.AbelianProduct, P: rg.RingElement) -> np.ndar
     return vals.reshape(-1)
 
 
-def abelian_spectrum(g: gr.AbelianProduct, P: rg.RingElement) -> Spectrum:
+def abelian_spectrum(P: rg.RingElement) -> Spectrum:
     """Spectrum of the Cayley adjacency by evaluating P at roots of unity.
 
     For reciprocal P this equals the adjacency spectrum as a multiset; the
@@ -380,7 +383,7 @@ def abelian_spectrum(g: gr.AbelianProduct, P: rg.RingElement) -> Spectrum:
     """
     import numpy as np
 
-    vals = abelian_character_values(g, P)
+    vals = abelian_character_values(P)
     resid = float(np.max(np.abs(vals.imag))) if len(vals) else 0.0
     scale = max(1.0, float(np.max(np.abs(vals)))) if len(vals) else 1.0
     if resid > 1e-9 * scale:

@@ -135,7 +135,7 @@ def random_reciprocal(group, rnd, n_terms=2, max_l1=8.0, element=random_element)
 
 def one_minus_lambda_adjacency(group, P, lam):
     """The Cayley adjacency of 1 - lam*P, which is I - lam*A for A that of P."""
-    return sp.cayley_adjacency(group, rg.add(rg.one(group), rg.scale(-lam, P)))
+    return sp.cayley_adjacency(rg.add(rg.one(group), rg.scale(-lam, P)))
 
 
 def float_twin(P):

@@ -152,8 +152,8 @@ def test_tail_bound_controls_measure_gap():
         rep = ex.agreement_depth(gr.Dihedral(m), gr.Dihedral(0), P, 2 * m)
         N = rep.first_disagreement
         gap = abs(
-            mh.mahler_finite(gr.Dihedral(m), rg.transfer(P, gr.Dihedral(m)), lam).value
-            - mh.mahler_series(gr.Dihedral(0), P, lam, 1e-14).value
+            mh.mahler_finite(rg.transfer(P, gr.Dihedral(m)), lam).value
+            - mh.mahler_series(P, lam, 1e-14).value
         )
         klam = k * lam
         tail = 2 * klam**N / (N * (1 - klam))

@@ -22,7 +22,10 @@ equal or stricter bound are not repeated here:
 """
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -161,6 +164,9 @@ ROWS = [
     # a --degree below the least its series takes, like any size below its floor
     ("genfun --series tree --degree 1", 10, refuses(2, "ParseError")),
     ("genfun --series free-p2 --degree 1", 10, refuses(2, "ParseError")),
+    # a --degree to a series that takes none
+    *((f"genfun --series {series} --degree 5 --n 3", 10, refuses(2, "ParseError"))
+      for series in ("z2", "psl2-xyy", "psl2-2xyy")),
     ("spectrum --group Z/300xZ/300 --poly x+x^-1+y+y^-1", 10, refuses(4, "ResourceLimitError")),
     # the torus grid at its point cap, 1024^2 = 2^20 characters, against the series
     (f"measure {Z2} --method torus --lambda 0.1 --grid 1024", 20,
@@ -222,6 +228,19 @@ def _ci_steps():
 def test_only_the_readme_step_of_ci_runs_the_command_line():
     calling = [name for name, code in _ci_steps() if CLI_CALL.search(code)]
     assert calling == ["name: README commands through the installed grmahler entry point"]
+
+
+SCRIPTS = sorted((TESTS.parent / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[script.name for script in SCRIPTS])
+def test_experiment_script_runs(script):
+    # each experiment sweep, as its own process with its default arguments
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def _randomized(module: Path) -> bool:

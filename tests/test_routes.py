@@ -139,42 +139,42 @@ ROUTES = {
     "series": Route(
         "mahler_series",
         lambda c: _lam(c) and _walk_rate(c) <= RATE_CAP,
-        lambda c: mh.mahler_series(c.g, c.P, c.lam, EPS)),
+        lambda c: mh.mahler_series(c.P, c.lam, EPS)),
     "general": Route(
         "mahler_general",
         lambda c: _dominance_rate(c.Q) <= RATE_CAP,
-        lambda c: mh.mahler_general(c.g, c.Q, EPS)),
+        lambda c: mh.mahler_general(c.Q, EPS)),
     "general float": Route(
         "mahler_general",
         lambda c: _dominance_rate(c.Q) <= RATE_CAP,
-        lambda c: mh.mahler_general(c.g, float_twin(c.Q), EPS)),
+        lambda c: mh.mahler_general(float_twin(c.Q), EPS)),
     # floats for any lambda, the exact ones included.  blocks and determinant
     # float both read spectra.block_spectrum (of P and of QQ*); finite float
     # and determinant exact are their oracles that do not
     "blocks": Route(
         "mahler_blocks",
         lambda c: _lam(c) and c.g.is_finite(),
-        lambda c: mh.mahler_blocks(c.g, c.P, c.lam)),
+        lambda c: mh.mahler_blocks(c.P, c.lam)),
     "finite float": Route(
         "mahler_finite",
         lambda c: _lam(c) and c.g.is_finite(),
-        lambda c: mh.mahler_finite(c.g, c.P, float(c.lam))),
+        lambda c: mh.mahler_finite(c.P, float(c.lam))),
     "finite exact": Route(
         "mahler_finite",
         lambda c: isinstance(c.lam, Fraction) and c.g.is_finite() and c.P.is_exact(),
-        lambda c: mh.mahler_finite(c.g, c.P, c.lam)),
+        lambda c: mh.mahler_finite(c.P, c.lam)),
     "determinant exact": Route(
         "mahler_determinant",
         lambda c: c.g.is_finite() and c.Q.is_exact(),
-        lambda c: mh.mahler_determinant(c.g, c.Q)),
+        lambda c: mh.mahler_determinant(c.Q)),
     "determinant float": Route(
         "mahler_determinant",
         lambda c: c.g.is_finite(),
-        lambda c: mh.mahler_determinant(c.g, float_twin(c.Q))),
+        lambda c: mh.mahler_determinant(float_twin(c.Q))),
     "characters": Route(
         "abelian_measure_via_characters",
         lambda c: _lam(c) and _abelian(c.g, free=False),
-        lambda c: mh.abelian_measure_via_characters(c.g, c.P, float(c.lam))),
+        lambda c: mh.abelian_measure_via_characters(c.P, float(c.lam))),
     # the torus grid average is the character sum on (Z/grid)^l
     "torus": Route(
         "mahler_torus",
@@ -221,7 +221,7 @@ def cases(draw):
         P = random_reciprocal(g, rnd, n_terms=3, element=random_nearest_neighbour)
     else:
         P = random_reciprocal(g, rnd)
-    scale = sp.hermitian_eigenvalues(sp.cayley_adjacency(g, P)).max_abs() if finite else rg.l1_norm(P)
+    scale = sp.hermitian_eigenvalues(sp.cayley_adjacency(P)).max_abs() if finite else rg.l1_norm(P)
     return at_lambda(g, P, Fraction(j, math.ceil(1000 * scale)))
 
 
@@ -306,6 +306,43 @@ def test_no_route_names_another():
         run = row.args[mh.Route._fields.index("run")]
         named = {n.id for n in ast.walk(run) if isinstance(n, ast.Name)} & functions.keys()
         assert named and named <= matrix, (key.value, named - matrix)
+
+
+# where the base group may change: ring.transfer is named only in these
+# functions, and anywhere in experiments.py
+TRANSFER_CALLERS = {"mahler.py": {"mahler_torus"}, "spectra.py": {"dihedral_trace_via_characters"}}
+
+
+def test_p_carries_its_group():
+    # a route or kernel reads its group from P.group: no function of
+    # mahler.py or spectra.py takes a group next to a ring element, and the
+    # base group changes only where a caller names ring.transfer
+    src = Path(mh.__file__).parent
+
+    def kinds(fn):
+        """What fn's parameters are: a group or a ring element, by annotation or name."""
+        out = set()
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs:
+            note = ast.unparse(arg.annotation) if arg.annotation else ""
+            if note.startswith("gr.") or arg.arg in ("g", "group"):
+                out.add("group")
+            if "RingElement" in note or arg.arg in ("P", "Q", "R"):
+                out.add("ring element")
+        return out
+
+    for name in ("mahler.py", "spectra.py"):
+        for fn in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                assert kinds(fn) != {"group", "ring element"}, (name, fn.lineno)
+    for path in sorted(src.glob("*.py")):
+        if path.name == "experiments.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            named = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(top)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if "transfer" in named:
+                assert getattr(top, "name", None) in TRANSFER_CALLERS.get(path.name, ()), \
+                    (path.name, top.lineno)
 
 
 def test_every_route_takes_an_example():
