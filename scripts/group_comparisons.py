@@ -11,7 +11,7 @@ import os
 import random
 import sys
 
-# reuse the test suite's instance generators
+# reuse the test suite's instance generators, which need no test extras
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
 
 from grmahler import experiments as ex
@@ -19,7 +19,7 @@ from grmahler import groups as gr
 from grmahler import ring as rg
 from grmahler.parsing import parse_poly_over
 
-from conftest import dicyclic_theorem_instance, dihedral_theorem_instance, from_alpha_beta
+from instances import dicyclic_theorem_instance, dihedral_theorem_instance, from_alpha_beta
 
 
 def main():

@@ -104,7 +104,7 @@ def format_number(x) -> str:
     if isinstance(x, Fraction):
         return _fraction_text(x)
     if isinstance(x, cf.GaussianRational):
-        re, im = cf.exact_real(x.re), cf.exact_real(x.im)
+        re, im = cf.exact_real(x.real), cf.exact_real(x.imag)
     elif isinstance(x, complex):
         re, im = x.real, x.imag
     else:

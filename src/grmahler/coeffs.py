@@ -4,6 +4,7 @@ Ring coefficients are either *exact* (int, Fraction, GaussianRational) or
 *floating* (float, complex).  Exact kinds mix freely and stay exact; as soon
 as a floating value enters an operation the result degrades to complex.
 Walk-count identities and the integer determinants rely on the exact mode.
+Every kind has c.real, c.imag and c.conjugate().
 """
 from __future__ import annotations
 
@@ -18,13 +19,13 @@ _EXACT_REAL = (int, Fraction)
 class GaussianRational:
     """a + b*i with rational a, b; exact ring arithmetic (+, -, *)."""
 
-    __slots__ = ("re", "im")
-    re: Fraction
-    im: Fraction
+    __slots__ = ("real", "imag")
+    real: Fraction
+    imag: Fraction
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "real", Fraction(re))
+        object.__setattr__(self, "imag", Fraction(im))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -35,9 +36,9 @@ class GaussianRational:
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
+            return GaussianRational(self.real + other.real, self.imag + other.imag)
         if isinstance(other, _EXACT_REAL):
-            return GaussianRational(self.re + other, self.im)
+            return GaussianRational(self.real + other, self.imag)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -45,30 +46,22 @@ class GaussianRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational(-self.real, -self.imag)
 
     def __sub__(self, other):
-        if isinstance(other, (GaussianRational, *_EXACT_REAL)):
-            return self + (-other if isinstance(other, GaussianRational) else GaussianRational(-other))
-        if isinstance(other, (float, complex)):
-            return complex(self) - other
-        return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
-        if isinstance(other, _EXACT_REAL):
-            return GaussianRational(other - self.re, -self.im)
-        if isinstance(other, (float, complex)):
-            return other - complex(self)
-        return NotImplemented
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
+                self.real * other.real - self.imag * other.imag,
+                self.real * other.imag + self.imag * other.real,
             )
         if isinstance(other, _EXACT_REAL):
-            return GaussianRational(self.re * other, self.im * other)
+            return GaussianRational(self.real * other, self.imag * other)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -78,51 +71,38 @@ class GaussianRational:
     # -- structure ---------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    @property
-    def real(self) -> Fraction:
-        return self.re
-
-    @property
-    def imag(self) -> Fraction:
-        return self.im
+        return GaussianRational(self.real, -self.imag)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(float(self.real), float(self.imag))
 
     def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
+        return math.hypot(float(self.real), float(self.imag))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.real) or bool(self.imag)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self.real == other.real and self.imag == other.imag
         if isinstance(other, _EXACT_REAL):
-            return self.im == 0 and self.re == other
+            return self.imag == 0 and self.real == other
         if isinstance(other, (float, complex)):
             return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((GaussianRational, self.re, self.im))
+        if self.imag == 0:
+            return hash(self.real)
+        return hash((GaussianRational, self.real, self.imag))
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({self.real!r}, {self.imag!r})"
 
 
 def is_exact(c) -> bool:
     """True for coefficient kinds that carry exact arithmetic."""
     return isinstance(c, (int, Fraction, GaussianRational)) and not isinstance(c, bool)
-
-
-def conj(c):
-    """Complex conjugate for any supported coefficient kind."""
-    return c.conjugate()
 
 
 def to_complex(c, name: str) -> complex:
@@ -139,7 +119,7 @@ def exact_real(x):
     Accepts int, Fraction, or a GaussianRational whose imaginary part is zero.
     """
     if isinstance(x, GaussianRational):
-        if x.im != 0:
+        if x.imag != 0:
             raise ArithmeticError(f"expected a real value, got {x!r}")
-        x = x.re
+        x = x.real
     return int(x) if x.denominator == 1 else x

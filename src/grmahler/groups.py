@@ -25,8 +25,8 @@ integer exponents sort as 0, 1, -1, 2, -2, ... and words by length first.
 
 g.multiplier() chooses the law once and returns a plain (a, b) -> a*b
 function, which loops over many pairs of one group (group-ring products,
-Cayley adjacency, word evaluation) call per pair; the module-level
-multiplier(g), multiply(g, a, b) and elements(g) call the methods.
+Cayley adjacency, word evaluation) call per pair; generator_names(g) is the
+one module-level function.
 """
 from __future__ import annotations
 
@@ -456,26 +456,6 @@ GroupSpec = AbelianProduct | Dihedral | Dicyclic | Free | FreeProductCyclic
 
 # the order parse_group tries: "Dic" before "D", the abelian catch-all last
 FAMILIES = (Dicyclic, Dihedral, Free, FreeProductCyclic, AbelianProduct)
-
-# ---------------------------------------------------------------------------
-# module-level entry points, for any family
-
-
-def multiplier(g: GroupSpec):
-    """g.multiplier(): the law of g as a plain function (a, b) -> normal form
-    of a*b.  Inputs must be valid normal forms for g."""
-    if not isinstance(g, GroupSpec):
-        raise TypeError(f"not a group spec: {g!r}")
-    return g.multiplier()
-
-
-def multiply(g: GroupSpec, a, b):
-    """Normal form of a*b.  Inputs must be valid normal forms for g."""
-    return multiplier(g)(a, b)
-
-
-def elements(g: GroupSpec) -> list:
-    return g.elements()
 
 
 def generator_names(g: GroupSpec) -> list[str]:

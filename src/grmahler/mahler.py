@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 from . import groups as gr
 from . import ring as rg
 from . import spectra as sp
-from .coeffs import GaussianRational, conj, exact_real
+from .coeffs import GaussianRational, exact_real
 from .errors import DomainError, ResourceLimitError, SingularMatrixError
 
 
@@ -262,7 +262,7 @@ def mahler_finite(
     """
     A = sp.cayley_adjacency(P)
     exact_det = None
-    if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool) and A.is_exact():
+    if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool) and P.is_exact():
         shifted = rg.add(rg.one(P.group), rg.scale(-lam, P))  # 1 - lambda P
         exact_det = lambda: sp.det_hermitian(sp.cayley_adjacency(shifted))
     return _spectral_measure(sp.hermitian_eigenvalues(A), lam, allow_continuation, exact_det)
@@ -330,11 +330,11 @@ def mahler_general(
     l1 = rg.l1_norm(Q)
     g0, c = max(Q.terms, key=lambda t: abs(t[1]))
     if Q.is_exact():  # -v/c and |c|^2 exactly, rounded only then: |c| may be below float range
-        s = Fraction(-1) / exact_real(c * conj(c))  # -1/|c|^2
-        ratios, log_c = {e: complex(v * conj(c) * s) for e, v in Q.terms}, -_log(-s) / 2
+        s = Fraction(-1) / exact_real(c * c.conjugate())  # -1/|c|^2
+        ratios, log_c = {e: complex(v * c.conjugate() * s) for e, v in Q.terms}, -_log(-s) / 2
     else:
         ratios, log_c = {e: -v / c for e, v in Q.terms}, math.log(abs(c))
-    mul, inv = gr.multiplier(g), g.invert(g0)
+    mul, inv = g.multiplier(), g.invert(g0)
     P = rg.ring_element(g, {mul(inv, e): r for e, r in ratios.items() if e != g0})
     rate = rg.l1_norm(P)  # (l1(Q) - |c|)/|c|, below 1 iff 2|c| > l1(Q)
     if rate >= 1.0:

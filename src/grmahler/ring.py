@@ -103,7 +103,7 @@ def from_word_terms(group: gr.GroupSpec, terms) -> RingElement:
     under one law of the group.  Each power of a generator (exp may be
     negative) is taken by repeated squaring, and no element built on the way
     is longer than that power, so the free-word cap refuses only a power past it."""
-    mul = gr.multiplier(group)
+    mul = group.multiplier()
     identity = group.identity()
     acc = {}
     for c, word in terms:
@@ -144,7 +144,7 @@ def scale(c, a: RingElement) -> RingElement:
 def _mul_terms(group, ta, tb) -> dict:
     # the loop order is the order of the sums: it fixes the last bits of
     # float coefficients
-    mul = gr.multiplier(group)
+    mul = group.multiplier()
     out = {}
     for ea, ca in ta:
         for eb, cb in tb:
@@ -163,7 +163,7 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
 def star(a: RingElement) -> RingElement:
     """The reciprocal involution: conjugate coefficients, invert elements."""
     return ring_element(
-        a.group, {a.group.invert(e): cf.conj(c) for e, c in a.terms}
+        a.group, {a.group.invert(e): c.conjugate() for e, c in a.terms}
     )
 
 
@@ -200,7 +200,7 @@ def walk_counts(P: RingElement, support_cap: int = DEFAULT_SUPPORT_CAP):
     in the order of ring.mul's, which fixes the last bits of float counts.
     """
     group = P.group
-    mul, invert = gr.multiplier(group), group.invert
+    mul, invert = group.multiplier(), group.invert
     elems = [e for e, _ in P.terms]
     coeffs = [c for _, c in P.terms]
     forms = [group.identity()]  # id -> normal form

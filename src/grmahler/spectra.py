@@ -51,9 +51,6 @@ class CayleyAdjacency(NamedTuple):
     cols: tuple
     coeffs: tuple
 
-    def is_exact(self) -> bool:
-        return all(cf.is_exact(c) for c in self.coeffs)
-
     def rows(self) -> list:
         """Dense rows of A."""
         out = [[0] * self.n for _ in range(self.n)]
@@ -111,8 +108,8 @@ def cayley_adjacency(P: rg.RingElement) -> CayleyAdjacency:
     ResourceLimitError, before any group-law call, when |G| exceeds
     MAX_ORDER."""
     g = _finite_reciprocal(P, "Cayley adjacency")
-    mul, index = gr.multiplier(g), g.element_index
-    cols = tuple(tuple(index(mul(gi, e)) for e, _ in P.terms) for gi in gr.elements(g))
+    mul, index = g.multiplier(), g.element_index
+    cols = tuple(tuple(index(mul(gi, e)) for e, _ in P.terms) for gi in g.elements())
     return CayleyAdjacency(len(cols), cols, tuple(c for _, c in P.terms))
 
 
@@ -304,7 +301,7 @@ def character_determinant(R: rg.RingElement):
 
     det, twice = 1, 1  # twice: the product of the factors that occur twice
     if abelian:  # chi_j(x^e) = zeta^(sum_i j_i e_i L/m_i)
-        # R(chi_-j) is R(chi_j) with each c_e read as c_-e = conj(c_e), so for
+        # R(chi_-j) is R(chi_j) with each c_e read as c_-e, the conjugate of c_e, so for
         # real R the factors at j and -j are one, taken twice unless j = -j
         real = not any(im for _, _, im in terms)
         part = [([L // m * x for m, x in zip(g.moduli, e)], re, im) for e, re, im in terms]
@@ -393,15 +390,14 @@ def abelian_spectrum(P: rg.RingElement) -> Spectrum:
     return Spectrum(tuple(sorted(float(v) for v in vals.real)), len(vals))
 
 
-def dihedral_trace_via_characters(m: int, P: rg.RingElement, n: int) -> float:
-    """trace(A^n) for reciprocal P over D_m from the character identity:
-    expand P^n into monomials x^k and y x^k, then substitute x -> each m-th
-    root of unity and y -> +/-1, and sum.
+def dihedral_trace_via_characters(P: rg.RingElement, n: int) -> float:
+    """trace(A^n) for reciprocal P over D_m, m >= 1, from the character
+    identity: expand P^n into monomials x^k and y x^k, then substitute
+    x -> each m-th root of unity and y -> +/-1, and sum.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    g = gr.Dihedral(m)
-    P = rg.transfer(P, g)
+    g = P.group
+    if not isinstance(g, gr.Dihedral) or not g.is_finite():
+        raise ValueError(f"P must be over a finite dihedral group, not {g.spec()}")
     if not rg.is_reciprocal(P):
         raise ValueError("P must be reciprocal in D_m")
     if n < 0:
@@ -410,8 +406,8 @@ def dihedral_trace_via_characters(m: int, P: rg.RingElement, n: int) -> float:
     for _ in range(n):
         Pn = rg.mul(Pn, P)
     total = 0 + 0j
-    for j in range(1, m + 1):
-        xi = cmath.exp(2j * math.pi * j / m)
+    for j in range(1, g.m + 1):
+        xi = cmath.exp(2j * math.pi * j / g.m)
         for sign in (1.0, -1.0):
             for (eps, k), c in Pn.terms:
                 total += complex(c) * (sign if eps else 1.0) * xi**k

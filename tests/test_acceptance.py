@@ -130,7 +130,7 @@ def test_c04_character_machinery():
             A = sp.cayley_adjacency(P)
             for n in range(1, 7):
                 want = eigen_trace(A, n)
-                got = sp.dihedral_trace_via_characters(m, P, n)
+                got = sp.dihedral_trace_via_characters(P, n)
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
     for g in (Z32, gr.AbelianProduct((4, 3)), gr.AbelianProduct((2, 2, 2))):
         for _ in range(3):

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grmahler import cli
+from grmahler import groups as gr
 from grmahler import mahler as mh
 from grmahler import spectra as sp
 from grmahler.cli import format_number, main, render_json
@@ -759,7 +760,7 @@ def test_a_finite_group_past_the_order_cap_exits_4(argv, monkeypatch):
     def no_elements(g):
         pytest.fail("the order cap must be checked before the group is enumerated")
 
-    monkeypatch.setattr(sp.gr, "elements", no_elements)
+    monkeypatch.setattr(gr._Family, "elements", no_elements)
     rc, out, err = run_cli(argv)
     assert rc == 4 and out == ""
     error = strict_json(err)["error"]

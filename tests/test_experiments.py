@@ -8,7 +8,7 @@ from grmahler import mahler as mh
 from grmahler import ring as rg
 from grmahler.parsing import parse_poly_over
 
-from conftest import dihedral_theorem_instance, from_alpha_beta, zxzm_closed_form
+from conftest import dihedral_theorem_instance, float_twin, from_alpha_beta, zxzm_closed_form
 
 Z2 = gr.AbelianProduct((0, 0))
 Z32 = gr.AbelianProduct((3, 2))
@@ -133,6 +133,13 @@ def test_agreement_depth_none_within_window():
     assert rep.n_max == 10
 
 
+def test_agreement_depth_of_float_coefficients():
+    # floating counts agree within a tolerance, which the wrap-around at n = m passes
+    P = float_twin(parse_poly_over("x + x^-1 + y", gr.Dihedral(0)))
+    rep = ex.agreement_depth(gr.Dihedral(4), gr.Dihedral(0), P, 6)
+    assert rep.first_disagreement == 4
+
+
 def test_agreement_depth_dicyclic_presentation_gap():
     # The printed infinite presentation has y^2 = e while Dic_m has
     # y^2 = x^m, so walk counts already split at n = 2 whenever y occurs.
@@ -236,3 +243,11 @@ def test_compare_infinite_pair_via_series():
     P = parse_poly_over(P_STANDARD, g_ab)
     res = ex.compare_groups(g_ab, gr.Dihedral(0), P, 0.1, epsilon=1e-12)
     assert res.verdict == "equal"
+
+
+def test_compare_gap_between_the_tolerances_is_inconclusive():
+    # D8 against its limit Dinf: the values differ by 3.8e-9
+    P = parse_poly_over("x + x^-1 + y", gr.Dihedral(0))
+    res = ex.compare_groups(gr.Dihedral(8), gr.Dihedral(0), P, 0.1)
+    assert ex.EQUAL_TOL < abs(res.value_a - res.value_b) <= ex.UNEQUAL_TOL
+    assert res.verdict == "inconclusive" and not res.equal

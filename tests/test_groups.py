@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -41,19 +42,19 @@ def test_order_examples():
 
 
 def test_enumerate_examples():
-    assert gr.elements(gr.AbelianProduct((2,))) == [(0,), (1,)]
-    d3 = gr.elements(gr.Dihedral(3))
+    assert gr.AbelianProduct((2,)).elements() == [(0,), (1,)]
+    d3 = gr.Dihedral(3).elements()
     assert len(d3) == 6
     # rotation block first
     assert d3[:3] == [(0, 0), (0, 1), (0, 2)]
     assert d3[3:] == [(1, 0), (1, 1), (1, 2)]
-    assert len(gr.elements(gr.Dicyclic(2))) == 8
+    assert len(gr.Dicyclic(2).elements()) == 8
     with pytest.raises(InfiniteGroupError):
-        gr.elements(gr.Free(1))
+        gr.Free(1).elements()
 
 
 def test_enumerate_abelian_lexicographic():
-    got = gr.elements(gr.AbelianProduct((3, 2)))
+    got = gr.AbelianProduct((3, 2)).elements()
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
     for i, e in enumerate(got):
         assert gr.AbelianProduct((3, 2)).element_index(e) == i
@@ -79,27 +80,27 @@ def test_element_index_refuses_an_infinite_group(g, a):
 def test_dihedral_reflection_squares_to_identity():
     g = gr.Dihedral(3)
     sigma_rho = (1, 1)  # y x
-    assert gr.multiply(g, sigma_rho, sigma_rho) == (0, 0)
+    assert g.multiplier()(sigma_rho, sigma_rho) == (0, 0)
 
 
 def test_dicyclic_y_squared_is_x_m():
     g = gr.Dicyclic(3)
     y = (1, 0)
-    assert gr.multiply(g, y, y) == (0, 3)
+    assert g.multiplier()(y, y) == (0, 3)
 
 
 def test_free_product_cyclic_y_cubed():
     g = gr.FreeProductCyclic((2, 3))
     y1 = ((1, 1),)
     y2 = ((1, 2),)
-    assert gr.multiply(g, y1, y2) == ()
+    assert g.multiplier()(y1, y2) == ()
 
 
 def test_free_reduction():
     g = gr.Free(2)
     xy = (1, 2)
     yinv_x = (-2, 1)
-    assert gr.multiply(g, xy, yinv_x) == (1, 1)
+    assert g.multiplier()(xy, yinv_x) == (1, 1)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -117,29 +118,30 @@ def test_free_powers_stop_at_the_word_cap(prefix, sign):
 def test_dihedral_conjugation_relation():
     # rho^k * sigma = sigma * rho^-k, i.e. (0,k)*(1,0) = (1, -k mod m)
     for m in (3, 4, 5, 7):
-        g = gr.Dihedral(m)
+        mul = gr.Dihedral(m).multiplier()
         for k in range(m):
-            assert gr.multiply(g, (0, k), (1, 0)) == (1, (-k) % m)
+            assert mul((0, k), (1, 0)) == (1, (-k) % m)
 
 
 def test_dicyclic_defining_relations():
     for m in (1, 2, 3, 4):
         g = gr.Dicyclic(m)
-        x, y = (0, 1), (1, 0)
+        mul, x, y = g.multiplier(), (0, 1), (1, 0)
         assert word_element(g, ((0, 2 * m),)) == (0, 0)
-        assert gr.multiply(g, y, y) == word_element(g, ((0, m),))
+        assert mul(y, y) == word_element(g, ((0, m),))
         # y^-1 x y = x^-1
-        lhs = gr.multiply(g, gr.multiply(g, g.invert(y), x), y)
+        lhs = mul(mul(g.invert(y), x), y)
         assert lhs == g.invert(x)
 
 
 def test_dicinf_matches_dinf_multiplication(rng):
     gd = gr.Dihedral(0)
     gc = gr.Dicyclic(0)
+    mul_d, mul_c = gd.multiplier(), gc.multiplier()
     for _ in range(200):
         a = (rng.randint(0, 1), rng.randint(-5, 5))
         b = (rng.randint(0, 1), rng.randint(-5, 5))
-        assert gr.multiply(gd, a, b) == gr.multiply(gc, a, b)
+        assert mul_d(a, b) == mul_c(a, b)
         assert gd.invert(a) == gc.invert(a)
 
 
@@ -162,12 +164,11 @@ MULTIPLIER_FAMILIES = [
 
 
 @given(st.sampled_from(MULTIPLIER_FAMILIES), st.randoms(use_true_random=False))
-def test_multiplier_agrees_with_multiply(g, rnd):
-    mul = gr.multiplier(g)
+def test_multiplier_multiplies_joined_words(g, rnd):
+    mul = g.multiplier()
     for _ in range(20):
         a = random_element(g, rnd, max_len=5)
         b = random_element(g, rnd, max_len=5)
-        assert mul(a, b) == gr.multiply(g, a, b)
         # the product of two normal forms is the value of the joined words
         word = g.element_word(a) + g.element_word(b)
         assert mul(a, b) == word_element(g, word)
@@ -184,9 +185,7 @@ MISMATCHES = [
 @pytest.mark.parametrize("g, a, b", MISMATCHES)
 def test_multiply_rejects_foreign_elements(g, a, b):
     with pytest.raises(GroupMismatchError):
-        gr.multiply(g, a, b)
-    with pytest.raises(GroupMismatchError):
-        gr.multiplier(g)(a, b)
+        g.multiplier()(a, b)
 
 
 @pytest.mark.parametrize("g, a, b", MISMATCHES)
@@ -196,11 +195,6 @@ def test_ring_mul_rejects_foreign_elements(g, a, b):
     B = rg.RingElement(g, ((b, 1),))
     with pytest.raises(GroupMismatchError):
         rg.mul(A, B)
-
-
-def test_multiplier_rejects_non_groups():
-    with pytest.raises(TypeError):
-        gr.multiplier("Z^2")
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +207,18 @@ def test_invert_examples():
     g = gr.Dicyclic(3)
     yinv = g.invert((1, 0))
     assert yinv == (1, 3)  # y^-1 normalizes to y x^3
-    assert gr.multiply(g, (1, 0), yinv) == (0, 0)
+    assert g.multiplier()((1, 0), yinv) == (0, 0)
 
 
 @pytest.mark.parametrize("g", SMALL_FINITE)
 def test_invert_is_bijective_involution(g):
-    elems = gr.elements(g)
+    elems, mul = g.elements(), g.multiplier()
     inverses = [g.invert(e) for e in elems]
     assert sorted(inverses, key=lambda e: g.element_sort_key(e)) == elems
     for e, inv in zip(elems, inverses):
         assert g.invert(inv) == e
-        assert gr.multiply(g, e, inv) == g.identity()
-        assert gr.multiply(g, inv, e) == g.identity()
+        assert mul(e, inv) == g.identity()
+        assert mul(inv, e) == g.identity()
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +227,10 @@ def test_invert_is_bijective_involution(g):
 
 @pytest.mark.parametrize("g", SMALL_FINITE)
 def test_multiplication_table_is_latin_square(g):
-    elems = gr.elements(g)
+    elems, mul = g.elements(), g.multiplier()
     n = len(elems)
     index = {e: i for i, e in enumerate(elems)}
-    table = [[index[gr.multiply(g, a, b)] for b in elems] for a in elems]
+    table = [[index[mul(a, b)] for b in elems] for a in elems]
     for row in table:
         assert sorted(row) == list(range(n))
     for col in zip(*table):
@@ -245,19 +239,17 @@ def test_multiplication_table_is_latin_square(g):
 
 @pytest.mark.parametrize("g", SMALL_FINITE)
 def test_associativity_on_all_triples(g):
-    elems = gr.elements(g)
+    elems, mul = g.elements(), g.multiplier()
     for a, b, c in product(elems, repeat=3):
-        assert gr.multiply(g, gr.multiply(g, a, b), c) == gr.multiply(
-            g, a, gr.multiply(g, b, c)
-        )
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 @pytest.mark.parametrize("g", SMALL_FINITE)
 def test_identity_is_neutral(g):
-    e = g.identity()
-    for a in gr.elements(g):
-        assert gr.multiply(g, e, a) == a
-        assert gr.multiply(g, a, e) == a
+    e, mul = g.identity(), g.multiplier()
+    for a in g.elements():
+        assert mul(e, a) == a
+        assert mul(a, e) == a
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +267,21 @@ INFINITE_FAMILIES = [
 
 @pytest.mark.parametrize("g", INFINITE_FAMILIES)
 def test_products_stay_in_normal_form(g, rng):
+    mul = g.multiplier()
     for _ in range(100):
         a = random_element(g, rng, max_len=4)
         b = random_element(g, rng, max_len=4)
-        p = gr.multiply(g, a, b)
+        p = mul(a, b)
         g.validate_element(p)
-        assert gr.multiply(g, p, g.invert(p)) == g.identity()
+        assert mul(p, g.invert(p)) == g.identity()
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12))
 def test_free_words_are_reduced(letters):
     g = gr.Free(2)
-    e = g.identity()
+    e, mul = g.identity(), g.multiplier()
     for letter in letters:
-        e = gr.multiply(g, e, (letter,))
+        e = mul(e, (letter,))
     g.validate_element(e)
 
 
@@ -375,10 +368,24 @@ def test_equal_ring_elements_and_coefficients_hash_equal():
     assert hash(GaussianRational(1, 3)) == hash(GaussianRational(1, 3))
 
 
+def test_gaussian_rationals_stay_exact_until_a_float_enters():
+    G = GaussianRational
+    g = G(1, 2)
+    exact = [(g - 1, G(0, 2)), (g - Fraction(1, 2), G(Fraction(1, 2), 2)), (g - G(0, 1), G(1, 1)),
+             (1 - g, G(0, -2)), (Fraction(1, 3) - g, G(Fraction(-2, 3), -2))]
+    for got, want in exact:
+        assert type(got) is G and got == want
+    floating = [(g - 0.5, 0.5 + 2j), (g - 0.5j, 1 + 1.5j), (0.5 - g, -0.5 - 2j),
+                (g + 0.5, 1.5 + 2j)]
+    for got, want in floating:
+        assert type(got) is complex and got == want
+    assert g == complex(1, 2) and g != complex(1, 2.5)
+
+
 @pytest.mark.parametrize("value, field", [
     (gr.AbelianProduct((3, 2)), "moduli"), (gr.Dihedral(3), "m"), (gr.Dicyclic(0), "m"),
     (gr.Free(2), "rank"), (gr.FreeProductCyclic((2, 3)), "orders"),
-    (rg.one(gr.Dihedral(3)), "terms"), (GaussianRational(1, 2), "re"),
+    (rg.one(gr.Dihedral(3)), "terms"), (GaussianRational(1, 2), "real"),
     (mh.MeasureResult(0.5, "series", 1e-12), "value"),
 ])
 def test_values_refuse_assignment(value, field):
@@ -457,7 +464,7 @@ def test_rotation_reflection_table_matches_faithful_matrices(g, r, s):
         # Y^2 = z^s I = X^s since z^2s = 1, and Y^-1 X Y = X^-1
         z = cmath.exp(2j * cmath.pi / r)
         Y = [[0, 1], [z ** s, 0]]
-        els = gr.elements(g)
+        els = g.elements()
 
         def rep(a):
             return _matmul(Y if a[0] else [[1, 0], [0, 1]], [[z ** a[1], 0], [0, z ** -a[1]]])
@@ -470,11 +477,11 @@ def test_rotation_reflection_table_matches_faithful_matrices(g, r, s):
             sign = -1 if a[0] else 1
             return [[sign, sign * a[1]], [0, 1]]
 
-    identity = [[1, 0], [0, 1]]
+    identity, mul = [[1, 0], [0, 1]], g.multiplier()
     for a in els:
         assert _close(_matmul(rep(g.invert(a)), rep(a)), identity)
         for b in els:
-            assert _close(rep(gr.multiply(g, a, b)), _matmul(rep(a), rep(b)))
+            assert _close(rep(mul(a, b)), _matmul(rep(a), rep(b)))
             assert (a == b) == _close(rep(a), rep(b))  # faithful on els
 
 
@@ -497,10 +504,11 @@ def test_free_product_c2_c3_matches_psl2_matrices(rng):
         flat_b = [x for r in B for x in r]
         return flat_a == flat_b or flat_a == [-x for x in flat_b]
 
+    mul = g.multiplier()
     for _ in range(200):
         a = random_element(g, rng, max_len=5)
         b = random_element(g, rng, max_len=5)
-        assert same_mod_sign(rep(gr.multiply(g, a, b)), _matmul(rep(a), rep(b)))
+        assert same_mod_sign(rep(mul(a, b)), _matmul(rep(a), rep(b)))
     # faithfulness spot check: distinct normal forms give distinct matrices
     seen = {}
     for a in [random_element(g, rng, max_len=4) for _ in range(100)]:

@@ -122,8 +122,8 @@ def test_finite_matches_printed_formula(rng):
         if k == 0:
             continue
         lam = 0.5 / k
-        br, bi = float(b.re), float(b.im)
-        dr, di = float(d.re), float(d.im)
+        br, bi = float(b.real), float(b.imag)
+        dr, di = float(d.real), float(d.imag)
         t1 = (1 - lam * (a - c - (br - dr))) ** 2 - 3 * lam**2 * (bi - di) ** 2
         t2 = (1 - lam * (a + c - (br + dr))) ** 2 - 3 * lam**2 * (bi + di) ** 2
         t3 = 1 - lam * (a + 2 * br - c - 2 * dr)

@@ -257,9 +257,9 @@ def _write(expr: PolyExpr) -> str:
     for t in expr.terms:
         c = t.coeff
         if isinstance(c, GaussianRational):
-            negative = c.re < 0 or (c.re == 0 and c.im < 0)
+            negative = c.real < 0 or (c.real == 0 and c.imag < 0)
             c = -c if negative else c
-            body = f"({_decimal(c.re)}{'-' if c.im < 0 else '+'}{_decimal(abs(c.im))}i)"
+            body = f"({_decimal(c.real)}{'-' if c.imag < 0 else '+'}{_decimal(abs(c.imag))}i)"
         else:
             negative = c < 0
             body = _decimal(abs(c))

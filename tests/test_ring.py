@@ -113,7 +113,7 @@ def test_qqstar_reciprocal_with_l2_constant(rng):
             B = rg.mul(Q, rg.star(Q))
             assert rg.is_reciprocal(B)
             l2sq = sum(
-                c.re**2 + c.im**2 if isinstance(c, GaussianRational) else c * c
+                c.real**2 + c.imag**2 if isinstance(c, GaussianRational) else c * c
                 for _, c in Q.terms
             )
             assert B.coeff(g.identity()) == l2sq
@@ -227,7 +227,7 @@ def _walk_counts_on_forms(P, n):
     product of the last one with P (the loop of ring._mul_terms), each
     pairing inverts every element of the smaller half."""
     g = P.group
-    mul = gr.multiplier(g)
+    mul = g.multiplier()
 
     def count(high, low):
         total = 0
@@ -661,7 +661,7 @@ def test_reciprocal_powers_are_real(rng):
             P = random_reciprocal(g, rng)
             for v in rg.power_constant_coeffs(P, 6).values:
                 if isinstance(v, GaussianRational):
-                    assert v.im == 0
+                    assert v.imag == 0
                 elif isinstance(v, complex):
                     assert abs(v.imag) <= 1e-12
                 else:

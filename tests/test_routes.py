@@ -310,7 +310,7 @@ def test_no_route_names_another():
 
 # where the base group may change: ring.transfer is named only in these
 # functions, and anywhere in experiments.py
-TRANSFER_CALLERS = {"mahler.py": {"mahler_torus"}, "spectra.py": {"dihedral_trace_via_characters"}}
+TRANSFER_CALLERS = {"mahler.py": {"mahler_torus"}}
 
 
 def test_p_carries_its_group():
