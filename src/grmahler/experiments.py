@@ -54,10 +54,6 @@ class ComparisonResult(NamedTuple):
     value_b: float
     verdict: str  # equal | unequal | inconclusive
 
-    @property
-    def equal(self) -> bool:
-        return self.verdict == "equal"
-
 
 def q_of_m(m, h_max: int = DEFAULT_H_MAX):
     """Boyd-Lawton q(m): minimal sup-norm of a nonzero integer relation

@@ -13,15 +13,16 @@ element encodings:
   y^eps x^k in <x, y | x^r = e, y^2 = x^s, y^-1 x y = x^-1>, with k reduced
   mod r when r > 0: D_m is (r, s) = (m, 0), Dic_m is (2m, m), and m = 0
   gives r = s = 0, so Dinf and the printed Dicinf share one law (see README).
-* Free(rank) -- reduced words as tuples of nonzero ints, letter +i / -i for
-  generator i and its inverse (1-based).
-* FreeProductCyclic(orders) -- syllable lists ((factor, exp), ...) with
-  exp in 1..order-1 and adjacent syllables from distinct factors.
+* Free(rank) and FreeProductCyclic(orders) -- the free products of `rank`
+  copies of Z and of finite cyclic factors, with one law: syllable lists
+  ((factor, exp), ...) with adjacent syllables from distinct factors and exp
+  nonzero, in 1..order-1 on a finite factor (see _FreeProduct).
 
 Normal forms are unique, so equal group elements compare equal as plain
 tuples.  All values are immutable and every operation is a pure function.
 element_sort_key is the canonical order on finite groups; on infinite ones,
-integer exponents sort as 0, 1, -1, 2, -2, ... and words by length first.
+integer exponents sort as 0, 1, -1, 2, -2, ... and syllable lists by their
+number of syllables, then as tuples.
 
 g.multiplier() chooses the law once and returns a plain (a, b) -> a*b
 function, which loops over many pairs of one group (group-ring products,
@@ -31,13 +32,12 @@ one module-level function.
 from __future__ import annotations
 
 import math
-from itertools import groupby, product
+from itertools import product
 
-from .errors import GroupMismatchError, InfiniteGroupError, ParseError, ResourceLimitError
+from .errors import GroupMismatchError, InfiniteGroupError, ParseError
 
 MAX_GENERATORS = 9  # the polynomial grammar names x, y or x1..x9
 MAX_ORDER_DIGITS = 4300  # sys.int_info.default_max_str_digits
-MAX_WORD_LETTERS = 10**6  # the longest free word a product or a power builds
 
 
 def _int_key(x: int) -> int:
@@ -305,8 +305,67 @@ class Dicyclic(_RotationReflection):
     _PREFIX, _NOUN, _ROTATIONS_PER_M, _SQUARE_PER_M = "Dic", "dicyclic", 2, 1
 
 
-class Free(_Family):
-    """Free group on `rank` generators."""
+class _FreeProduct(_Family):
+    """Free and FreeProductCyclic: the free product of cyclic factors of
+    `orders`, a factor of order 0 being Z.  An element is a syllable list
+    ((factor, exp), ...): adjacent syllables come from distinct factors, exp
+    is nonzero, and in 1..order-1 on a finite factor."""
+
+    def order(self):
+        return math.inf
+
+    def identity(self):
+        return ()
+
+    def multiplier(self):
+        orders = self.orders
+        factors = range(len(orders))
+
+        def mul(a, b):
+            for fac, _ in b:
+                if fac not in factors:
+                    raise GroupMismatchError(f"factor {fac} outside {self.spec()}")
+            # a and b are in normal form, so only the syllables where they meet merge
+            i, j = len(a), 0
+            while i and j < len(b) and a[i - 1][0] == b[j][0]:
+                fac, exp = b[j]
+                exp += a[i - 1][1]
+                if orders[fac]:
+                    exp %= orders[fac]
+                if exp:
+                    return a[:i - 1] + ((fac, exp),) + b[j + 1:]
+                i, j = i - 1, j + 1
+            return a[:i] + b[j:]
+
+        return mul
+
+    def invert(self, a):
+        orders = self.orders  # order 0 - exp is -exp, the inverse in Z
+        return tuple([(fac, orders[fac] - exp) for fac, exp in reversed(a)])
+
+    def element_sort_key(self, a):
+        return (len(a), a)
+
+    def validate_element(self, a) -> None:
+        orders = self.orders
+        self._check(a, isinstance(a, tuple) and all(
+            isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], int) and isinstance(s[1], int)
+            and 0 <= s[0] < len(orders) and (0 < s[1] < orders[s[0]] if orders[s[0]] else s[1] != 0)
+            for s in a
+        ) and all(a[i][0] != a[i + 1][0] for i in range(len(a) - 1)))
+
+    def num_generators(self) -> int:
+        return len(self.orders)
+
+    def _generator(self, i):
+        return ((i, 1),)
+
+    def element_word(self, a) -> tuple:
+        return a
+
+
+class Free(_FreeProduct):
+    """Free group on `rank` generators, the free product of `rank` copies of Z."""
 
     rank: int
 
@@ -328,56 +387,12 @@ class Free(_Family):
     def spec(self) -> str:
         return f"F{self.rank}"
 
-    def order(self):
-        return math.inf
-
-    def identity(self):
-        return ()
-
-    def multiplier(self):
-        rank = self.rank
-        alphabet = frozenset(range(-rank, rank + 1)) - {0}
-
-        def mul(a, b):
-            if not alphabet.issuperset(b):
-                letter = next(x for x in b if x not in alphabet)
-                raise GroupMismatchError(f"letter {letter} outside rank {rank}")
-            # a and b are reduced, so only the letters where they meet cancel
-            k, most = 0, min(len(a), len(b))
-            while k < most and a[-1 - k] == -b[k]:
-                k += 1
-            length = len(a) + len(b) - 2 * k
-            if length > MAX_WORD_LETTERS:
-                raise ResourceLimitError(f"{length} letters pass the free-word cap {MAX_WORD_LETTERS}")
-            return a[:len(a) - k] + b[k:]
-
-        return mul
-
-    def invert(self, a):
-        return tuple([-letter for letter in reversed(a)])
-
-    def element_sort_key(self, a):
-        return (len(a), tuple(_int_key(x) for x in a))
-
-    def validate_element(self, a) -> None:
-        # reduced: no adjacent letter/inverse pair
-        self._check(a, isinstance(a, tuple)
-                    and all(isinstance(x, int) and x != 0 and abs(x) <= self.rank for x in a)
-                    and all(a[i] != -a[i + 1] for i in range(len(a) - 1)))
-
-    def num_generators(self) -> int:
-        return self.rank
-
-    def _generator(self, i):
-        return (i + 1,)
-
-    def element_word(self, a) -> tuple:
-        # in a reduced word, adjacent letters of one generator are equal
-        runs = [(letter, len(list(run))) for letter, run in groupby(a)]
-        return tuple((abs(x) - 1, n if x > 0 else -n) for x, n in runs)
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return (0,) * self.rank
 
 
-class FreeProductCyclic(_Family):
+class FreeProductCyclic(_FreeProduct):
     """Free product Z/n1 * Z/n2 * ... of at least two finite cyclic factors."""
 
     orders: tuple[int, ...]
@@ -405,51 +420,6 @@ class FreeProductCyclic(_Family):
 
     def spec(self) -> str:
         return "*".join(f"C{n}" for n in self.orders)
-
-    def order(self):
-        return math.inf
-
-    def identity(self):
-        return ()
-
-    def multiplier(self):
-        orders = self.orders
-
-        def mul(a, b):
-            word = list(a)
-            for fac, exp in b:
-                if word and word[-1][0] == fac:
-                    e = (word[-1][1] + exp) % orders[fac]
-                    word.pop()
-                    if e:
-                        word.append((fac, e))
-                else:
-                    word.append((fac, exp))
-            return tuple(word)
-
-        return mul
-
-    def invert(self, a):
-        return tuple([(fac, self.orders[fac] - exp) for fac, exp in reversed(a)])
-
-    def element_sort_key(self, a):
-        return (len(a), a)
-
-    def validate_element(self, a) -> None:
-        orders = self.orders
-        self._check(a, isinstance(a, tuple) and all(
-            isinstance(s, tuple) and len(s) == 2
-            and 0 <= s[0] < len(orders) and 1 <= s[1] < orders[s[0]] for s in a
-        ) and all(a[i][0] != a[i + 1][0] for i in range(len(a) - 1)))
-
-    def num_generators(self) -> int:
-        return len(self.orders)
-
-    def _generator(self, i):
-        return ((i, 1),)
-
-    def element_word(self, a) -> tuple:
-        return tuple(a)
 
 
 GroupSpec = AbelianProduct | Dihedral | Dicyclic | Free | FreeProductCyclic

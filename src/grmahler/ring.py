@@ -101,8 +101,7 @@ def zero(group: gr.GroupSpec) -> RingElement:
 def from_word_terms(group: gr.GroupSpec, terms) -> RingElement:
     """Build from ((coeff, word), ...) where word = ((gen_index, exp), ...),
     under one law of the group.  Each power of a generator (exp may be
-    negative) is taken by repeated squaring, and no element built on the way
-    is longer than that power, so the free-word cap refuses only a power past it."""
+    negative) is taken by repeated squaring."""
     mul = group.multiplier()
     identity = group.identity()
     acc = {}
@@ -326,10 +325,10 @@ def first_passage_counts(P: RingElement, N: int):
     or a free product of finite cyclic groups, from first-passage equations;
     None for any other P.
 
-    Nearest-neighbour: each term of P is the identity (coefficient c_e), one
-    letter of Free or one syllable (i, a) of FreeProductCyclic.  Factor i is
-    then a copy of Z (letter +-(i+1) is the step +-1) or of Z/m_i, with the
-    steps a of coefficient c_a that P takes in it, and the Cayley graph is
+    Nearest-neighbour: each term of P is the identity (coefficient c_e) or one
+    syllable (i, a), with a = +-1 when factor i is Z (order m_i = 0).  The
+    group's `orders` make factor i a copy of Z or of Z/m_i, with the steps a
+    of coefficient c_a that P takes in it, and the Cayley graph is
     tree-like: a closed walk at e is a sequence of loops c_e and excursions,
     each into one factor's coset of e and back to e.  In factor i, h_b is
     the series of walks from b back to 0, first reaching 0 at their end;
@@ -349,23 +348,17 @@ def first_passage_counts(P: RingElement, N: int):
     walk_counts's, and only nonzero products are added, as in walk_counts.
     No power is built, so no support cap applies.
     """
-    group = P.group
-    if isinstance(group, gr.Free):
-        moduli = (0,) * group.rank
-    elif isinstance(group, gr.FreeProductCyclic):
-        moduli = group.orders
-    else:
+    if not isinstance(P.group, (gr.Free, gr.FreeProductCyclic)):
         return None
+    moduli = P.group.orders
     c_e, steps = 0, [{} for _ in moduli]  # c_e and {a: c_a} per factor
     for e, c in P.terms:
-        if len(e) > 1:
-            return None
         if not e:
             c_e = c
-        elif moduli[0]:  # a syllable (i, a)
+        elif len(e) > 1 or (not moduli[e[0][0]] and abs(e[0][1]) != 1):
+            return None
+        else:
             steps[e[0][0]][e[0][1]] = c
-        else:  # a letter +-(i+1)
-            steps[abs(e[0]) - 1][1 if e[0] > 0 else -1] = c
     factor_of, moves, firsts = [], [], []  # per state: its factor and moves (c_a, target)
     for i, (m, A) in enumerate(zip(moduli, steps)):
         reached, frontier = {0}, [0]

@@ -39,6 +39,22 @@ def rng(request):
     return random.Random(request.config.getoption("--seed"))
 
 
+@pytest.fixture
+def no_work_past_the_order_cap(monkeypatch):
+    """Fails the test when the reciprocity of a P over a finite group past
+    spectra.MAX_ORDER is checked: the next step of every finite route after
+    its order cap, which must refuse such a P first.  An infinite group's P
+    is checked as usual."""
+    is_reciprocal = rg.is_reciprocal
+
+    def checked(P):
+        if P.group.is_finite() and P.group.order() > sp.MAX_ORDER:
+            pytest.fail("the order cap must be checked before any work")
+        return is_reciprocal(P)
+
+    monkeypatch.setattr(rg, "is_reciprocal", checked)
+
+
 # ---------------------------------------------------------------------------
 # shared instance generators (exact coefficients, reproducible)
 
@@ -76,11 +92,11 @@ def random_element(group, rnd, max_len=3):
 
 
 def random_nearest_neighbour(group, rnd):
-    """The identity or an element one step from it, drawn uniformly: a letter
-    of a free group, or a syllable of a free product of cyclic groups."""
-    if isinstance(group, gr.Free):
-        return rnd.choice([()] + [(s * i,) for i in range(1, group.rank + 1) for s in (1, -1)])
-    return rnd.choice([()] + [((i, a),) for i, m in enumerate(group.orders) for a in range(1, m)])
+    """The identity or an element one step from it, drawn uniformly: one
+    syllable of a free group or of a free product of cyclic groups, of
+    exponent +-1 on a factor Z."""
+    return rnd.choice([()] + [((i, a),) for i, m in enumerate(group.orders)
+                              for a in (range(1, m) if m else (1, -1))])
 
 
 def random_ring_element(group, rnd, n_terms=3, gaussian=True, element=random_element):

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grmahler import cli
-from grmahler import groups as gr
 from grmahler import mahler as mh
 from grmahler import spectra as sp
 from grmahler.cli import format_number, main, render_json
@@ -651,31 +650,11 @@ def test_the_lambda_free_series_needs_no_coefficient_of_q_in_float_range(zeros):
     assert res["error_bound"] == 0 and abs(res["value"] - want) <= 1e-14 * abs(want)
 
 
-def test_a_walk_refuses_a_free_word_past_the_cap_at_once():
-    # P^2 = x^2000000 passes the one-million-letter cap at the walk's first
-    # product past it
-    start = time.perf_counter()
-    rc, out, err = run_cli(["coeffs", "--group", "F2", "--poly", "x^1000000", "--n", "40"])
-    assert time.perf_counter() - start < 1.0
-    assert (rc, out) == (4, "")
-    error = strict_json(err)["error"]
-    assert error == {"type": "ResourceLimitError",
-                     "message": "2000000 letters pass the free-word cap 1000000"}
-
-
 def test_the_exact_finite_route_answers_past_float_range():
     rc, out, err = run_cli(["measure", "--group", "D3", "--poly", BIG + "+x+y"])
     assert rc == 0 and err == ""
     value = strict_json(out, parse_int=Decimal)["value"]  # det B has 4800 digits
     assert abs(value - 400 * math.log(10)) <= 1e-12 * 400 * math.log(10)
-
-
-def test_a_free_power_past_the_word_cap_is_refused_at_once():
-    start = time.perf_counter()
-    rc, out, err = run_cli(["coeffs", "--group", "F2", "--poly", "x^99999999+y", "--n", "2"])
-    assert time.perf_counter() - start < 1.0
-    assert (rc, out) == (4, "")
-    assert strict_json(err)["error"]["type"] == "ResourceLimitError"
 
 
 def test_resource_cap_exit_4():
@@ -691,7 +670,7 @@ F4 = "x+x^-1+y+y^-1"
 
 
 # a nearest-neighbour P on F2 goes to the first-passage solver, which builds
-# no power: these F2 rows take a square letter, so that they still walk
+# no power: these F2 rows take the square x^2, so that they still walk
 F4_SQUARE = "x^2+x^-2+y+y^-1"
 
 
@@ -754,13 +733,8 @@ def test_general_series_too_deep_is_refused_at_once():
     ("measure", "--group", "D100000", "--poly", "3+x+y"),
     ("measure", "--group", "Z/300xZ/300", "--poly", "3+x+y"),
 ])
-def test_a_finite_group_past_the_order_cap_exits_4(argv, monkeypatch):
-    # binding P and walking the infinite limit call the group law; only the
-    # Cayley adjacency enumerates the group
-    def no_elements(g):
-        pytest.fail("the order cap must be checked before the group is enumerated")
-
-    monkeypatch.setattr(gr._Family, "elements", no_elements)
+@pytest.mark.usefixtures("no_work_past_the_order_cap")
+def test_a_finite_group_past_the_order_cap_exits_4(argv):
     rc, out, err = run_cli(argv)
     assert rc == 4 and out == ""
     error = strict_json(err)["error"]

@@ -10,7 +10,7 @@ from grmahler import groups as gr
 from grmahler import mahler as mh
 from grmahler import ring as rg
 from grmahler.coeffs import GaussianRational
-from grmahler.errors import GroupMismatchError, InfiniteGroupError, ResourceLimitError
+from grmahler.errors import GroupMismatchError, InfiniteGroupError
 from grmahler.parsing import parse_group
 
 from conftest import FINITE_CATALOGUE, random_element, word_element
@@ -98,21 +98,19 @@ def test_free_product_cyclic_y_cubed():
 
 def test_free_reduction():
     g = gr.Free(2)
-    xy = (1, 2)
-    yinv_x = (-2, 1)
-    assert g.multiplier()(xy, yinv_x) == (1, 1)
+    xy = ((0, 1), (1, 1))
+    yinv_x = ((1, -1), (0, 1))
+    assert g.multiplier()(xy, yinv_x) == ((0, 2),)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("prefix", [(), ((1, 1),), ((0, -1), (1, 2))])
-def test_free_powers_stop_at_the_word_cap(prefix, sign):
-    # u x^n has |u| + |n| letters when u ends in y: the largest power within
-    # the cap builds, since no square on the way to x^n is longer than x^n
-    F2, cap = gr.Free(2), gr.MAX_WORD_LETTERS
-    n = cap - sum(abs(exp) for _, exp in prefix)
-    assert len(word_element(F2, prefix + ((0, sign * n),))) == cap
-    with pytest.raises(ResourceLimitError, match=f"pass the free-word cap {cap}"):
-        word_element(F2, prefix + ((0, sign * (n + 1)),))
+@pytest.mark.parametrize("prefix, head, last", [
+    ((), (), 0), (((1, 1),), ((1, 1),), 0), (((1, 2), (0, -1)), ((1, 2),), -1)])
+def test_a_free_power_is_one_syllable(prefix, head, last, sign):
+    # u x^n is one syllable longer than u when u ends in y, and as long as u
+    # when u ends in x, however large n is
+    n = sign * (10**6 + 1)
+    assert word_element(gr.Free(2), prefix + ((0, n),)) == head + ((0, last + n),)
 
 
 def test_dihedral_conjugation_relation():
@@ -175,8 +173,9 @@ def test_multiplier_multiplies_joined_words(g, rnd):
 
 
 MISMATCHES = [
-    (gr.Free(2), (1,), (3,)),  # letter outside the rank
-    (gr.Free(2), (1,), (-3,)),
+    (gr.Free(2), ((0, 1),), ((2, 1),)),  # factor outside the rank
+    (gr.Free(2), ((0, 1),), ((2, -1),)),
+    (gr.FreeProductCyclic((2, 3)), ((0, 1),), ((2, 1),)),  # factor outside the orders
     (gr.AbelianProduct((0, 3)), (1, 0), (1, 0, 0)),  # length mismatch
     (gr.AbelianProduct((0, 3)), (1,), (1, 0)),
 ]
@@ -276,12 +275,12 @@ def test_products_stay_in_normal_form(g, rng):
         assert mul(p, g.invert(p)) == g.identity()
 
 
-@given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12))
-def test_free_words_are_reduced(letters):
+@given(st.lists(st.sampled_from([(0, 1), (0, -1), (1, 1), (1, -1)]), max_size=12))
+def test_free_words_are_reduced(syllables):
     g = gr.Free(2)
     e, mul = g.identity(), g.multiplier()
-    for letter in letters:
-        e = mul(e, (letter,))
+    for syllable in syllables:
+        e = mul(e, (syllable,))
     g.validate_element(e)
 
 
@@ -318,9 +317,12 @@ def test_validate_element_rejects_garbage():
     with pytest.raises(GroupMismatchError):
         gr.Dihedral(3).validate_element((2, 0))
     with pytest.raises(GroupMismatchError):
-        gr.Free(2).validate_element((1, -1))  # not reduced
+        gr.Free(2).validate_element(((0, 1), (0, -1)))  # not reduced
     with pytest.raises(GroupMismatchError):
         gr.FreeProductCyclic((2, 3)).validate_element(((0, 1), (0, 1)))
+    for g in (gr.Free(2), gr.FreeProductCyclic((2, 3))):
+        with pytest.raises(GroupMismatchError):
+            g.validate_element(((0.5, 1),))  # no factor index
 
 
 def test_group_spec_validation():

@@ -20,7 +20,6 @@ equal or stricter bound are not repeated here:
 - the finite lambda measures, spectra and float determinant load no numpy:
   test_cli.py::test_only_float_spectral_routes_import_numpy.
 """
-import ast
 import math
 import os
 import re
@@ -51,12 +50,15 @@ def answers(max_error_bound=None):
     return check
 
 
-def refuses(code, error_type):
-    """Kind 2: exit code and the error type of the JSON object on stderr."""
+def refuses(code, error_type, message=None):
+    """Kind 2: exit code and the error type, and the message where given, of
+    the JSON object on stderr."""
 
     def check(rc, out, err):
         assert (rc, out) == (code, ""), err
-        assert strict_json(err)["error"]["type"] == error_type
+        error = strict_json(err)["error"]
+        assert error["type"] == error_type
+        assert message is None or error["message"] == message
 
     return check
 
@@ -132,6 +134,15 @@ Z3 = "--group Z^3 --poly x1+x1^-1+x2+x2^-1+x3+x3^-1"
 Z4 = "--group Z^4 --poly x1+x1^-1+x2+x2^-1+x3+x3^-1+x4+x4^-1"
 DIHEDRAL = "--poly x+x^-1+y --lambda 0.1"  # P on Dinf and its quotients D_m
 
+
+def _coeffs_golden(poly, zeros, l1_bound):
+    """The coeffs answer over F2 whose counts are 1 and then `zeros` zeros."""
+    counts = ", ".join(["1"] + ["0"] * zeros)
+    return (f'{{"command": "coeffs", "group": "F2", "poly": "{poly}", "lambda": null, '
+            f'"method": "group-ring-powering", "value": null, "error_bound": 0, '
+            f'"extra": {{"coeffs": [{counts}], "l1_bound": {l1_bound}}}}}\n')
+
+
 ROWS = [
     # one request per row of experiments.CHAINS over its limit group, and the
     # zxzm chain at a negative lambda and at 0
@@ -151,6 +162,13 @@ ROWS = [
     # a group the chain does not serve
     (f"converge --chain dihedral --group Z^2 {DIHEDRAL} --params 4,8", 10,
      refuses(3, "DomainError")),
+    # an empty parameter list, and a chain without a q column printed as CSV
+    (f"converge --chain dihedral --group Dinf {DIHEDRAL} --params ,", 10,
+     refuses(2, "ParseError", "empty --params list")),
+    (f"converge --chain dihedral --group Dinf {DIHEDRAL} --params 4,8 --format csv", 10,
+     prints("parameter,value,gap,limit_method,q\n"
+            "4,-0.0155577108789682,5.77309772437796e-05,series,\n"
+            "8,-0.0154999837391881,3.83746365760496e-09,series,\n")),
     # every chain over finite quotients refuses a parameter past its point or
     # order cap before any work; a Z x Z/m quotient is walked by the series,
     # whose depth does not grow with m
@@ -187,6 +205,17 @@ ROWS = [
     ("measure --group F2 --poly 3+x+y", 10, encloses(math.log(3))),
     ("measure --group F2 --poly 4+x+y+y^-1", 10, answers(max_error_bound=1e-10)),
     ("measure --group C2*C3 --poly 4+x+y+y^-1", 10, answers(max_error_bound=1e-10)),
+    # a power of a free generator is one syllable, however high: no closed
+    # walk of x^1000000 or of x^99999999 + y is longer than 0
+    ("coeffs --group F2 --poly x^1000000 --n 40", 1, prints(_coeffs_golden("x^1000000", 40, 1))),
+    ("coeffs --group F2 --poly x^99999999+y --n 2", 1,
+     prints(_coeffs_golden("x^99999999+y", 2, 2))),
+    # Q = 0 has no measure, and 1/lambda an eigenvalue of A makes I - lambda A
+    # singular on the float spectral route
+    ("measure --group Z --poly 0", 10,
+     refuses(3, "SingularMatrixError", "Q = 0: the measure is undefined")),
+    ("measure --group Z/2 --poly 2*x --lambda 0.5 --allow-continuation", 10,
+     refuses(3, "SingularMatrixError")),
     ("u --group F2 --poly x+x^-1+y+y^-1 --lambda 0.08 --epsilon 1e-12", 10,
      meets(lambda: u_free(2).evaluate(0.08), 1e-12)),
     # the finite-to-infinite limit at |G| = 2048, from 2x2 representation
@@ -244,19 +273,3 @@ def test_experiment_script_runs(script):
     done = subprocess.run([sys.executable, "-c", run, str(script)], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
-
-
-def _randomized(module: Path) -> bool:
-    """The test module imports hypothesis or has a function that takes the rng fixture."""
-    tree = ast.parse(module.read_text())
-    imported = ({a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
-                | {n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)})
-    takes = {a.arg for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) for a in n.args.args}
-    return "rng" in takes or any(m.split(".")[0] == "hypothesis" for m in imported)
-
-
-def test_every_randomized_module_runs_on_the_held_out_seed():
-    held_out = next(code for _, code in _ci_steps() if "--hypothesis-seed" in code)
-    listed = set(re.findall(r"\btests/(test_\w+\.py)\b", held_out))
-    randomized = {m.name for m in TESTS.glob("test_*.py") if _randomized(m)}
-    assert randomized - listed == set()

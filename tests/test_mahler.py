@@ -311,8 +311,8 @@ def test_general_series_fallback_over_a_free_group():
 
 
 def test_general_series_fallback_honours_support_cap():
-    # P^n for P = -(x^2 + y)/3 fills F2 exponentially, and a P with a word
-    # of two letters is walked (a nearest-neighbour one builds no power)
+    # P^n for P = -(x^2 + y)/3 fills F2 exponentially, and a P with a step
+    # x^2 is walked (a nearest-neighbour one builds no power)
     g = gr.Free(2)
     Q = parse_poly_over("3+x^2+y", g)
     with pytest.raises(ResourceLimitError, match="cap"):

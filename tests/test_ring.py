@@ -348,7 +348,7 @@ def test_block_walk_counts_walk_each_distinct_block_once(monkeypatch, g, text, w
 
 def test_block_walk_counts_keep_the_walk_elsewhere():
     # any other group is walked whole unless P is nearest-neighbour on a free
-    # family, as this one with a word of two letters is not; the support cap
+    # family, as this one with a step x^2 is not; the support cap
     # holds in each block
     P = parse_poly_over("x^2 + x^-2 + y + y^-1", gr.Free(2))
     assert rg.block_walk_counts(P, 10) == rg.power_constant_coeffs(P, 10).values
